@@ -190,7 +190,7 @@ def cmd_identity(args, out) -> int:
         raise _UsageError(
             "unknown identity %r; known: %s" % (name, ", ".join(identity_names()))
         )
-    func = IDENTITY_CATALOG[name][0]
+    func = IDENTITY_CATALOG[name]
     accepted = set(inspect.signature(func).parameters)
     params = {}
     for flag in _PARAM_FLAGS:
@@ -289,7 +289,7 @@ def _oracle_rows(args):
         m = args.m
         total_census = 0
         total_formula = 0
-        for degs in _degree_sequences(m):
+        for degs in trees.degree_sequences(m):
             census = trees.count_degree_trees(m, degs)
             formula = trees.degree_trees_formula(m, degs)
             total_census += census
@@ -299,22 +299,6 @@ def _oracle_rows(args):
         yield ("formula total", total_formula, m ** (m - 2))
     else:
         raise _UsageError("unknown oracle kind %r" % kind)
-
-
-def _degree_sequences(m: int):
-    target = 2 * (m - 1)
-
-    def rec(i, left):
-        if i == m:
-            if left == 0:
-                yield ()
-            return
-        room = m - i - 1
-        for d in range(1, left - room + 1):
-            for rest in rec(i + 1, left - d):
-                yield (d,) + rest
-
-    yield from rec(0, target)
 
 
 def cmd_oracle(args, out) -> int:

@@ -4,7 +4,7 @@ Each public ``check_*`` routine exercises one family of identities over
 exact rational (or polynomial) arithmetic and returns an
 ``IdentityReport``; nothing is thrown on a mathematical failure, the
 report carries the first counterexample instead.  A registry maps
-stable identity names to default runs.
+stable identity names to the check routines, run at their defaults.
 
 Polynomial identities in free parameters are certified by evaluating on
 integer grids exceeding the polynomial degree, so a passing grid is a
@@ -13,6 +13,7 @@ proof, not a heuristic.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass
@@ -1599,27 +1600,26 @@ def check_hirzebruch(
 
 # -- registry -----------------------------------------------------------------------------
 
-# name -> (callable, forwards the order argument, default keyword arguments)
 IDENTITY_CATALOG = {
-    "catalan": (check_catalan_suite, True, {}),
-    "fuss-catalan": (check_fuss_catalan, True, {}),
-    "jensen": (check_jensen, False, {}),
-    "rothe-hagen": (check_rothe_hagen, False, {}),
-    "tree-function": (check_tree_function_suite, True, {}),
-    "lacasse": (check_lacasse, True, {}),
-    "abel": (check_abel, False, {}),
-    "weighted-stirling": (check_ws_egf, True, {}),
-    "p-l": (check_p_l, True, {}),
-    "r-m": (check_r_m, True, {}),
-    "q-l": (check_q_l, True, {}),
-    "fc-polynomial": (check_fc_polynomiality, True, {"p": 3, "i": 0, "j": 2}),
-    "narayana": (check_narayana_suite, False, {}),
-    "fuss-narayana": (check_fuss_narayana, False, {}),
-    "rational-expansion": (check_rational_expansion, False, {"r": 1, "s": 2}),
-    "finite-difference-lemma": (check_ffd_lemma, False, {}),
-    "raney": (check_raney, False, {}),
-    "schur-jabotinsky": (check_schur_jabotinsky, True, {}),
-    "hirzebruch-residue": (check_hirzebruch, False, {}),
+    "catalan": check_catalan_suite,
+    "fuss-catalan": check_fuss_catalan,
+    "jensen": check_jensen,
+    "rothe-hagen": check_rothe_hagen,
+    "tree-function": check_tree_function_suite,
+    "lacasse": check_lacasse,
+    "abel": check_abel,
+    "weighted-stirling": check_ws_egf,
+    "p-l": check_p_l,
+    "r-m": check_r_m,
+    "q-l": check_q_l,
+    "fc-polynomial": check_fc_polynomiality,
+    "narayana": check_narayana_suite,
+    "fuss-narayana": check_fuss_narayana,
+    "rational-expansion": check_rational_expansion,
+    "finite-difference-lemma": check_ffd_lemma,
+    "raney": check_raney,
+    "schur-jabotinsky": check_schur_jabotinsky,
+    "hirzebruch-residue": check_hirzebruch,
 }
 
 
@@ -1628,20 +1628,18 @@ def identity_names() -> list[str]:
 
 
 def run_identity(name: str, order: int = 30, **params) -> IdentityReport:
-    """Run one named identity check with its default parameters merged
-    under any overrides; raises UnknownIdentity for a name not in the
-    catalog."""
+    """Run one named identity check at its own default parameters, with
+    any overrides, passing ``order`` to the checks that take one; raises
+    UnknownIdentity for a name not in the catalog."""
     try:
-        func, forwards_order, defaults = IDENTITY_CATALOG[name]
+        func = IDENTITY_CATALOG[name]
     except KeyError:
         raise UnknownIdentity(
             "unknown identity %r; known: %s" % (name, ", ".join(identity_names()))
         ) from None
-    kwargs = dict(defaults)
-    kwargs.update(params)
-    if forwards_order:
-        kwargs.setdefault("order", order)
-    return func(**kwargs)
+    if "order" in inspect.signature(func).parameters:
+        params.setdefault("order", order)
+    return func(**params)
 
 
 def run_all(order: int = 30) -> list[IdentityReport]:

@@ -31,7 +31,7 @@ from .errors import (
     UnguardedCoefficient,
 )
 from .scalars import MultiPoly, int_binomial, scalar_div_int, scalar_inverse
-from .series import LaurentSeries, PowerSeries, compose
+from .series import LaurentSeries, PowerSeries, _convolve, _divide, compose
 
 
 def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -298,39 +298,8 @@ def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:
 #
 # Values of "series in z with power-series-in-x entries" are plain lists
 # indexed by the z exponent; every entry shares one x truncation order.
-
-
-def _zmul(a, b, z_order):
-    out = [None] * (z_order + 1)
-    for i, ai in enumerate(a):
-        if ai is None or ai.is_zero():
-            continue
-        for j in range(z_order + 1 - i):
-            bj = b[j]
-            if bj is None or bj.is_zero():
-                continue
-            cur = out[i + j]
-            out[i + j] = ai * bj if cur is None else cur + ai * bj
-    zero = _zzero_entry(a, b)
-    return [zero if e is None else e for e in out]
-
-
-def _zzero_entry(a, b):
-    for e in list(a) + list(b):
-        if e is not None:
-            return PowerSeries([0], e.order)
-    raise ValueError("empty z-polynomial")
-
-
-def _zdiv(a, b, z_order):
-    inv0 = PowerSeries([1], b[0].order) / b[0]
-    out = []
-    for n in range(z_order + 1):
-        acc = a[n]
-        for i in range(n):
-            acc = acc - out[i] * b[n - i]
-        out.append(acc * inv0 if isinstance(acc, PowerSeries) else acc)
-    return out
+# Products and quotients of such lists go through the series kernels
+# ``_convolve`` and ``_divide``; a product may hold the int 0 for a zero entry.
 
 
 def _derivative_times(s: PowerSeries, m: int) -> PowerSeries:
@@ -352,10 +321,10 @@ def _taylor_apply(alpha: PowerSeries, fz, z_order):
         if not cm.is_zero():
             for j in range(m, z_order + 1):
                 entry = pw[j]
-                if not entry.is_zero():
+                if entry:
                     out[j] = out[j] + cm * entry
         if m < z_order:
-            pw = _zmul(pw, delta, z_order)
+            pw = _convolve(pw, delta, z_order + 1)
     return out
 
 
@@ -429,7 +398,7 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     psi_f = _taylor_apply(psi, fz, z_order)
     hp_f = _taylor_apply(hp, fz, z_order)
     denom = [PowerSeries([1], order)] + [-e for e in hp_f[: z_order]]
-    ratio_direct = _zdiv(psi_f, denom, z_order)
+    ratio_direct = _divide(psi_f, denom, 1, z_order + 1)
 
     cut = lambda entries: [e.truncated(x_order) for e in entries]
     return ShiftExpansion(

@@ -11,23 +11,31 @@ Coefficients may be ints, Fractions, or MultiPoly values; ints embed into
 both rings, so 0 and 1 are used as universal padding constants.
 
 Every series product (power series, Laurent series, and the powers inside
-``reversion``) runs through one convolution loop that skips zero entries.
-When all coefficients are ints or Fractions, each operand is scaled to an
-integer vector by the lcm of its denominators, the integers are convolved,
-and each result coefficient is divided once by the product of the two
-scales, so rational products are computed over a common denominator and
-come out exact and reduced.  MultiPoly coefficients take the same loop
-without scaling.
+``reversion``) runs through one convolution routine, ``_convolve``, and
+every series quotient through one triangular recurrence, ``_divide``; both
+skip zero entries.  When all coefficients are ints or Fractions,
+``_convolve`` scales each operand to an integer vector by the lcm of its
+denominators, convolves the integers, and divides each result coefficient
+once by the product of the two scales, so rational products are computed
+over a common denominator and come out exact and reduced.  MultiPoly
+coefficients take the same loop without scaling.  A series is false
+exactly when every stored coefficient is zero, so the two routines also
+skip the zero entries of sequences of series, such as the z-expansions in
+``lagrange``.
 
 Precision notes (standard truncated-arithmetic semantics):
 
 * addition, multiplication and division of power series with invertible
   constant term are exact through x^(N-1);
-* extracting a positive valuation (Laurent division by a series of valuation
-  v > 0, or ``shift`` with negative k) leaves the top v stored coefficients
-  dependent on coefficients beyond the window; they are filled as if the
-  operand were a polynomial.  Callers that read coefficients near the top
-  after such operations must build their inputs with slack.
+* ``shift`` with negative k leaves the top |k| stored coefficients
+  dependent on coefficients beyond the window, and Laurent division by a
+  series of valuation v > 0 leaves the top 2v (the divisor's unit part is
+  known v places short of the window, and the quotient starts v places
+  lower).  They are filled as if the operands were polynomials: for
+  example 1 / (x + x^2 + x^3 + x^4 + x^5 + O(x^6)) gives
+  x^-1 - 1 + x^4 - x^5 + O(x^6), where x/(1-x) has 0 at x^4 and x^5.
+  Callers that read coefficients near the top after such operations must
+  build their inputs with slack.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ from .errors import (
 )
 from .scalars import (
     MultiPoly,
-    binomial,
     format_rational,
     parse_rational,
     scalar_div_int,
@@ -104,6 +111,43 @@ def _convolve(a, b, length: int) -> list:
     return [Fraction(c, scale) if c else 0 for c in out]
 
 
+def _divide(a, b, inv0, length: int) -> list:
+    """The first ``length`` coefficients of the quotient of the coefficient
+    sequences ``a`` and ``b``, where ``inv0`` is the inverse of b[0]: entry
+    m is (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.
+
+    Entries past the end of ``a`` or ``b`` read as zero, and zero terms are
+    skipped."""
+    nonzero_b = [(j, y) for j, y in enumerate(b[1:length], 1) if y]
+    q = []
+    for m in range(length):
+        acc = a[m] if m < len(a) else 0
+        for j, y in nonzero_b:
+            if j > m:
+                break
+            x = q[m - j]
+            if x:
+                acc = acc - x * y
+        q.append(acc * inv0)
+    return q
+
+
+def _power(base, k: int, one):
+    """base ** k for an integer k by binary powering from the unit ``one``;
+    a negative k powers one / base."""
+    if k < 0:
+        base = one / base
+        k = -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class PowerSeries:
     """A series c_0 + c_1 x + ... + c_(N-1) x^(N-1) + O(x^N)."""
 
@@ -143,8 +187,11 @@ class PowerSeries:
                 return i
         return None
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return self.valuation() is None
+        return not self
 
     def truncated(self, order: int) -> "PowerSeries":
         if not 1 <= order <= self.order:
@@ -214,21 +261,8 @@ class PowerSeries:
                 raise DivisionByNonUnit(
                     "divisor has zero constant term; divide as Laurent series instead"
                 )
-            inv0 = scalar_inverse(b0)
-            n = self.order
-            q = [0] * n
-            for m in range(n):
-                acc = self.coeffs[m]
-                for i in range(m):
-                    qi = q[i]
-                    if not qi:
-                        continue
-                    b = other.coeffs[m - i]
-                    if not b:
-                        continue
-                    acc = acc - qi * b
-                q[m] = acc * inv0
-            return PowerSeries(q, n)
+            q = _divide(self.coeffs, other.coeffs, scalar_inverse(b0), self.order)
+            return PowerSeries(q, self.order)
         if _is_scalar(other):
             inv = scalar_inverse(other)
             return PowerSeries([c * inv for c in self.coeffs], self.order)
@@ -242,36 +276,17 @@ class PowerSeries:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("use .pow() for non-integer exponents")
-        base = self
-        if k < 0:
-            base = PowerSeries([1], self.order) / self
-            k = -k
-        result = PowerSeries([1], self.order)
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, PowerSeries([1], self.order))
 
     def pow(self, e) -> "PowerSeries":
-        """General power via the binomial series sum(binom(e, k) h^k) with
-        h = self - 1; non-integer e requires constant term 1."""
+        """General power: self ** e for an integral e, otherwise
+        exp(e log(self)), which needs constant term 1."""
         e = Fraction(e)
         if e.denominator == 1:
             return self ** int(e)
         if not (self.coeffs[0] == 1):
             raise BadConstantTerm("fractional power needs constant term 1")
-        h = self - 1
-        acc = PowerSeries([1], self.order)
-        p = PowerSeries([1], self.order)
-        for k in range(1, self.order):
-            p = p * h
-            if p.is_zero():
-                break
-            acc = acc + binomial(e, k) * p
-        return acc
+        return (e * self.log()).exp()
 
     # -- calculus --------------------------------------------------------
 
@@ -412,8 +427,11 @@ class LaurentSeries:
         """The coefficient of x^(-1)."""
         return self.coeff(-1)
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not self
 
     def valuation(self):
         return None if self.is_zero() else self.min_exponent
@@ -512,26 +530,7 @@ class LaurentSeries:
             m = self.min_exponent - o.min_exponent
             if m >= self.order:
                 return LaurentSeries.zero(self.order)
-            length = self.order - m
-            num = [
-                self.coeff(self.min_exponent + i)
-                if self.min_exponent + i < self.order
-                else 0
-                for i in range(length)
-            ]
-            den = [o.coeffs[i] if i < len(o.coeffs) else 0 for i in range(length)]
-            q = [0] * length
-            for t in range(length):
-                acc = num[t]
-                for i in range(t):
-                    qi = q[i]
-                    if not qi:
-                        continue
-                    b = den[t - i]
-                    if not b:
-                        continue
-                    acc = acc - qi * b
-                q[t] = acc * inv0
+            q = _divide(self.coeffs, o.coeffs, inv0, self.order - m)
             return LaurentSeries(q, m, self.order)
         if _is_scalar(other):
             inv = scalar_inverse(other)
@@ -548,18 +547,7 @@ class LaurentSeries:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("Laurent powers take integer exponents")
-        base = self
-        if k < 0:
-            base = LaurentSeries([1], 0, self.order) / self
-            k = -k
-        result = LaurentSeries([1], 0, self.order)
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, LaurentSeries([1], 0, self.order))
 
     # -- calculus ------------------------------------------------------------
 

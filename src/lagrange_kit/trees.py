@@ -405,6 +405,24 @@ def degree_trees_formula(m: int, degrees) -> int:
     return multinomial(m - 2, tuple(d - 1 for d in degrees))
 
 
+def degree_sequences(m: int):
+    """Every degree sequence (d_1, ..., d_m) with each d_i >= 1 and
+    sum d_i = 2(m-1), in lexicographic order."""
+    target = 2 * (m - 1)
+
+    def rec(i, left):
+        if i == m:
+            if left == 0:
+                yield ()
+            return
+        room = m - i - 1
+        for d in range(1, left - room + 1):
+            for rest in rec(i + 1, left - d):
+                yield (d,) + rest
+
+    yield from rec(0, target)
+
+
 # -- labeled rooted forests -------------------------------------------------------
 
 

@@ -38,6 +38,7 @@ from lagrange_kit.trees import (
     count_degree_trees,
     count_labeled_forests,
     cycle_lemma_count,
+    degree_sequences,
     degree_trees_formula,
     enumerate_labeled_trees,
     labeled_forest_child_formula,
@@ -234,7 +235,7 @@ def test_criterion_08_combinatorial_oracles():
 
     for m in range(2, 8):
         total = 0
-        for degs in _degree_sequences(m):
+        for degs in degree_sequences(m):
             census = count_degree_trees(m, degs)
             if census != degree_trees_formula(m, degs):
                 failures.append("degree trees m=%d d=%r" % (m, degs))
@@ -277,22 +278,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _degree_sequences(m):
-    target = 2 * (m - 1)
-
-    def rec(i, left):
-        if i == m:
-            if left == 0:
-                yield ()
-            return
-        room = m - i - 1
-        for d in range(1, left - room + 1):
-            for rest in rec(i + 1, left - d):
-                yield (d,) + rest
-
-    yield from rec(0, target)
 
 
 def test_criterion_09_raney_profile_weights():

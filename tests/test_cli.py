@@ -171,9 +171,7 @@ class TestIdentity:
                 first_failure="numbers disagree", elapsed_ms=0.0,
             )
 
-        monkeypatch.setitem(
-            IDENTITY_CATALOG, "always-fails", (always_fails, True, {})
-        )
+        monkeypatch.setitem(IDENTITY_CATALOG, "always-fails", always_fails)
         code, text = run_cli("identity", "always-fails")
         assert code == 1
         assert "FAIL" in text

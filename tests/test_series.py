@@ -51,6 +51,18 @@ def _ints_where_integral(s):
 
 any_series = st.one_of(power_series, laurent_series)
 mixed_series = st.one_of(any_series, any_series.map(_ints_where_integral))
+# both operands of a quotient, with min_exponent up to 3 so that divisors of
+# positive valuation occur
+_quotient_series = st.one_of(
+    power_series,
+    st.tuples(
+        st.lists(rationals, min_size=0, max_size=ORDER + 3),
+        st.integers(min_value=-3, max_value=3),
+    ).map(lambda t: LaurentSeries(t[0][: ORDER - t[1]], t[1], ORDER)),
+)
+quotient_operands = st.one_of(
+    _quotient_series, _quotient_series.map(_ints_where_integral)
+)
 _ring = PolyRing("a", "b")
 _a, _b = _ring.gens()
 
@@ -151,6 +163,73 @@ class TestRingAxioms:
                 a / b
         else:
             assert (a / b) * b == a
+
+    @fast
+    @given(a=quotient_operands, b=quotient_operands)
+    @example(
+        a=PowerSeries([1], ORDER),
+        b=LaurentSeries([1] * (ORDER - 1), 1, ORDER),
+    )
+    @example(
+        a=LaurentSeries([Fraction(3, 4), 0, 1, 0, Fraction(-5, 2)], -2, ORDER),
+        b=LaurentSeries([2, 0, Fraction(-2, 3), 0, 5], 3, ORDER),
+    )
+    @example(
+        a=PowerSeries([0, Fraction(1, 2), 0, -3], ORDER),
+        b=PowerSeries([Fraction(2, 3), 0, 1, Fraction(-1, 5)], ORDER),
+    )
+    @example(a=PowerSeries([1, 2], ORDER), b=PowerSeries([0, 1], ORDER))
+    def test_quotient_is_the_triangular_recurrence(self, a, b):
+        if isinstance(a, PowerSeries) and isinstance(b, PowerSeries):
+            if not b.constant_term:
+                with pytest.raises(DivisionByNonUnit):
+                    a / b
+                return
+            low_a = low_b = 0
+        else:
+            if b.is_zero():
+                with pytest.raises(DivisionByZeroSeries):
+                    a / b
+                return
+            a, b = (
+                s.to_laurent() if isinstance(s, PowerSeries) else s for s in (a, b)
+            )
+            low_a, low_b = a.min_exponent, b.min_exponent
+
+        def read(s, n):
+            # coefficients past the stored window read as zero
+            return s.coeff(n) if n < ORDER else 0
+
+        start = low_a - low_b
+        q = []
+        for t in range(ORDER - start):
+            acc = read(a, low_a + t) - sum(
+                q[i] * read(b, low_b + t - i) for i in range(t)
+            )
+            q.append(Fraction(acc) / read(b, low_b))
+        quotient = a / b
+        for n in range(-6, ORDER):
+            assert quotient.coeff(n) == (q[n - start] if n >= start else 0)
+
+    @fast
+    @given(
+        tail=st.lists(rationals, min_size=0, max_size=ORDER - 1),
+        p=st.integers(min_value=-3, max_value=3),
+        q=st.integers(min_value=2, max_value=4),
+    )
+    def test_fractional_power_raised_back(self, tail, p, q):
+        s = PowerSeries([1] + tail, ORDER)
+        assert s.pow(Fraction(p, q)) ** q == s ** p
+
+    @fast
+    @given(a=any_series)
+    @example(a=PowerSeries([0], ORDER))
+    @example(a=LaurentSeries.zero(ORDER))
+    @example(a=PowerSeries([0] * (ORDER - 1) + [Fraction(1, 2)], ORDER))
+    @example(a=PowerSeries([0, _a], ORDER))
+    def test_false_exactly_when_zero(self, a):
+        low = getattr(a, "min_exponent", 0)
+        assert bool(a) == any(a.coeff(n) != 0 for n in range(low, ORDER))
 
     @fast
     @given(a=power_series, k=st.integers(min_value=0, max_value=5))
