@@ -25,7 +25,7 @@ from itertools import product
 from math import factorial
 
 from . import trees
-from .errors import LagrangeKitError
+from .errors import LagrangeKitError, SizeLimit
 from .identities import IDENTITY_CATALOG, identity_names, run_identity
 from .lagrange import solve_xR
 from .scalars import format_rational, parse_rational
@@ -239,6 +239,45 @@ def _profile_label(profile) -> str:
     return " ".join("n%d=%d" % (i, c) for i, c in profile)
 
 
+def _check_oracle_args(args) -> None:
+    """Reject bad or oversized oracle arguments before any work starts."""
+    kind = args.kind
+    if kind in ("ordered-forest", "labeled-forest"):
+        if args.n < 1 or args.k < 1:
+            raise _UsageError("n and k must be positive")
+        limit = (
+            trees.ORDERED_FOREST_LIMIT
+            if kind == "ordered-forest"
+            else trees.LABELED_FOREST_LIMIT
+        )
+        if args.n > limit:
+            raise SizeLimit("n = %d exceeds the enumeration limit %d" % (args.n, limit))
+    elif kind in ("prufer", "degree-trees"):
+        if args.m < 2:
+            raise _UsageError("m must be at least 2")
+        if args.m > trees.LABELED_TREE_LIMIT:
+            raise SizeLimit(
+                "m = %d exceeds the enumeration limit %d"
+                % (args.m, trees.LABELED_TREE_LIMIT)
+            )
+    elif kind == "cycle-lemma":
+        alphabet = _parse_int_list(args.alphabet)
+        if not alphabet or any(e < -1 for e in alphabet):
+            raise _UsageError("alphabet entries must be integers >= -1")
+        if args.length < 1:
+            raise _UsageError("len must be positive")
+        # a one-entry alphabet still costs O(len^2) per sequence, so it is
+        # counted as two entries; 2 ** cap already exceeds the limit, so
+        # capping the exponent keeps the check cheap for any --len
+        base = max(len(alphabet), 2)
+        cap = trees.CYCLE_LEMMA_LIMIT.bit_length()
+        if base ** min(args.length, cap) > trees.CYCLE_LEMMA_LIMIT:
+            raise SizeLimit(
+                "%d entries at length %d exceed the enumeration limit %d"
+                % (len(alphabet), args.length, trees.CYCLE_LEMMA_LIMIT)
+            )
+
+
 def _oracle_rows(args):
     kind = args.kind
     if kind == "ordered-forest":
@@ -272,8 +311,6 @@ def _oracle_rows(args):
         yield ("decode-encode round trips", good, len(codes))
     elif kind == "cycle-lemma":
         alphabet = _parse_int_list(args.alphabet)
-        if not alphabet or any(e < -1 for e in alphabet):
-            raise _UsageError("alphabet entries must be integers >= -1")
         for length in range(1, args.length + 1):
             cases = 0
             agree = 0
@@ -303,6 +340,7 @@ def _oracle_rows(args):
 
 def cmd_oracle(args, out) -> int:
     started = time.perf_counter()
+    _check_oracle_args(args)
     rows = []
     mismatches = 0
     for label, census, formula in _oracle_rows(args):

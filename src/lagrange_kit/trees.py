@@ -6,6 +6,14 @@ forests are generated through their reduced codes, labeled forests by a
 pruned parent-function search, and unrooted trees by edge subsets, so no
 route shares machinery with the series engine.
 
+Each census is counted once per size, while its enumeration runs, and is
+held in a module-level ``lru_cache``: ordered forests by profile per
+(n, k), labeled forests by child counts and by profile per n, and trees by
+degree sequence per m.  Every count query is then a lookup.  The forest
+searches report each forest to a visitor, so the forest censuses keep no
+forest; the degree census reads the cached ``enumerate_labeled_trees``,
+which the Prufer round trips use as well.
+
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
 the formulas.
@@ -25,6 +33,7 @@ from .scalars import multinomial
 ORDERED_FOREST_LIMIT = 12
 LABELED_TREE_LIMIT = 8
 LABELED_FOREST_LIMIT = 7
+CYCLE_LEMMA_LIMIT = 4 ** 10
 
 
 # -- ordered forests and their codes -------------------------------------------
@@ -137,16 +146,15 @@ def decode_reduced(code, k: int) -> OrderedForest:
     return OrderedForest(k, tuple(stack))
 
 
-def enumerate_ordered_forests(n: int, k: int) -> list:
-    """Every forest of k ordered trees with n vertices, generated through
-    the valid reduced codes of length n."""
+def _ordered_forest_search(n: int, k: int, visit) -> None:
+    """Call visit(forest) for every forest of k ordered trees with n
+    vertices, decoding each valid reduced code of length n."""
     if n > ORDERED_FOREST_LIMIT:
         raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, ORDERED_FOREST_LIMIT))
     if k < 1:
         raise ValueError("k must be positive")
     if n < k:
-        return []
-    out = []
+        return
     entries = [0] * n
 
     def search(i: int, partial: int) -> None:
@@ -155,7 +163,7 @@ def enumerate_ordered_forests(n: int, k: int) -> list:
             e = -k - partial
             if e >= -1:
                 entries[i] = e
-                out.append(decode_reduced(entries, k))
+                visit(decode_reduced(entries, k))
             return
         top = min(-1, remaining_after - k) - partial
         for e in range(-1, top + 1):
@@ -163,6 +171,13 @@ def enumerate_ordered_forests(n: int, k: int) -> list:
             search(i + 1, partial + e)
 
     search(0, 0)
+
+
+def enumerate_ordered_forests(n: int, k: int) -> list:
+    """Every forest of k ordered trees with n vertices, generated through
+    the valid reduced codes of length n."""
+    out = []
+    _ordered_forest_search(n, k, out.append)
     return out
 
 
@@ -182,12 +197,18 @@ def _normalize_profile(profile) -> dict:
     return out
 
 
-@lru_cache(maxsize=64)
+# holds every (n, k) with 1 <= k <= n <= ORDERED_FOREST_LIMIT: 78 keys
+@lru_cache(maxsize=128)
 def _ordered_profile_census(n: int, k: int) -> dict:
+    """Sorted profile items -> number of ordered k-forests on n vertices
+    with that profile, read off each decoded forest."""
     census: dict = {}
-    for forest in enumerate_ordered_forests(n, k):
+
+    def visit(forest: OrderedForest) -> None:
         key = tuple(sorted(forest.profile().items()))
         census[key] = census.get(key, 0) + 1
+
+    _ordered_forest_search(n, k, visit)
     return census
 
 
@@ -369,8 +390,23 @@ def enumerate_labeled_trees(m: int) -> tuple:
                 break
             parent[ru] = rv
         if acyclic:
-            out.append(_canonical_edges(subset))
+            # combinations of the sorted edge list are already canonical
+            out.append(subset)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _degree_census(m: int) -> dict:
+    """Degree sequence -> number of trees on [m] with those degrees."""
+    census: dict = {}
+    for edges in enumerate_labeled_trees(m):
+        deg = [0] * (m + 1)
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        key = tuple(deg[1:])
+        census[key] = census.get(key, 0) + 1
+    return census
 
 
 def count_degree_trees(m: int, degrees) -> int:
@@ -379,17 +415,7 @@ def count_degree_trees(m: int, degrees) -> int:
     degrees = tuple(degrees)
     if len(degrees) != m:
         raise ValueError("need one degree per vertex")
-    if m == 1:
-        return 1 if degrees == (0,) else 0
-    count = 0
-    for edges in enumerate_labeled_trees(m):
-        deg = [0] * (m + 1)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        if tuple(deg[1:]) == degrees:
-            count += 1
-    return count
+    return _degree_census(m).get(degrees, 0)
 
 
 def degree_trees_formula(m: int, degrees) -> int:
@@ -426,20 +452,21 @@ def degree_sequences(m: int):
 # -- labeled rooted forests -------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _all_forest_parents(n: int) -> tuple:
-    """Every acyclic parent assignment on [n]; parents[i-1] is the parent
-    of vertex i, with 0 marking a root."""
+def _labeled_forest_search(n: int, visit) -> None:
+    """Call visit(parent, kids) for every acyclic parent assignment on
+    [n]: parent[i] is the parent of vertex i, with 0 marking a root, and
+    kids[v] is the number of children of v, so kids[0] counts the roots.
+    Both lists are reused between calls."""
     if n > LABELED_FOREST_LIMIT:
         raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, LABELED_FOREST_LIMIT))
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
     parent = [0] * (n + 1)
+    kids = [0] * (n + 1)
 
     def search(i: int) -> None:
         if i > n:
-            out.append(tuple(parent[1:]))
+            visit(parent, kids)
             return
         for p in range(n + 1):
             if p == i:
@@ -447,7 +474,9 @@ def _all_forest_parents(n: int) -> tuple:
             if p and _chases_back(i, p):
                 continue
             parent[i] = p
+            kids[p] += 1
             search(i + 1)
+            kids[p] -= 1
         parent[i] = 0
 
     def _chases_back(start: int, p: int) -> bool:
@@ -461,7 +490,6 @@ def _all_forest_parents(n: int) -> tuple:
         return False
 
     search(1)
-    return tuple(out)
 
 
 def enumerate_labeled_forests(n: int, k: int) -> list:
@@ -469,15 +497,37 @@ def enumerate_labeled_forests(n: int, k: int) -> list:
     the roots."""
     if k < 1:
         raise ValueError("k must be positive")
-    return [p for p in _all_forest_parents(n) if p.count(0) == k]
+    out = []
+
+    def visit(parent: list, kids: list) -> None:
+        if kids[0] == k:
+            out.append(tuple(parent[1:]))
+
+    _labeled_forest_search(n, visit)
+    return out
 
 
-def _child_counts(parents: tuple) -> tuple:
-    n = len(parents)
-    kids = [0] * (n + 1)
-    for p in parents:
-        kids[p] += 1
-    return tuple(kids[1:])
+@lru_cache(maxsize=None)
+def _labeled_census(n: int) -> tuple:
+    """Two maps over the rooted forests on [n]: (k,) + child counts ->
+    number of forests, and (k, sorted profile items) -> number of forests.
+    The profile map is folded from the child-count map, since a forest's
+    profile is the multiset of its child counts."""
+    by_child: dict = {}
+
+    def visit(parent: list, kids: list) -> None:
+        key = tuple(kids)
+        by_child[key] = by_child.get(key, 0) + 1
+
+    _labeled_forest_search(n, visit)
+    by_profile: dict = {}
+    for key, count in by_child.items():
+        profile: dict = {}
+        for c in key[1:]:
+            profile[c] = profile.get(c, 0) + 1
+        pkey = (key[0], tuple(sorted(profile.items())))
+        by_profile[pkey] = by_profile.get(pkey, 0) + count
+    return by_child, by_profile
 
 
 def count_labeled_forests(n: int, k: int, child_counts) -> int:
@@ -486,11 +536,9 @@ def count_labeled_forests(n: int, k: int, child_counts) -> int:
     child_counts = tuple(child_counts)
     if len(child_counts) != n:
         raise ValueError("need one child count per vertex")
-    return sum(
-        1
-        for p in enumerate_labeled_forests(n, k)
-        if _child_counts(p) == child_counts
-    )
+    if k < 1:
+        raise ValueError("k must be positive")
+    return _labeled_census(n)[0].get((k,) + child_counts, 0)
 
 
 def labeled_forest_child_formula(n: int, k: int, child_counts) -> int:
@@ -508,15 +556,9 @@ def labeled_forest_profile_count(n: int, k: int, profile) -> int:
     """Number of k-root forests on [n] with n_i vertices having i
     children, by exhaustive enumeration."""
     prof = _normalize_profile(profile)
-    count = 0
-    for p in enumerate_labeled_forests(n, k):
-        kids = _child_counts(p)
-        census: dict = {}
-        for c in kids:
-            census[c] = census.get(c, 0) + 1
-        if census == prof:
-            count += 1
-    return count
+    if k < 1:
+        raise ValueError("k must be positive")
+    return _labeled_census(n)[1].get((k, tuple(sorted(prof.items()))), 0)
 
 
 def labeled_forest_shape_formula(n: int, k: int, profile) -> int:

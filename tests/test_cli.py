@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import signal
+import time
 
 import pytest
 
 from lagrange_kit import cli
+from lagrange_kit.errors import SizeLimit
 from lagrange_kit.identities import IDENTITY_CATALOG, IdentityReport
 
 
@@ -243,6 +246,64 @@ class TestOracle:
     def test_bad_alphabet_literal(self):
         code, _ = run_cli("oracle", "cycle-lemma", "--alphabet", "1,x")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("degree-trees", "--m", "0"),
+            ("degree-trees", "--m", "1"),
+            ("prufer", "--m", "1"),
+            ("ordered-forest", "--n", "0"),
+            ("ordered-forest", "--k", "0"),
+            ("labeled-forest", "--n", "0"),
+            ("labeled-forest", "--k", "0"),
+            ("cycle-lemma", "--len", "0"),
+        ],
+    )
+    def test_out_of_range_arguments(self, argv, capsys):
+        code, text = run_cli("oracle", *argv, "--format", "csv")
+        assert code == 2
+        assert text == ""
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cycle-lemma", "--len", "40"),
+            ("cycle-lemma", "--alphabet", "-1", "--len", "1000000000"),
+            ("ordered-forest", "--n", "1000"),
+            ("labeled-forest", "--n", "8"),
+            ("degree-trees", "--m", "9"),
+            ("prufer", "--m", "9"),
+        ],
+    )
+    def test_oversized_arguments_fail_fast(self, argv, capsys):
+        def expire(signum, frame):
+            raise TimeoutError("oracle %s ran past 5 s" % " ".join(argv))
+
+        # an unchecked input would run for hours, so stop it instead
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            started = time.perf_counter()
+            code, text = run_cli("oracle", *argv, "--format", "csv")
+            elapsed = time.perf_counter() - started
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert "enumeration limit" in capsys.readouterr().err
+
+    def test_cycle_lemma_limit_admits_length_ten(self):
+        args = cli.build_parser().parse_args(
+            ["oracle", "cycle-lemma", "--alphabet=-1,0,1,2", "--len", "10"]
+        )
+        cli._check_oracle_args(args)
+        args.length = 11
+        with pytest.raises(SizeLimit):
+            cli._check_oracle_args(args)
 
 
 class TestList:

@@ -254,3 +254,68 @@ class TestLabeledForests:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             trees.enumerate_labeled_forests(8, 1)
+
+
+class TestCensusContract:
+    """Every count query checks its arguments eagerly and reads 0 for
+    keys no object has."""
+
+    def test_size_limits(self):
+        with pytest.raises(SizeLimit):
+            trees.count_by_profile(13, 1, {0: 7, 2: 6})
+        with pytest.raises(SizeLimit):
+            trees.count_labeled_forests(8, 1, (7, 0, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(SizeLimit):
+            trees.labeled_forest_profile_count(8, 1, {0: 7, 7: 1})
+        with pytest.raises(SizeLimit):
+            trees.count_degree_trees(9, (1,) * 8 + (8,))
+
+    def test_nonpositive_k(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                trees.count_by_profile(3, k, {0: 3})
+            with pytest.raises(ValueError):
+                trees.count_labeled_forests(3, k, (0, 0, 0))
+            with pytest.raises(ValueError):
+                trees.labeled_forest_profile_count(3, k, {0: 3})
+
+    def test_nonpositive_n_for_labeled_forests(self):
+        with pytest.raises(ValueError):
+            trees.count_labeled_forests(0, 1, ())
+        with pytest.raises(ValueError):
+            trees.labeled_forest_profile_count(0, 1, {})
+
+    def test_wrong_length_vectors(self):
+        with pytest.raises(ValueError):
+            trees.count_labeled_forests(3, 1, (2, 0))
+        with pytest.raises(ValueError):
+            trees.count_degree_trees(4, (1, 1, 4))
+
+    def test_more_roots_than_vertices(self):
+        assert trees.count_by_profile(2, 3, {0: 2}) == 0
+        assert trees.count_labeled_forests(2, 3, (0, 0)) == 0
+        assert trees.labeled_forest_profile_count(2, 3, {0: 2}) == 0
+
+    def test_profiles_with_wrong_totals(self):
+        # five vertices listed for a 4-vertex forest; weight 2 for n - k = 3
+        assert trees.count_by_profile(4, 1, {0: 4, 1: 1}) == 0
+        assert trees.count_by_profile(4, 1, {0: 2, 1: 2}) == 0
+        assert trees.labeled_forest_profile_count(4, 1, {0: 4, 1: 1}) == 0
+        assert trees.labeled_forest_profile_count(4, 1, {0: 2, 1: 2}) == 0
+        assert trees.count_labeled_forests(3, 1, (1, 0, 0)) == 0
+
+    def test_zero_count_entries(self):
+        # a zero count names no vertex, so it changes nothing
+        assert trees.count_by_profile(3, 1, {0: 2, 1: 0, 2: 1}) == 1
+        assert trees.count_by_profile(3, 1, {0: 0}) == 0
+        assert trees.labeled_forest_profile_count(2, 1, {0: 1, 1: 1, 5: 0}) == 2
+        assert trees.labeled_forest_profile_count(2, 1, {0: 0}) == 0
+
+    def test_degree_sequences_with_wrong_sum(self):
+        assert trees.count_degree_trees(4, (1, 1, 1, 1)) == 0
+        assert trees.count_degree_trees(4, (2, 2, 2, 2)) == 0
+        assert trees.count_degree_trees(3, (0, 2, 2)) == 0
+        assert trees.count_degree_trees(1, (1,)) == 0
+
+    def test_single_vertex_tree(self):
+        assert trees.count_degree_trees(1, (0,)) == 1
