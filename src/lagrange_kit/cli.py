@@ -303,12 +303,13 @@ def _oracle_rows(args):
             if trees.prufer_decode(trees.prufer_encode(edges, m)) == edges:
                 good += 1
         yield ("encode-decode round trips", good, len(forest))
-        codes = list(product(range(1, m + 1), repeat=m - 2))
+        codes = 0
         good = 0
-        for code in codes:
+        for code in product(range(1, m + 1), repeat=m - 2):
+            codes += 1
             if trees.prufer_encode(trees.prufer_decode(code, m), m).entries == code:
                 good += 1
-        yield ("decode-encode round trips", good, len(codes))
+        yield ("decode-encode round trips", good, codes)
     elif kind == "cycle-lemma":
         alphabet = _parse_int_list(args.alphabet)
         for length in range(1, args.length + 1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .errors import DegreeViolation, InsufficientRange, UnknownIdentity
+from .errors import DegreeViolation, InsufficientRange, SizeLimit, UnknownIdentity
 from .lagrange import (
     raney_coefficient,
     schur_jabotinsky_check,
@@ -1600,6 +1600,10 @@ def check_hirzebruch(
 
 # -- registry -----------------------------------------------------------------------------
 
+# the largest n_max run_identity accepts: at 50 the slowest check
+# (rothe-hagen) takes 9-12 s on a 2-core host, at 100 it runs past 20 s
+N_MAX_LIMIT = 50
+
 IDENTITY_CATALOG = {
     "catalan": check_catalan_suite,
     "fuss-catalan": check_fuss_catalan,
@@ -1630,13 +1634,17 @@ def identity_names() -> list[str]:
 def run_identity(name: str, order: int = 30, **params) -> IdentityReport:
     """Run one named identity check at its own default parameters, with
     any overrides, passing ``order`` to the checks that take one; raises
-    UnknownIdentity for a name not in the catalog."""
+    UnknownIdentity for a name not in the catalog and SizeLimit, before
+    any work, for an ``n_max`` above N_MAX_LIMIT."""
     try:
         func = IDENTITY_CATALOG[name]
     except KeyError:
         raise UnknownIdentity(
             "unknown identity %r; known: %s" % (name, ", ".join(identity_names()))
         ) from None
+    n_max = params.get("n_max")
+    if n_max is not None and n_max > N_MAX_LIMIT:
+        raise SizeLimit("n_max = %d exceeds the limit %d" % (n_max, N_MAX_LIMIT))
     if "order" in inspect.signature(func).parameters:
         params.setdefault("order", order)
     return func(**params)

@@ -10,9 +10,15 @@ Each census is counted once per size, while its enumeration runs, and is
 held in a module-level ``lru_cache``: ordered forests by profile per
 (n, k), labeled forests by child counts and by profile per n, and trees by
 degree sequence per m.  Every count query is then a lookup.  The forest
-searches report each forest to a visitor, so the forest censuses keep no
-forest; the degree census reads the cached ``enumerate_labeled_trees``,
-which the Prufer round trips use as well.
+searches report each object to a visitor and keep none: the ordered search
+hands over each valid reduced code, which the census counts by its sorted
+entries (a vertex with entry e has e + 1 children, so the sorted code
+fixes the profile), and only ``enumerate_ordered_forests`` decodes.  The
+trees on [m] are cached packed, 2(m - 1) one-byte endpoints per tree,
+behind a read-only sequence of canonical edge tuples; the degree census
+and the Prufer round trips read them there.  Prufer encoding and decoding
+take linear time, with a leaf pointer that only moves up, and keep every
+input check.
 
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
@@ -21,10 +27,11 @@ the formulas.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 from math import factorial
 
 from .errors import BadSequence, InvalidCode, NotATree, SizeLimit
@@ -147,8 +154,9 @@ def decode_reduced(code, k: int) -> OrderedForest:
 
 
 def _ordered_forest_search(n: int, k: int, visit) -> None:
-    """Call visit(forest) for every forest of k ordered trees with n
-    vertices, decoding each valid reduced code of length n."""
+    """Call visit(entries) for every valid reduced code of length n with
+    total -k, that is for every forest of k ordered trees on n vertices;
+    the entries list is reused between calls."""
     if n > ORDERED_FOREST_LIMIT:
         raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, ORDERED_FOREST_LIMIT))
     if k < 1:
@@ -163,7 +171,7 @@ def _ordered_forest_search(n: int, k: int, visit) -> None:
             e = -k - partial
             if e >= -1:
                 entries[i] = e
-                visit(decode_reduced(entries, k))
+                visit(entries)
             return
         top = min(-1, remaining_after - k) - partial
         for e in range(-1, top + 1):
@@ -174,10 +182,10 @@ def _ordered_forest_search(n: int, k: int, visit) -> None:
 
 
 def enumerate_ordered_forests(n: int, k: int) -> list:
-    """Every forest of k ordered trees with n vertices, generated through
-    the valid reduced codes of length n."""
+    """Every forest of k ordered trees with n vertices, decoded from the
+    valid reduced codes of length n."""
     out = []
-    _ordered_forest_search(n, k, out.append)
+    _ordered_forest_search(n, k, lambda entries: out.append(decode_reduced(entries, k)))
     return out
 
 
@@ -201,15 +209,20 @@ def _normalize_profile(profile) -> dict:
 @lru_cache(maxsize=128)
 def _ordered_profile_census(n: int, k: int) -> dict:
     """Sorted profile items -> number of ordered k-forests on n vertices
-    with that profile, read off each decoded forest."""
-    census: dict = {}
+    with that profile.  Codes are counted by their sorted entries, and each
+    distinct key becomes a profile once: a vertex with reduced entry e has
+    e + 1 children, so the sorted code and the profile fix each other."""
+    by_code: dict = {}
 
-    def visit(forest: OrderedForest) -> None:
-        key = tuple(sorted(forest.profile().items()))
-        census[key] = census.get(key, 0) + 1
+    def visit(entries: list) -> None:
+        key = tuple(sorted(entries))
+        by_code[key] = by_code.get(key, 0) + 1
 
     _ordered_forest_search(n, k, visit)
-    return census
+    return {
+        tuple((e + 1, len(list(run))) for e, run in groupby(key)): count
+        for key, count in by_code.items()
+    }
 
 
 def count_by_profile(n: int, k: int, profile) -> int:
@@ -283,52 +296,75 @@ class PruferCode:
             raise InvalidCode("entries must lie in 1..%d" % self.m)
 
 
-def _canonical_edges(edges) -> tuple:
-    return tuple(sorted(tuple(sorted(e)) for e in edges))
-
-
-def _tree_adjacency(edges, m: int | None):
+def _check_tree(edges, m: int | None):
+    """The edges as a list of pairs and the vertex count m, or NotATree:
+    m - 1 distinct edges joining vertices of [m] with no cycle, which for
+    that many edges is the same as connected."""
     edges = [tuple(e) for e in edges]
-    labels = {v for e in edges for v in e}
+    ends = [v for e in edges for v in e]
+    labels = set(ends)
     if m is None:
         m = max(labels) if labels else 0
     if m < 2:
         raise NotATree("need at least two vertices")
-    if any(
-        len(e) != 2 or not all(isinstance(v, int) and 1 <= v <= m for v in e)
-        for e in edges
+    if (
+        not {2}.issuperset(map(len, edges))
+        or not all(map(isinstance, ends, repeat(int)))
+        or ends and not 1 <= min(ends) <= max(ends) <= m
     ):
         raise NotATree("edges must join vertices in 1..%d" % m)
     if any(u == v for u, v in edges):
         raise NotATree("self loops are not allowed")
     if len(edges) != m - 1 or len({frozenset(e) for e in edges}) != m - 1:
         raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
-    adj = {v: set() for v in range(1, m + 1)}
+    root = list(range(m + 1))
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {1}
-    queue = [1]
-    while queue:
-        for w in adj[queue.pop()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != m:
-        raise NotATree("edge set is not connected")
-    return adj, m
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        if u == v:
+            raise NotATree("edge set is not connected")
+        root[u] = v
+    return edges, m
+
+
+# Both codec directions delete the least-labeled leaf m - 2 times in linear
+# time: a pointer `low` only moves up, and a leaf that appears below it when
+# its last neighbor goes is the least leaf at once.
 
 
 def prufer_encode(edges, m: int | None = None) -> PruferCode:
-    """Repeatedly delete the least-labeled leaf, recording its neighbor."""
-    adj, m = _tree_adjacency(edges, m)
+    """Repeatedly delete the least-labeled leaf, recording its neighbor.
+    Each vertex keeps the XOR of its neighbors' labels, so a leaf's one
+    remaining neighbor is read off directly."""
+    edges, m = _check_tree(edges, m)
+    degree = [0] * (m + 1)
+    others = [0] * (m + 1)
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+        others[u] ^= v
+        others[v] ^= u
     code = []
+    low = 1
+    while degree[low] != 1:
+        low += 1
+    leaf = low
     for _ in range(m - 2):
-        leaf = min(v for v, nb in adj.items() if len(nb) == 1)
-        neighbor = next(iter(adj[leaf]))
+        neighbor = others[leaf]
+        others[neighbor] ^= leaf
+        degree[neighbor] -= 1
         code.append(neighbor)
-        adj[neighbor].discard(leaf)
-        del adj[leaf]
+        if degree[neighbor] == 1 and neighbor < low:
+            leaf = neighbor
+        else:
+            low += 1
+            while degree[low] != 1:
+                low += 1
+            leaf = low
     return PruferCode(tuple(code), m)
 
 
@@ -346,25 +382,62 @@ def prufer_decode(code, m: int | None = None) -> tuple:
         raise InvalidCode("code length must be m - 2")
     if any(not isinstance(e, int) or not 1 <= e <= m for e in entries):
         raise InvalidCode("entries must lie in 1..%d" % m)
-    degree = {v: 1 for v in range(1, m + 1)}
+    degree = [1] * (m + 1)
     for e in entries:
         degree[e] += 1
     edges = []
-    active = set(range(1, m + 1))
-    for e in entries:
-        leaf = min(v for v in active if degree[v] == 1)
-        edges.append((leaf, e))
-        active.discard(leaf)
-        degree[e] -= 1
-    last = sorted(active)
-    edges.append((last[0], last[1]))
-    return _canonical_edges(edges)
+    low = 1
+    while degree[low] != 1:
+        low += 1
+    leaf = low
+    for neighbor in entries:
+        edges.append((leaf, neighbor) if leaf < neighbor else (neighbor, leaf))
+        degree[neighbor] -= 1
+        if degree[neighbor] == 1 and neighbor < low:
+            leaf = neighbor
+        else:
+            low += 1
+            while degree[low] != 1:
+                low += 1
+            leaf = low
+    # the last two vertices are the least leaf and m
+    edges.append((leaf, m))
+    return tuple(sorted(edges))
+
+
+class _PackedTrees(Sequence):
+    """Trees on [m] held as one bytes object, 2(m - 1) endpoints per tree
+    (a label fits in a byte for any m up to LABELED_TREE_LIMIT); items are
+    canonical edge tuples, rebuilt on access."""
+
+    __slots__ = ("_data", "_edges")
+
+    def __init__(self, data: bytes, m: int):
+        self._data = data
+        self._edges = m - 1
+
+    def __len__(self) -> int:
+        return len(self._data) // (2 * self._edges)
+
+    def __getitem__(self, index: int) -> tuple:
+        count = len(self)
+        if not -count <= index < count:
+            raise IndexError("tree index out of range")
+        width = 2 * self._edges
+        start = (index % count) * width
+        ends = iter(self._data[start : start + width])
+        return tuple(zip(ends, ends))
+
+    def __iter__(self):
+        ends = iter(self._data)
+        return zip(*[zip(ends, ends)] * self._edges)
 
 
 @lru_cache(maxsize=16)
-def enumerate_labeled_trees(m: int) -> tuple:
+def enumerate_labeled_trees(m: int):
     """All unrooted trees on [m] as canonical edge tuples, found by
-    testing every (m-1)-subset of possible edges for connectivity."""
+    testing every (m-1)-subset of possible edges for connectivity; held
+    packed, as a read-only sequence, for m >= 2."""
     if m > LABELED_TREE_LIMIT:
         raise SizeLimit("m = %d exceeds the enumeration limit %d" % (m, LABELED_TREE_LIMIT))
     if m < 1:
@@ -372,7 +445,7 @@ def enumerate_labeled_trees(m: int) -> tuple:
     if m == 1:
         return ((),)
     all_edges = list(combinations(range(1, m + 1), 2))
-    out = []
+    packed = bytearray()
     for subset in combinations(all_edges, m - 1):
         parent = list(range(m + 1))
 
@@ -391,8 +464,8 @@ def enumerate_labeled_trees(m: int) -> tuple:
             parent[ru] = rv
         if acyclic:
             # combinations of the sorted edge list are already canonical
-            out.append(subset)
-    return tuple(out)
+            packed.extend(chain.from_iterable(subset))
+    return _PackedTrees(bytes(packed), m)
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,37 @@ import pytest
 
 from lagrange_kit import cli
 from lagrange_kit.errors import SizeLimit
-from lagrange_kit.identities import IDENTITY_CATALOG, IdentityReport
+from lagrange_kit.identities import (
+    IDENTITY_CATALOG,
+    N_MAX_LIMIT,
+    IdentityReport,
+    run_identity,
+)
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = cli.main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_cli_with_deadline(*argv):
+    """run_cli and its wall time; an unchecked input could run for hours,
+    so an ITIMER_REAL stops the call after 5 s and fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError("%s ran past 5 s" % " ".join(argv))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        started = time.perf_counter()
+        code, text = run_cli(*argv)
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, text, elapsed
 
 
 def csv_rows(text):
@@ -133,6 +157,20 @@ class TestIdentity:
         )
         assert code == 0
         assert "PASS" in text
+
+    def test_oversized_n_max_fails_fast(self, capsys):
+        code, text, elapsed = run_cli_with_deadline(
+            "identity", "jensen", "--n-max", "100000", "--format", "csv"
+        )
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert "exceeds the limit 50" in capsys.readouterr().err
+
+    def test_n_max_limit_is_inclusive(self):
+        with pytest.raises(SizeLimit):
+            run_identity("jensen", n_max=N_MAX_LIMIT + 1)
+        assert run_identity("jensen", n_max=N_MAX_LIMIT).passed
 
     def test_json_shape(self):
         code, text = run_cli(
@@ -278,19 +316,7 @@ class TestOracle:
         ],
     )
     def test_oversized_arguments_fail_fast(self, argv, capsys):
-        def expire(signum, frame):
-            raise TimeoutError("oracle %s ran past 5 s" % " ".join(argv))
-
-        # an unchecked input would run for hours, so stop it instead
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
-            started = time.perf_counter()
-            code, text = run_cli("oracle", *argv, "--format", "csv")
-            elapsed = time.perf_counter() - started
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        code, text, elapsed = run_cli_with_deadline("oracle", *argv, "--format", "csv")
         assert elapsed < 1.0
         assert code == 2
         assert text == ""

@@ -1,6 +1,10 @@
 """Exhaustive oracle checks: codes, trees, forests, and their counts."""
 
+import ast
+import collections
 import itertools
+import math
+import pathlib
 
 import pytest
 
@@ -319,3 +323,134 @@ class TestCensusContract:
 
     def test_single_vertex_tree(self):
         assert trees.count_degree_trees(1, (0,)) == 1
+
+
+def _min_leaf_encode(edges, m):
+    # the textbook route: delete the least-labeled leaf, record its neighbor
+    adj = {v: set() for v in range(1, m + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    code = []
+    for _ in range(m - 2):
+        leaf = min(v for v, nb in adj.items() if len(nb) == 1)
+        (neighbor,) = adj.pop(leaf)
+        adj[neighbor].discard(leaf)
+        code.append(neighbor)
+    return tuple(code)
+
+
+def _min_leaf_decode(code, m):
+    degree = {v: 1 + code.count(v) for v in range(1, m + 1)}
+    edges = []
+    for e in code:
+        leaf = min(v for v, d in degree.items() if d == 1)
+        edges.append(tuple(sorted((leaf, e))))
+        del degree[leaf]
+        degree[e] -= 1
+    edges.append(tuple(sorted(degree)))
+    return tuple(sorted(edges))
+
+
+def _trees_by_union_find(m):
+    # every (m-1)-subset of the edges of K_m that closes no cycle
+    out = []
+    for subset in itertools.combinations(itertools.combinations(range(1, m + 1), 2), m - 1):
+        root = list(range(m + 1))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        acyclic = True
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                acyclic = False
+                break
+            root[ru] = rv
+        if acyclic:
+            out.append(subset)
+    return out
+
+
+class TestFastRoutesAgainstReferences:
+    """The counting and codec routes in trees take short cuts; each is
+    compared here with the direct route it replaces."""
+
+    def test_ordered_census_equals_decoded_profiles(self):
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                want = collections.Counter(
+                    tuple(sorted(f.profile().items()))
+                    for f in trees.enumerate_ordered_forests(n, k)
+                )
+                assert trees._ordered_profile_census(n, k) == want
+
+    def test_every_non_tree_edge_set_is_rejected(self):
+        for m in range(2, 7):
+            tree_set = set(trees.enumerate_labeled_trees(m))
+            all_edges = list(itertools.combinations(range(1, m + 1), 2))
+            rejected = 0
+            for subset in itertools.combinations(all_edges, m - 1):
+                if subset in tree_set:
+                    continue
+                with pytest.raises(NotATree):
+                    trees.prufer_encode(subset, m)
+                rejected += 1
+            assert rejected + m ** (m - 2) == math.comb(len(all_edges), m - 1)
+
+    def test_malformed_edges_are_rejected(self):
+        for bad, m in [
+            ([(1, 2, 3), (2, 3)], 3),  # an edge with three ends
+            ([(0, 1), (1, 2)], 3),  # label 0
+            ([(1, 2), (2, 4)], 3),  # label m + 1
+            ([(1.0, 2), (2, 3)], 3),  # a float label
+            ([(1, 2), (1.0, 3)], 3),  # a float equal to a label in use
+            ([("1", 2), (2, 3)], 3),  # a string label
+            ([], None),  # inferred m = 0
+            ([(1, 1)], None),  # inferred m = 1
+        ]:
+            with pytest.raises(NotATree):
+                trees.prufer_encode(bad, m)
+
+    def test_codec_equals_min_leaf_reference(self):
+        for m in range(2, 7):
+            for edges in trees.enumerate_labeled_trees(m):
+                assert trees.prufer_encode(edges, m).entries == _min_leaf_encode(edges, m)
+            for code in itertools.product(range(1, m + 1), repeat=m - 2):
+                assert trees.prufer_decode(code, m) == _min_leaf_decode(code, m)
+
+    def test_packed_trees_equal_the_subset_route(self):
+        for m in range(2, 7):
+            want = _trees_by_union_find(m)
+            got = trees.enumerate_labeled_trees(m)
+            assert len(got) == len(want)
+            assert list(got) == want
+            assert [got[i] for i in range(len(got))] == want
+            assert [got[-i] for i in range(1, len(got) + 1)] == want[::-1]
+            for index in (len(got), -len(got) - 1):
+                with pytest.raises(IndexError):
+                    got[index]
+
+    def test_one_vertex_has_the_empty_tree(self):
+        assert trees.enumerate_labeled_trees(1) == ((),)
+
+
+def test_trees_imports_no_other_layer():
+    # trees is the independent side of every cross-check, so it must not
+    # import the series engine, the lagrange routines or the identities
+    forbidden = {"series", "lagrange", "identities"}
+    tree = ast.parse(pathlib.Path(trees.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                "%s.%s" % (node.module or "", alias.name) for alias in node.names
+            ]
+        else:
+            continue
+        for name in names:
+            assert not forbidden & set(name.split(".")), name
