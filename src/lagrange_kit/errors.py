@@ -72,7 +72,8 @@ class NotATree(LagrangeKitError):
 
 
 class SizeLimit(LagrangeKitError):
-    """An exhaustive enumeration was requested beyond its safe size bound."""
+    """A size argument lies outside the range its routine accepts, such as
+    an exhaustive enumeration beyond its safe bound."""
 
 
 class ParseError(LagrangeKitError):

@@ -3,8 +3,16 @@
 Each public ``check_*`` routine exercises one family of identities over
 exact rational (or polynomial) arithmetic and returns an
 ``IdentityReport``; nothing is thrown on a mathematical failure, the
-report carries the first counterexample instead.  A registry maps
-stable identity names to the check routines, run at their defaults.
+report carries the first counterexample instead.
+
+A suite is a body ``body(rec, ...)`` declared with ``@identity(name,
+min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
+signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
+for an ``n_max`` or ``conv_n_max`` outside 0..N_MAX_LIMIT or an ``order``
+below ``min_order``.  The report's ``params`` are the bound arguments
+minus ``order`` and its ``checks`` count every ``rec.expect`` and
+``rec.require``; a run with no check fails.  A body overwrites
+``rec.order``, ``rec.params`` or ``rec.details`` where its report differs.
 
 Polynomial identities in free parameters are certified by evaluating on
 integer grids exceeding the polynomial degree, so a passing grid is a
@@ -13,6 +21,7 @@ proof, not a heuristic.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 import time
@@ -58,7 +67,10 @@ def _json_value(v):
 
 @dataclass
 class IdentityReport:
-    """Outcome of one identity check; ``status`` is "pass" or "fail"."""
+    """Outcome of one identity check; ``status`` is "pass" or "fail".
+
+    ``checks`` counts the equalities and conditions the suite tested
+    (None on a report built by hand); it stays out of ``to_dict()``."""
 
     name: str
     params: dict
@@ -67,6 +79,7 @@ class IdentityReport:
     first_failure: str | None
     elapsed_ms: float
     details: dict | None = None
+    checks: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -88,13 +101,18 @@ class IdentityReport:
 
 
 class _Recorder:
-    """Collects equality checks, keeping the first failure only."""
+    """Collects equality checks, keeping the first failure only; it also
+    carries the report fields a suite body may overwrite (``params``,
+    ``order`` and ``details``)."""
 
-    __slots__ = ("first_failure", "count")
+    __slots__ = ("first_failure", "count", "params", "order", "details")
 
-    def __init__(self):
+    def __init__(self, params=None, order=None):
         self.first_failure = None
         self.count = 0
+        self.params = {} if params is None else params
+        self.order = order
+        self.details = None
 
     def expect(self, lhs, rhs, label: str) -> None:
         self.count += 1
@@ -107,16 +125,62 @@ class _Recorder:
             self.first_failure = label
 
 
-def _report(name, params, order, rec, started, details=None) -> IdentityReport:
-    return IdentityReport(
-        name=name,
-        params=params,
-        order=order,
-        status="pass" if rec.first_failure is None else "fail",
-        first_failure=rec.first_failure,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        details=details,
-    )
+# the largest n_max or conv_n_max a suite accepts: at 50 the slowest check
+# (rothe-hagen) takes 9-12 s on a 2-core host, at 100 it runs past 20 s
+N_MAX_LIMIT = 50
+
+IDENTITY_CATALOG: dict = {}
+
+
+def identity(name: str, min_order: int = 1):
+    """Register the suite body ``body(rec, ...)`` under ``name``; see the
+    module docstring for what each call checks and reports."""
+
+    def register(body):
+        sig = inspect.signature(body)
+        public = sig.replace(
+            parameters=tuple(sig.parameters.values())[1:],
+            return_annotation=IdentityReport,
+        )
+
+        @functools.wraps(body)
+        def suite(*args, **kwargs) -> IdentityReport:
+            bound = public.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = dict(bound.arguments)
+            order = params.pop("order", None)
+            for key in ("n_max", "conv_n_max"):
+                value = params.get(key)
+                if value is not None and value < 0:
+                    raise SizeLimit("%s = %d is negative" % (key, value))
+                if value is not None and value > N_MAX_LIMIT:
+                    raise SizeLimit(
+                        "%s = %d exceeds the limit %d" % (key, value, N_MAX_LIMIT)
+                    )
+            if order is not None and order < min_order:
+                raise SizeLimit(
+                    "identity %r needs order >= %d, got %d" % (name, min_order, order)
+                )
+            rec = _Recorder(params, order)
+            started = time.perf_counter()
+            body(rec, *bound.args, **bound.kwargs)
+            failure = rec.first_failure if rec.count else "no checks ran"
+            return IdentityReport(
+                name=name,
+                params=rec.params,
+                order=rec.order,
+                status="pass" if failure is None else "fail",
+                first_failure=failure,
+                elapsed_ms=(time.perf_counter() - started) * 1000.0,
+                details=rec.details,
+                checks=rec.count,
+            )
+
+        suite.__signature__ = public
+        IDENTITY_CATALOG[name] = suite
+        return suite
+
+    return register
 
 
 # -- generating series builders ------------------------------------------------
@@ -195,16 +259,11 @@ class RationalFunction:
 
     def coefficients_at(self, k_value) -> list[Fraction]:
         """Ascending u-coefficients after substituting a number for k."""
-        num = self.num.subs({"k": k_value})
         den = self.den.subs({"k": k_value})
         if not den.is_constant() or den.is_zero():
             raise ZeroDivisionError("parameter value hits a pole")
         d = den.constant_value()
-        iu = self.num.vars.index("u")
-        out = [Fraction(0)] * (num.degree_in("u") + 1)
-        for exps, c in num.terms.items():
-            out[exps[iu]] += c / d
-        return out
+        return [c / d for c in _u_coefficients(self.num, k_value)]
 
 
 def _u_coefficients(poly: MultiPoly, k_value) -> list[Fraction]:
@@ -243,18 +302,58 @@ def _catalan_forms(k: int, n: int):
     )
 
 
+def _binomial_convolutions(
+    rec: _Recorder, p: int, k_values, l_values, n_max: int
+) -> None:
+    """Both convolution identities for the generalized binomial sequences
+    of parameter p; a (k, l, n) triple is skipped when a term hits an
+    excluded index."""
+    for k in k_values:
+        for l in l_values:
+            for n in range(n_max + 1):
+                if any(p * i + k == 0 for i in range(n + 1)):
+                    continue
+                lhs = sum(
+                    Fraction(k, p * i + k)
+                    * int_binomial(p * i + k, i)
+                    * int_binomial(p * (n - i) + l, n - i)
+                    for i in range(n + 1)
+                )
+                rec.expect(
+                    lhs,
+                    int_binomial(p * n + k + l, n),
+                    "mixed form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
+                )
+                if p * n + k + l == 0 or any(
+                    p * (n - i) + l == 0 for i in range(n + 1)
+                ):
+                    continue
+                lhs = sum(
+                    Fraction(k, p * i + k)
+                    * int_binomial(p * i + k, i)
+                    * Fraction(l, p * (n - i) + l)
+                    * int_binomial(p * (n - i) + l, n - i)
+                    for i in range(n + 1)
+                )
+                rec.expect(
+                    lhs,
+                    Fraction(k + l, p * n + k + l) * int_binomial(p * n + k + l, n),
+                    "cycle form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
+                )
+
+
+@identity("catalan", min_order=3)
 def check_catalan_suite(
+    rec,
     k_range=range(-5, 6),
     order: int = 30,
     conv_n_max: int | None = None,
-) -> IdentityReport:
+) -> None:
     """Ballot-number formulas for c(x)^k, the central-binomial quotient,
     log c(x), both convolution identities, and the two alternative
     defining equations f = x/(1-f) and f = x(1+f^2)."""
-    started = time.perf_counter()
-    rec = _Recorder()
     if conv_n_max is None:
-        conv_n_max = min(order + 10, 40)
+        conv_n_max = rec.params["conv_n_max"] = min(order + 10, 40)
     c = catalan_series(order)
     inv_root = PowerSeries([1, -4], order).pow(Fraction(-1, 2))
     for k in k_range:
@@ -280,37 +379,8 @@ def check_catalan_suite(
         )
 
     # convolutions from c^k c^l = c^(k+l) and from the quotient display
-    for k in (-2, -1, 1, 2, 3):
-        for l in (-2, -1, 1, 2, 3):
-            for n in range(conv_n_max + 1):
-                firsts = [2 * i + k for i in range(n + 1)]
-                seconds = [2 * (n - i) + l for i in range(n + 1)]
-                if all(a != 0 for a in firsts):
-                    lhs = sum(
-                        Fraction(k, 2 * i + k)
-                        * int_binomial(2 * i + k, i)
-                        * int_binomial(2 * (n - i) + l, n - i)
-                        for i in range(n + 1)
-                    )
-                    rec.expect(
-                        lhs,
-                        int_binomial(2 * n + k + l, n),
-                        "mixed convolution at k=%d l=%d n=%d" % (k, l, n),
-                    )
-                    if 2 * n + k + l != 0 and all(b != 0 for b in seconds):
-                        lhs = sum(
-                            Fraction(k, 2 * i + k)
-                            * int_binomial(2 * i + k, i)
-                            * Fraction(l, 2 * (n - i) + l)
-                            * int_binomial(2 * (n - i) + l, n - i)
-                            for i in range(n + 1)
-                        )
-                        rec.expect(
-                            lhs,
-                            Fraction(k + l, 2 * n + k + l)
-                            * int_binomial(2 * n + k + l, n),
-                            "cycle convolution at k=%d l=%d n=%d" % (k, l, n),
-                        )
+    conv = (-2, -1, 1, 2, 3)
+    _binomial_convolutions(rec, 2, conv, conv, conv_n_max)
 
     # the same numbers from f = x/(1-f) and f = x(1+f^2)
     x = PowerSeries([0, 1], order)
@@ -324,31 +394,23 @@ def check_catalan_suite(
         want = c.coeff((n - 1) // 2) if n % 2 == 1 else 0
         rec.expect(f2.coeff(n), want, "solution of f = x(1+f^2) at n=%d" % n)
 
-    return _report(
-        "catalan",
-        {"k_range": list(k_range), "conv_n_max": conv_n_max},
-        order,
-        rec,
-        started,
-    )
-
 
 # -- Fuss-Catalan suite ----------------------------------------------------------
 
 
+@identity("fuss-catalan", min_order=2)
 def check_fuss_catalan(
+    rec,
     p_range=(2, 3, 4, 5),
     k_range=range(-3, 6),
     order: int = 30,
     inverse_order: int = 20,
     small_order: int = 15,
-) -> IdentityReport:
+) -> None:
     """Coefficient formulas for c_p^k, the binomial-sum quotient display
     with both substituted forms, the three compositional-inverse
     relations, the derivative display, negative-order duality, and the
     composition identity c_{p+q}(x) = c_p(x c_{p+q}(x)^q)."""
-    started = time.perf_counter()
-    rec = _Recorder()
     one = PowerSeries([1], order)
     x = PowerSeries([0, 1], order)
     for p in p_range:
@@ -432,83 +494,30 @@ def check_fuss_catalan(
                 cpq,
                 "composition identity at p=%d q=%d" % (p, q),
             )
-    return _report(
-        "fuss-catalan",
-        {
-            "p_range": list(p_range),
-            "k_range": list(k_range),
-            "inverse_order": inverse_order,
-            "small_order": small_order,
-        },
-        order,
-        rec,
-        started,
-    )
 
 
+@identity("rothe-hagen")
 def check_rothe_hagen(
+    rec,
     p_range=(2, 3, 4),
     k_range=range(-6, 7),
     l_range=range(-6, 7),
     n_max: int = 8,
-) -> IdentityReport:
+) -> None:
     """Both convolution identities for generalized binomial sequences;
     parameter triples are skipped when a term hits an excluded index."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = n_max
     for p in p_range:
-        for k in k_range:
-            for l in l_range:
-                for n in range(n_max + 1):
-                    if any(p * i + k == 0 for i in range(n + 1)):
-                        continue
-                    lhs = sum(
-                        Fraction(k, p * i + k)
-                        * int_binomial(p * i + k, i)
-                        * int_binomial(p * (n - i) + l, n - i)
-                        for i in range(n + 1)
-                    )
-                    rec.expect(
-                        lhs,
-                        int_binomial(p * n + k + l, n),
-                        "mixed form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
-                    )
-                    if p * n + k + l == 0 or any(
-                        p * (n - i) + l == 0 for i in range(n + 1)
-                    ):
-                        continue
-                    lhs = sum(
-                        Fraction(k, p * i + k)
-                        * int_binomial(p * i + k, i)
-                        * Fraction(l, p * (n - i) + l)
-                        * int_binomial(p * (n - i) + l, n - i)
-                        for i in range(n + 1)
-                    )
-                    rec.expect(
-                        lhs,
-                        Fraction(k + l, p * n + k + l)
-                        * int_binomial(p * n + k + l, n),
-                        "cycle form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
-                    )
-    return _report(
-        "rothe-hagen",
-        {
-            "p_range": list(p_range),
-            "k_range": list(k_range),
-            "l_range": list(l_range),
-            "n_max": n_max,
-        },
-        n_max,
-        rec,
-        started,
-    )
+        _binomial_convolutions(rec, p, k_range, l_range, n_max)
 
 
-def check_jensen(p: int = 3, j: int = 1, r: int = 10, n_max: int = 8) -> IdentityReport:
+@identity("jensen")
+def check_jensen(
+    rec, p: int = 3, j: int = 1, r: int = 10, n_max: int = 8
+) -> None:
     """sum_l C(j+pl, l) C(r-pl, n-l) = sum_i C(j+r-i, n-i) p^i for all
     n <= n_max, plus the pre-substitution form it is derived from."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = n_max
     for n in range(n_max + 1):
         lhs = sum(
             int_binomial(j + p * l, l) * int_binomial(r - p * l, n - l)
@@ -525,9 +534,6 @@ def check_jensen(p: int = 3, j: int = 1, r: int = 10, n_max: int = 8) -> Identit
             int_binomial(p * n + j + k - i, n - i) * p ** i for i in range(n + 1)
         )
         rec.expect(lhs2, rhs2, "pre-substitution form at n=%d" % n)
-    return _report(
-        "jensen", {"p": p, "j": j, "r": r, "n_max": n_max}, n_max, rec, started
-    )
 
 
 # -- tree function suite ---------------------------------------------------------
@@ -603,13 +609,12 @@ def _abel_checks(rec: _Recorder, x_range, y_range, z_range, n_max: int) -> None:
                     )
 
 
-def check_tree_function_suite(k_range=range(-3, 6), order: int = 30) -> IdentityReport:
+@identity("tree-function", min_order=2)
+def check_tree_function_suite(rec, k_range=range(-3, 6), order: int = 30) -> None:
     """T = x e^T and its coefficient identities: forests counted by
     e^(kT), powers of T, the prime parking function expansion, the
     geometrically weighted variant, both tree convolutions as certified
     polynomial identities, the cubic-power display, and Abel's identity."""
-    started = time.perf_counter()
-    rec = _Recorder()
     t = tree_function(order)
     one = PowerSeries([1], order)
     for n in range(order):
@@ -679,41 +684,27 @@ def check_tree_function_suite(k_range=range(-3, 6), order: int = 30) -> Identity
 
     _lacasse_checks(rec, min(order, 20))
     _abel_checks(rec, range(-3, 4), range(-3, 4), range(-2, 3), 8)
-    return _report("tree-function", {"k_range": list(k_range)}, order, rec, started)
 
 
-def check_lacasse(order: int = 30) -> IdentityReport:
+@identity("lacasse", min_order=2)
+def check_lacasse(rec, order: int = 30) -> None:
     """U^3 - U^2 = sum n^(n+1) x^n/n! for U = 1/(1-T), with closed
     binomial-sum forms for the second and third powers."""
-    started = time.perf_counter()
-    rec = _Recorder()
     _lacasse_checks(rec, order)
-    return _report("lacasse", {}, order, rec, started)
 
 
+@identity("abel")
 def check_abel(
+    rec,
     x_range=range(-3, 4),
     y_range=range(-3, 4),
     z_range=range(-2, 3),
     n_max: int = 8,
-) -> IdentityReport:
+) -> None:
     """(x+y)^n = sum_i C(n,i) x (x+iz)^(i-1) (y-iz)^(n-i) on integer
     grids; z = 0 points reproduce the binomial theorem."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = n_max
     _abel_checks(rec, x_range, y_range, z_range, n_max)
-    return _report(
-        "abel",
-        {
-            "x_range": list(x_range),
-            "y_range": list(y_range),
-            "z_range": list(z_range),
-            "n_max": n_max,
-        },
-        n_max,
-        rec,
-        started,
-    )
 
 
 # -- weighted Stirling numbers ---------------------------------------------------
@@ -745,13 +736,12 @@ def _stirling2(n: int, j: int) -> int:
     return row[j] if 0 <= j < len(row) else 0
 
 
+@identity("weighted-stirling")
 def check_ws_egf(
-    j_max: int = 4, order: int = 30, k_values=(-2, -1, 0, 1, 2, 3)
-) -> IdentityReport:
+    rec, j_max: int = 4, order: int = 30, k_values=(-2, -1, 0, 1, 2, 3)
+) -> None:
     """sum_n R(n,j,k) x^n/n! = e^(kx) (e^x - 1)^j / j!, at integer k and
     with k a free polynomial parameter, plus the Stirling reduction."""
-    started = time.perf_counter()
-    rec = _Recorder()
     expm1 = PowerSeries(
         [0] + [Fraction(1, factorial(n)) for n in range(1, order)], order
     )
@@ -796,13 +786,6 @@ def check_ws_egf(
                 Fraction(k0) ** n,
                 "power reduction at n=%d k=%d" % (n, k0),
             )
-    return _report(
-        "weighted-stirling",
-        {"j_max": j_max, "k_values": list(k_values)},
-        order,
-        rec,
-        started,
-    )
 
 
 # -- negative and positive power families ----------------------------------------
@@ -833,15 +816,11 @@ def compute_p_l(l: int) -> RationalFunction:
 def compute_q_l(l: int) -> MultiPoly:
     """q_l(u) = p_l(u) at k = 1; satisfies sum_{n>=1} n^(n-l) x^n/n!
     = T q_l(T)."""
-    pl = compute_p_l(l)
-    num = pl.num.subs({"k": 1})
-    den = pl.den.subs({"k": 1}).constant_value()
     ring = PolyRing("u")
     uv = ring.var("u")
-    iu = pl.num.vars.index("u")
     out = ring.zero()
-    for exps, c in num.terms.items():
-        out = out + (c / den) * uv ** exps[iu]
+    for e, c in enumerate(compute_p_l(l).coefficients_at(1)):
+        out = out + c * uv ** e
     return out
 
 
@@ -891,13 +870,12 @@ def _p_table(ring: PolyRing) -> dict:
     }
 
 
+@identity("p-l", min_order=4)
 def check_p_l(
-    l_max: int = 4, order: int = 30, k_values=(1, 2, 3, 4)
-) -> IdentityReport:
+    rec, l_max: int = 4, order: int = 30, k_values=(1, 2, 3, 4)
+) -> None:
     """p_l tables for l <= 3 and the generating function identity
     sum_n (n+k)^(n-l) x^n/n! = e^(kT) p_l(T) at positive integer k."""
-    started = time.perf_counter()
-    rec = _Recorder()
     ring = PolyRing("u", "k")
     table = _p_table(ring)
     t = tree_function(order)
@@ -920,15 +898,11 @@ def check_p_l(
                 order,
             )
             rec.expect(lhs, rhs, "series identity at l=%d k=%d" % (l, k0))
-    return _report(
-        "p-l", {"l_max": l_max, "k_values": list(k_values)}, order, rec, started
-    )
 
 
-def check_q_l(l_max: int = 3, order: int = 30) -> IdentityReport:
+@identity("q-l", min_order=3)
+def check_q_l(rec, l_max: int = 3, order: int = 30) -> None:
     """q_l tables for l <= 3 and sum_{n>=1} n^(n-l) x^n/n! = T q_l(T)."""
-    started = time.perf_counter()
-    rec = _Recorder()
     ring = PolyRing("u")
     u = ring.var("u")
     table = {
@@ -948,7 +922,6 @@ def check_q_l(l_max: int = 3, order: int = 30) -> IdentityReport:
             order,
         )
         rec.expect(lhs, rhs, "series identity at l=%d" % l)
-    return _report("q-l", {"l_max": l_max}, order, rec, started)
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -956,17 +929,17 @@ def _double_factorial_odd(m: int) -> int:
     return factorial(2 * m) // (2 ** m * factorial(m))
 
 
+@identity("r-m", min_order=4)
 def check_r_m(
+    rec,
     m_max: int = 4,
     order: int = 26,
     k_values=(-1, 0, 1, 2, 3),
     series_m_max: int = 3,
-) -> IdentityReport:
+) -> None:
     """r_m tables for m <= 2, degree bounds for m <= m_max, the
     generating function identity at integer k, the derivative ladder, and
     the positivity of the k = 1 rows."""
-    started = time.perf_counter()
-    rec = _Recorder()
     ring = PolyRing("u", "k")
     u = ring.var("u")
     k = ring.var("k")
@@ -1021,13 +994,6 @@ def check_r_m(
                 w_series(m + 1, k0 + 1).truncated(order - 1),
                 "derivative ladder at m=%d k=%d" % (m, k0),
             )
-    return _report(
-        "r-m",
-        {"m_max": m_max, "k_values": list(k_values), "series_m_max": series_m_max},
-        order,
-        rec,
-        started,
-    )
 
 
 # -- Fuss-Catalan polynomiality ---------------------------------------------------
@@ -1069,9 +1035,10 @@ def _primitive_scale(coeffs):
     return Fraction(denom, g), [v // g for v in ints]
 
 
+@identity("fc-polynomial", min_order=2)
 def check_fc_polynomiality(
-    p: int = 3, i: int = 0, j: int = 2, order: int = 30
-) -> IdentityReport:
+    rec, p: int = 3, i: int = 0, j: int = 2, order: int = 30
+) -> None:
     """The binomial-ratio sums sum_n (pn+i)!/(n! ((p-1)n+j)!)
     x^n/(1+x)^(pn+i+1).
 
@@ -1080,8 +1047,6 @@ def check_fc_polynomiality(
     the order-p generating series); for i >= j it becomes polynomial of
     degree at most i-j after multiplying by (1-(p-1)x)^(2(i-j)+1), a
     statement checked empirically."""
-    started = time.perf_counter()
-    rec = _Recorder()
     if p < 2:
         raise ValueError("p must be at least 2")
     if i < 0 or j < 0:
@@ -1100,7 +1065,7 @@ def check_fc_polynomiality(
         s = s + weight(n) * (g * PowerSeries([0] * n + [1], order))
         g = g * step
 
-    details: dict = {"p": p, "i": i, "j": j}
+    details = rec.details = {"p": p, "i": i, "j": j}
     if i < j:
         d = j - i - 1
         for m in range(d + 1, order):
@@ -1153,9 +1118,6 @@ def check_fc_polynomiality(
                 "degree_bound": d,
             }
         )
-    return _report(
-        "fc-polynomial", {"p": p, "i": i, "j": j}, order, rec, started, details
-    )
 
 
 # -- Narayana and relatives --------------------------------------------------------
@@ -1165,13 +1127,13 @@ def _narayana(n: int, i: int) -> Fraction:
     return Fraction(comb(n, i) * comb(n, i - 1), n)
 
 
-def check_narayana_suite(degree_bound: int = 6, k_values=(1, 2, 3)) -> IdentityReport:
+@identity("narayana")
+def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None:
     """The symmetric equation f = (1+xf)(1+yf): coefficient formula for
     f^k, the Narayana-number reading of f itself with its symmetry, the
     defining quadratic, the square-root display (cross-multiplied), and
     the three-variable quadratic variant."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = degree_bound
     ring = PolyRing("x", "y")
     xp = ring.var("x")
     yp = ring.var("y")
@@ -1240,13 +1202,6 @@ def check_narayana_suite(degree_bound: int = 6, k_values=(1, 2, 3)) -> IdentityR
                 * int_binomial(n + vec[2] - 1, vec[2]),
                 "three-variable coefficient at k=%d %s" % (k, (vec,)),
             )
-    return _report(
-        "narayana",
-        {"degree_bound": degree_bound, "k_values": list(k_values)},
-        degree_bound,
-        rec,
-        started,
-    )
 
 
 def _mnar_check(rec, exps, plus: bool, k_values, bound: int) -> None:
@@ -1277,42 +1232,31 @@ def _mnar_check(rec, exps, plus: bool, k_values, bound: int) -> None:
             )
 
 
+@identity("fuss-narayana")
 def check_fuss_narayana(
+    rec,
     r_profiles=((1, 1), (2, 1), (2, -1)),
     s_profiles=((1, 1), (2, 2)),
     k_values=(1, 2, 3),
     degree_bound: int = 5,
-) -> IdentityReport:
+) -> None:
     """Coefficient formulas for f = prod (1+x_t f)^(r_t) and for the
     reciprocal-power variant, on small integer exponent profiles."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = degree_bound
     for profile in r_profiles:
         _mnar_check(rec, tuple(profile), True, k_values, degree_bound)
     for profile in s_profiles:
         _mnar_check(rec, tuple(profile), False, k_values, degree_bound)
-    return _report(
-        "fuss-narayana",
-        {
-            "r_profiles": [list(t) for t in r_profiles],
-            "s_profiles": [list(t) for t in s_profiles],
-            "k_values": list(k_values),
-            "degree_bound": degree_bound,
-        },
-        degree_bound,
-        rec,
-        started,
-    )
 
 
 # -- bivariate rational expansion ----------------------------------------------------
 
 
-def check_rational_expansion(r: int = 1, s: int = 2, n_max: int = 12) -> IdentityReport:
+@identity("rational-expansion")
+def check_rational_expansion(rec, r: int = 1, s: int = 2, n_max: int = 12) -> None:
     """(1+a)^r (1+b)^s / (1-ab)^(r+s+1) = sum C(r+j, i) C(s+i, j) a^i b^j,
     comparing the direct triple-product expansion with the closed form."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = n_max
     if r < 0 or s < 0:
         raise ValueError("r and s must be nonnegative")
     for i in range(n_max + 1):
@@ -1331,9 +1275,6 @@ def check_rational_expansion(r: int = 1, s: int = 2, n_max: int = 12) -> Identit
         int_binomial(1 + 1, 1) * int_binomial(1 + 1, 1) if (r, s) == (1, 1) else True,
         4 if (r, s) == (1, 1) else True,
         "frozen value at r=s=1, a^1 b^1",
-    )
-    return _report(
-        "rational-expansion", {"r": r, "s": s, "n_max": n_max}, n_max, rec, started
     )
 
 
@@ -1357,12 +1298,12 @@ def finite_difference(values, k: int):
     return total
 
 
-def check_ffd_lemma(d_max: int = 6, seed: int = 5, trials: int = 3) -> IdentityReport:
+@identity("finite-difference-lemma")
+def check_ffd_lemma(rec, d_max: int = 6, seed: int = 5, trials: int = 3) -> None:
     """The k-th difference of a degree-d polynomial: 0 for k > d and the
     constant d! L at k = d, on random integer polynomials and on symbolic
     windows (k+i)^m."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec.order = d_max
     rng = random.Random(seed)
     for d in range(d_max + 1):
         for _ in range(trials):
@@ -1417,24 +1358,16 @@ def check_ffd_lemma(d_max: int = 6, seed: int = 5, trials: int = 3) -> IdentityR
                     factorial(j + 1) * (kp + Fraction(j, 2)),
                     "symbolic linear case at j=%d" % j,
                 )
-    return _report(
-        "finite-difference-lemma",
-        {"d_max": d_max, "seed": seed, "trials": trials},
-        d_max,
-        rec,
-        started,
-    )
 
 
 # -- Raney's exponential equation ---------------------------------------------------
 
 
-def check_raney(i_total_max: int = 5, k_values=(1, 2)) -> IdentityReport:
+@identity("raney")
+def check_raney(rec, i_total_max: int = 5, k_values=(1, 2)) -> None:
     """Coefficients of f^k for f = A1 e^(B1 f) + A2 e^(B2 f) against the
     closed product formula, plus the single-term reduction."""
-    started = time.perf_counter()
-    rec = _Recorder()
-    bound = 2 * i_total_max - min(k_values)
+    bound = rec.order = 2 * i_total_max - min(k_values)
     ring = PolyRing("a1", "a2", "b1", "b2")
     a1, a2, b1, b2 = ring.gens()
     t_order = bound + 1
@@ -1463,25 +1396,17 @@ def check_raney(i_total_max: int = 5, k_values=(1, 2)) -> IdentityReport:
                 Fraction(k, n) * Fraction(n ** (n - k), factorial(n - k)),
                 "single-term reduction at k=%d n=%d" % (k, n),
             )
-    return _report(
-        "raney",
-        {"i_total_max": i_total_max, "k_values": list(k_values)},
-        bound,
-        rec,
-        started,
-    )
 
 
 # -- Schur-Jabotinsky duality --------------------------------------------------------
 
 
+@identity("schur-jabotinsky", min_order=7)
 def check_schur_jabotinsky(
-    trials: int = 20, order: int = 20, seed: int = 7
-) -> IdentityReport:
+    rec, trials: int = 20, order: int = 20, seed: int = 7
+) -> None:
     """[x^n] f^k = (k/n) [x^(-k)] g^(-n) for compositional inverses f, g,
     on random series and on the worked pair f = x c(x), g = x - x^2."""
-    started = time.perf_counter()
-    rec = _Recorder()
     x = PowerSeries([0, 1], order)
     c = catalan_series(order)
     f0 = x * c
@@ -1516,13 +1441,6 @@ def check_schur_jabotinsky(
             schur_jabotinsky_check(fr, n, k),
             "random trial %d at n=%d k=%d" % (trial, n, k),
         )
-    return _report(
-        "schur-jabotinsky",
-        {"trials": trials, "seed": seed},
-        order,
-        rec,
-        started,
-    )
 
 
 # -- residues ---------------------------------------------------------------------------
@@ -1555,16 +1473,16 @@ def _random_substitution(rng, order: int, valuation: int) -> PowerSeries:
     return PowerSeries(coeffs, order)
 
 
+@identity("hirzebruch-residue")
 def check_hirzebruch(
-    n_max: int = 20, pair_trials: int = 30, pair_order: int = 15, seed: int = 11
-) -> IdentityReport:
+    rec, n_max: int = 20, pair_trials: int = 30, pair_order: int = 15, seed: int = 11
+) -> None:
     """res (f/x)^n = 1 for all n >= 1 when f = x/(1-e^(-x)), by Laurent
     powers and by direct coefficient extraction; plus the change of
     variables formula res a = res a(g) g' for valuation-1 g and its
     m res a = res a(g) g' generalization for valuation-m g."""
-    started = time.perf_counter()
-    rec = _Recorder()
-    order = n_max + 4
+    del rec.params["pair_order"]
+    order = rec.order = n_max + 4
     u = PowerSeries(
         [Fraction((-1) ** n, factorial(n + 1)) for n in range(order)], order
     )
@@ -1589,42 +1507,9 @@ def check_hirzebruch(
             m * a.residue(),
             "valuation %d generalization trial %d" % (m, trial),
         )
-    return _report(
-        "hirzebruch-residue",
-        {"n_max": n_max, "pair_trials": pair_trials, "seed": seed},
-        order,
-        rec,
-        started,
-    )
 
 
-# -- registry -----------------------------------------------------------------------------
-
-# the largest n_max run_identity accepts: at 50 the slowest check
-# (rothe-hagen) takes 9-12 s on a 2-core host, at 100 it runs past 20 s
-N_MAX_LIMIT = 50
-
-IDENTITY_CATALOG = {
-    "catalan": check_catalan_suite,
-    "fuss-catalan": check_fuss_catalan,
-    "jensen": check_jensen,
-    "rothe-hagen": check_rothe_hagen,
-    "tree-function": check_tree_function_suite,
-    "lacasse": check_lacasse,
-    "abel": check_abel,
-    "weighted-stirling": check_ws_egf,
-    "p-l": check_p_l,
-    "r-m": check_r_m,
-    "q-l": check_q_l,
-    "fc-polynomial": check_fc_polynomiality,
-    "narayana": check_narayana_suite,
-    "fuss-narayana": check_fuss_narayana,
-    "rational-expansion": check_rational_expansion,
-    "finite-difference-lemma": check_ffd_lemma,
-    "raney": check_raney,
-    "schur-jabotinsky": check_schur_jabotinsky,
-    "hirzebruch-residue": check_hirzebruch,
-}
+# -- running by name ----------------------------------------------------------------------
 
 
 def identity_names() -> list[str]:
@@ -1634,17 +1519,15 @@ def identity_names() -> list[str]:
 def run_identity(name: str, order: int = 30, **params) -> IdentityReport:
     """Run one named identity check at its own default parameters, with
     any overrides, passing ``order`` to the checks that take one; raises
-    UnknownIdentity for a name not in the catalog and SizeLimit, before
-    any work, for an ``n_max`` above N_MAX_LIMIT."""
+    UnknownIdentity for a name not in the catalog, and SizeLimit before
+    any work for an ``n_max`` or ``conv_n_max`` outside 0..N_MAX_LIMIT or
+    an ``order`` below the suite's minimum."""
     try:
         func = IDENTITY_CATALOG[name]
     except KeyError:
         raise UnknownIdentity(
             "unknown identity %r; known: %s" % (name, ", ".join(identity_names()))
         ) from None
-    n_max = params.get("n_max")
-    if n_max is not None and n_max > N_MAX_LIMIT:
-        raise SizeLimit("n_max = %d exceeds the limit %d" % (n_max, N_MAX_LIMIT))
     if "order" in inspect.signature(func).parameters:
         params.setdefault("order", order)
     return func(**params)

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import signal
@@ -166,6 +167,36 @@ class TestIdentity:
         assert code == 2
         assert text == ""
         assert "exceeds the limit 50" in capsys.readouterr().err
+
+    def test_negative_n_max_fails_fast(self, capsys):
+        code, text, elapsed = run_cli_with_deadline(
+            "identity", "jensen", "--n-max", "-1", "--format", "json"
+        )
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert "n_max = -1 is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name
+            for name, func in sorted(IDENTITY_CATALOG.items())
+            if "order" in inspect.signature(func).parameters
+        ],
+    )
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_low_orders_run_or_fail_fast(self, name, order, capsys):
+        code, text, elapsed = run_cli_with_deadline(
+            "identity", name, "--order", str(order), "--format", "csv"
+        )
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code != 0:
+            assert code == 2
+            assert elapsed < 1.0
+            assert text == ""
+            assert "needs order >=" in err
 
     def test_n_max_limit_is_inclusive(self):
         with pytest.raises(SizeLimit):

@@ -1,16 +1,20 @@
 """Identity catalog: every check runs clean and reports honestly."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from lagrange_kit.errors import InsufficientRange, UnknownIdentity
+from lagrange_kit.errors import InsufficientRange, SizeLimit, UnknownIdentity
 from lagrange_kit.identities import (
     IDENTITY_CATALOG,
+    N_MAX_LIMIT,
     IdentityReport,
     _Recorder,
     catalan_series,
+    check_catalan_suite,
     check_fc_polynomiality,
+    check_jensen,
     compute_p_l,
     compute_q_l,
     compute_r_m,
@@ -75,6 +79,51 @@ class TestCatalogSurface:
             first_failure=rec.first_failure, elapsed_ms=0.0,
         )
         assert not report.passed
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("rothe-hagen", {"p_range": ()}),
+            ("abel", {"x_range": ()}),
+            ("fuss-narayana", {"r_profiles": (), "s_profiles": ()}),
+        ],
+    )
+    def test_zero_checks_fail(self, name, params):
+        report = run_identity(name, **params)
+        assert report.checks == 0
+        assert report.status == "fail"
+        assert report.first_failure == "no checks ran"
+        assert "checks" not in report.to_dict()
+
+    def test_checks_count_every_expectation(self):
+        assert check_jensen().checks == 18
+        assert check_jensen(n_max=0).checks == 2
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("jensen", {"n_max": -1}),
+            ("jensen", {"n_max": N_MAX_LIMIT + 1}),
+            ("hirzebruch-residue", {"n_max": -1}),
+            ("catalan", {"conv_n_max": N_MAX_LIMIT + 1}),
+            ("catalan", {"conv_n_max": -1}),
+        ],
+    )
+    def test_size_arguments_out_of_range(self, name, params):
+        with pytest.raises(SizeLimit):
+            run_identity(name, **params)
+
+    def test_conv_n_max_limit_is_inclusive(self):
+        report = run_identity("catalan", order=3, conv_n_max=N_MAX_LIMIT)
+        assert report.passed
+        assert report.params["conv_n_max"] == N_MAX_LIMIT
+
+    def test_order_below_minimum(self):
+        with pytest.raises(SizeLimit, match="needs order >= 3"):
+            check_catalan_suite(order=2)
+        assert check_catalan_suite(order=3).passed
 
 
 class TestGeneratingSeries:
@@ -204,8 +253,13 @@ class TestFiniteDifference:
 
 class TestDefaultsMatchCatalog:
     def test_catalog_defaults_run(self):
-        for func in IDENTITY_CATALOG.values():
-            assert callable(func)
+        # run_identity passes nothing but order, so every public parameter
+        # needs a default, and the recorder the body takes must not show
+        for name, func in IDENTITY_CATALOG.items():
+            params = inspect.signature(func).parameters
+            assert "rec" not in params, name
+            for param in params.values():
+                assert param.default is not param.empty, (name, param.name)
 
     def test_fc_polynomial_default_params(self):
         report = run_identity("fc-polynomial", order=16)
