@@ -187,15 +187,9 @@ def identity(name: str, min_order: int = 1):
 
 
 def fuss_catalan_series(p: int, order: int) -> PowerSeries:
-    """The unique series with c = 1 + x c^p (any integer p; c(0) = 1)."""
-    one = PowerSeries([1], order)
-    x = PowerSeries([0, 1], order)
-    c = one
-    for _ in range(order):
-        c = one + x * c ** p
-    if c != one + x * c ** p:
-        raise AssertionError("fixed point failed the substitution check")
-    return c
+    """The unique series with c = 1 + x c^p (any integer p; c(0) = 1):
+    c = 1 + f where f = x (1 + f)^p."""
+    return 1 + solve_xR(PowerSeries([1, 1], order) ** p)
 
 
 def catalan_series(order: int) -> PowerSeries:
@@ -205,13 +199,7 @@ def catalan_series(order: int) -> PowerSeries:
 
 def tree_function(order: int) -> PowerSeries:
     """T with T = x e^T, the exponential series for rooted labeled trees."""
-    x = PowerSeries([0, 1], order)
-    t = PowerSeries([0], order)
-    for _ in range(order):
-        t = x * t.exp()
-    if t != x * t.exp():
-        raise AssertionError("fixed point failed the substitution check")
-    return t
+    return solve_xR(PowerSeries([0, 1], order).exp())
 
 
 def _alternate(s: PowerSeries) -> PowerSeries:
@@ -1048,9 +1036,9 @@ def check_fc_polynomiality(
     degree at most i-j after multiplying by (1-(p-1)x)^(2(i-j)+1), a
     statement checked empirically."""
     if p < 2:
-        raise ValueError("p must be at least 2")
+        raise SizeLimit("p must be at least 2")
     if i < 0 or j < 0:
-        raise ValueError("i and j must be nonnegative")
+        raise SizeLimit("i and j must be nonnegative")
 
     def weight(n):
         return Fraction(
@@ -1258,7 +1246,7 @@ def check_rational_expansion(rec, r: int = 1, s: int = 2, n_max: int = 12) -> No
     comparing the direct triple-product expansion with the closed form."""
     rec.order = n_max
     if r < 0 or s < 0:
-        raise ValueError("r and s must be nonnegative")
+        raise SizeLimit("r and s must be nonnegative")
     for i in range(n_max + 1):
         for j in range(n_max + 1):
             direct = sum(

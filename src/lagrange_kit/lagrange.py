@@ -1,4 +1,5 @@
-"""Series inversion: fixed-point solvers and coefficient-extraction forms.
+"""Series inversion: solvers for f = x R(f) and f = R(f), and
+coefficient-extraction forms.
 
 The central objects are the solution f of f = x * R(f) for a unit power
 series R, and the equivalent ways of reading coefficients of phi(f) from
@@ -15,6 +16,10 @@ plus the n = 0 supplement via the residue of phi' log(R/r0), the
 log(f/x) extraction, the negative/positive power-coefficient duality, the
 shift expansions for f = x + z H(f), product convolutions, and the closed
 profile sums for coefficients of f^k.
+
+``solve_xR`` computes f itself by form A with phi = t and checks it by
+direct substitution; ``solve_indeterminate`` iterates f = R(f) to a fixed
+point, since it truncates by total degree in the parameters, not by order.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from .series import LaurentSeries, PowerSeries, _convolve, _divide, compose
 
 
 def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
-    """The unique power series f with f = x * R(f), by fixed-point iteration.
+    """The unique power series f with f = x * R(f), by form A with phi = t:
+    [x^k] f = (1/k) [t^(k-1)] R^k.
 
-    Each pass determines at least one further coefficient, so R.order passes
-    suffice; the result is verified by direct substitution before returning.
-    An explicit ``order`` may request a shorter answer, never a longer one.
+    The powers R, R^2, ... are walked one at a time, and the result is
+    verified by direct substitution before returning.  An explicit
+    ``order`` may request a shorter answer, never a longer one.
     """
     if order is not None:
         if order > R.order:
@@ -52,12 +58,14 @@ def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     if n == 1:
         return PowerSeries([0], 1)
     known = [0]
-    for step in range(n):
-        target = min(step + 2, n)
-        rt = R.truncated(target)
-        f = PowerSeries(known[:target], target)
-        value = PowerSeries([0, 1], target) * compose(rt, f)
-        known = list(value.coeffs)
+    power = R.coeffs
+    for k in range(1, n):
+        c = power[k - 1]
+        # an integer R gives an integer f: keep its coefficients ints
+        exact = isinstance(c, int) and not c % k
+        known.append(c // k if exact else scalar_div_int(c, k))
+        if k < n - 1:
+            power = _convolve(power, R.coeffs, n - 1)
     f = PowerSeries(known, n)
     again = PowerSeries([0, 1], n) * compose(R, f)
     if not all(a == b for a, b in zip(again.coeffs, f.coeffs)):

@@ -21,7 +21,8 @@ over a common denominator and come out exact and reduced.  MultiPoly
 coefficients take the same loop without scaling.  A series is false
 exactly when every stored coefficient is zero, so the two routines also
 skip the zero entries of sequences of series, such as the z-expansions in
-``lagrange``.
+``lagrange``.  ``reversion`` walks the powers of the series one at a time:
+it holds one power, never a table of them.
 
 Precision notes (standard truncated-arithmetic semantics):
 
@@ -328,7 +329,8 @@ class PowerSeries:
 
     def reversion(self) -> "PowerSeries":
         """The unique g with self(g(x)) = x = g(self(x)), found by solving the
-        triangular linear system on the coefficients of powers of self."""
+        triangular linear system sum_j g_j self^j = x on the coefficients of
+        the powers of self, walked one power at a time."""
         n = self.order
         if n < 2:
             raise NotReversible("order too small to determine the linear coefficient")
@@ -338,25 +340,24 @@ class PowerSeries:
             inv_c1 = scalar_inverse(self.coeffs[1])
         except DivisionByNonUnit as exc:
             raise NotReversible("linear coefficient is not invertible") from exc
-        # pw[j] holds the coefficients of self^j; entries below j are zero
-        pw = [None, list(self.coeffs)]
-        for j in range(2, n):
-            pw.append(_convolve(pw[j - 1], self.coeffs, n))
+        # acc[m] sums g_j [x^m] self^j over the j solved so far
         g = [0] * n
         g[1] = inv_c1
+        acc = [0] * n
+        power = self.coeffs
         c1pow = inv_c1
-        for m in range(2, n):
-            c1pow = c1pow * inv_c1
-            acc = 0
-            for j in range(1, m):
-                gj = g[j]
-                if not gj:
-                    continue
-                a = pw[j][m]
-                if not a:
-                    continue
-                acc = acc + gj * a
-            g[m] = -acc * c1pow
+        for j in range(1, n):
+            if j > 1:
+                c1pow = c1pow * inv_c1
+                g[j] = -acc[j] * c1pow
+            gj = g[j]
+            if gj:
+                for m in range(j + 1, n):
+                    a = power[m]
+                    if a:
+                        acc[m] = acc[m] + gj * a
+            if j < n - 2:
+                power = _convolve(power, self.coeffs, n)
         return PowerSeries(g, n)
 
     # -- comparison and display ------------------------------------------

@@ -178,6 +178,23 @@ class TestIdentity:
         assert "n_max = -1 is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fc-polynomial", "--p", "1"),
+            ("fc-polynomial", "--i", "-1"),
+            ("rational-expansion", "--r", "-1"),
+        ],
+    )
+    def test_bad_suite_parameter_fails_fast(self, argv, capsys):
+        code, text, elapsed = run_cli_with_deadline("identity", *argv)
+        err = capsys.readouterr().err
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert "Traceback" not in err
+        assert "must be" in err
+
+    @pytest.mark.parametrize(
         "name",
         [
             name

@@ -1,0 +1,94 @@
+"""Golden CLI output: the sha256 of the schema-1 stdout of ``coeffs`` and
+``invert``, frozen from the fixed-point solver and the power-table
+reversion that came before form A and the one-power walk, so a rewrite of
+the series kernels must reproduce every coefficient byte for byte."""
+
+import hashlib
+import io
+
+import pytest
+
+from lagrange_kit import cli
+
+# (command line, sha256 of stdout)
+GOLDEN = [
+    ("coeffs --R exp --k 1 --order 30 --format json",
+     "2ac96a0b01d76789f1a5bd89d05cc5bf054a0044d3d8ab415a709e0c94e89ab1"),
+    ("coeffs --R exp --k 2 --order 30 --format json",
+     "905190a8c9230d7998e2e0d0e9c877a12ccd137a0ff39315b04edfff77c41cb6"),
+    ("coeffs --R exp --k 3 --order 30 --format json",
+     "ea547a145eec6ad049225ca25760a0aa27f99d4edc1ab11b5ccb16f19609791f"),
+    ("coeffs --R exp --k 1 --order 60 --format json",
+     "70b298472effa015580634ac2ea98a8527545ceb26099d12e36a71176f19ec37"),
+    ("coeffs --R exp --k 2 --order 60 --format json",
+     "948b515b5b80aefac28596941742b6d37239774d67c55bf400aabb1171cf23ea"),
+    ("coeffs --R exp --k 3 --order 60 --format json",
+     "e76788a368f5d20f5ff87214a43a2197a66bd7b069575ffe5461da0b95abd5f6"),
+    ("coeffs --R geom --k 1 --order 30 --format json",
+     "9fce4acd0f1f01263222f355b93640ddc8401ca56a30371e68534ffc534df141"),
+    ("coeffs --R geom --k 2 --order 30 --format json",
+     "14c392ec9f392ef1fecab91512ad67b41cb3a244290a12b9880dda709fe11eb6"),
+    ("coeffs --R geom --k 3 --order 30 --format json",
+     "678b1114f0a7c7fa393723b5c42ad726e430f06b11eeef9bcc05236149fde900"),
+    ("coeffs --R geom --k 1 --order 60 --format json",
+     "fdfdf8d8ee15e2e5661b6c6a3f87ffefe761963a1f4e26b23a2153857c13be9f"),
+    ("coeffs --R geom --k 2 --order 60 --format json",
+     "5ddfb8ade06989abc1b7b4dcc35d54621861d279aaeb67a903f24197cebe64b1"),
+    ("coeffs --R geom --k 3 --order 60 --format json",
+     "e41c757cfbb27fdf71ceba15b972be0d7273e446f371b93b8df450ea81fd11e9"),
+    ("coeffs --R one-plus-t-squared --k 1 --order 30 --format json",
+     "632a3e1f948b117254ea26851ed5d0f9a07ba727d89a1d06dde786b7fbc61a2b"),
+    ("coeffs --R one-plus-t-squared --k 2 --order 30 --format json",
+     "657b927d4aaa9a1d494b4c18dd2f0b879c2956e890fb0f2e0f8536c29046907f"),
+    ("coeffs --R one-plus-t-squared --k 3 --order 30 --format json",
+     "4fcf97172cec47e6aebdc8fb3943ab2db7b10aa6d15b239bd0c5a6f5789e151d"),
+    ("coeffs --R one-plus-t-squared --k 1 --order 60 --format json",
+     "09559ead041e34515f3f4009f3a8aedafd8acc3c6e53d5ebb8fad5183752b5f3"),
+    ("coeffs --R one-plus-t-squared --k 2 --order 60 --format json",
+     "b011dca32c76b8aa1c0bd60866569d1e31f2679a45cad5303fbe90dedcf663c1"),
+    ("coeffs --R one-plus-t-squared --k 3 --order 60 --format json",
+     "f3a6344022a718f037a64ac6f32d0a9203330babf3cfec627fb24bc06ae94157"),
+    ("coeffs --R 1,0,0,1 --k 1 --order 30 --format json",
+     "bdd3013a1401beb7183bd08a7770a9db0bf38dbe6fc2e52f4a226d8cae079a2e"),
+    ("coeffs --R 1,0,0,1 --k 2 --order 30 --format json",
+     "9d418908225fc205109c7b35e65c3f83ab7fe29c6482a665ef0e36c55842b9fb"),
+    ("coeffs --R 1,0,0,1 --k 3 --order 30 --format json",
+     "a9d9702d90b0ab5bf71c5981f58163a3829f943f0565a8e986aacac0feacb7ff"),
+    ("coeffs --R 1,0,0,1 --k 1 --order 60 --format json",
+     "798c70b4a4e8b79862c3330c7e836b1665826fe7cc21878aed09ce7cb88693ad"),
+    ("coeffs --R 1,0,0,1 --k 2 --order 60 --format json",
+     "b95718c8e83714c26ea6e561acd3608b5bc4830345535cf5b7a5d45d6e695464"),
+    ("coeffs --R 1,0,0,1 --k 3 --order 60 --format json",
+     "b5aae2c8ef6bb11f29c15497ef5936e2538f40877d5506531e692f7ca0ef2f8c"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 1 --order 30 --format json",
+     "668885f58c24c395f107a8b8642aeaea1205ebb46c9c47daf8654a0c79589fde"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 2 --order 30 --format json",
+     "b7a06f471814f122b1c82a371108953df55f96a771f871bdf58849af5377584a"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 3 --order 30 --format json",
+     "7819732d7e8d9f4a57c7243ac58b31264aeabfa1ec9be33cd110c5c90fbff7df"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 1 --order 60 --format json",
+     "bc956634f51d2b30f43f1cbc95343387235807838d4c2535fb19efea8b22cc6c"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 2 --order 60 --format json",
+     "27b5b42b9efe19a751fe61874c76450028bc02075aea55c05fbbe5ef6a12cb89"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 3 --order 60 --format json",
+     "0c44ba4ed312f5f031f5328dd75f8738425ed112ab096e0dc294ba5718ebb894"),
+    ("invert --R 0,1,1 --order 30 --format json",
+     "308f97187b374e62e8128f9ee1035aaf6e5f6f4fa54b252cff7c3afaadcdf294"),
+    ("invert --R 0,1,1 --order 120 --format json",
+     "97a196137cdc224f1ba53f60fa70150579f4ecaaa9e3ed77f15e3665de48b529"),
+    ("invert --R 0,1,-1,1/2 --order 30 --format json",
+     "5304e110c0fabc82f18d4d6e1055bf628f673dbe96be05e8be8c165118e992ab"),
+    ("invert --R 0,1,-1,1/2 --order 120 --format json",
+     "48faf012435f7cd80681272275f993ec80c23bb9d1c4100aa6dbdb1ade6a7f91"),
+    ("invert --R 0,1,1/2,1/6,1/24 --order 30 --format json",
+     "1476b8754d88c48ab1c775d7c134e07bfc14494f318338e5fc16c32dfecb0ff9"),
+    ("invert --R 0,1,1/2,1/6,1/24 --order 120 --format json",
+     "85b4de2e1aa77cbb726b9640004712d5fd98787e2e972e65594fe3c684f55e98"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_stdout_matches_golden(command, digest):
+    out = io.StringIO()
+    assert cli.main(command.split(), out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -75,6 +75,19 @@ class TestSolveXR:
     def test_zero_weight_series(self):
         assert solve_xR(PowerSeries([0], 4)).is_zero()
 
+    def test_integer_R_keeps_integer_coefficients(self):
+        # x (1 + t)^3 gives the ternary-tree numbers binom(3n, n) / (2n + 1)
+        f = solve_xR(PowerSeries([1, 3, 3, 1], 8))
+        assert f.coeffs == (0, 1, 3, 12, 55, 273, 1428, 7752)
+        assert all(type(c) is int for c in f.coeffs)
+
+    def test_polynomial_coefficients(self):
+        ring = PolyRing("a")
+        a = ring.var("a")
+        f = solve_xR(PowerSeries([ring.one(), a, a * a], 6))
+        motzkin = (1, 1, 2, 4, 9)
+        assert f.coeffs[1:] == tuple(m * a ** n for n, m in enumerate(motzkin))
+
 
 class TestSolveIndeterminate:
     def test_unguarded_coefficient_rejected(self):
