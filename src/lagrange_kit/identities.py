@@ -404,6 +404,8 @@ def check_fuss_catalan(
     for p in p_range:
         c = fuss_catalan_series(p, order)
         quotient = one - p * x * c ** (p - 1)
+        inner1 = x * PowerSeries([1, 1], order) ** (-p)
+        inner2 = x * PowerSeries([1, -1], order) ** (p - 1)
         for k in k_range:
             ck = c ** k
             for n in range(order):
@@ -424,14 +426,12 @@ def check_fuss_catalan(
                 c ** (k + 1) / (one - (p - 1) * (c - one)),
                 "binomial sum second quotient at p=%d k=%d" % (p, k),
             )
-            inner1 = x * PowerSeries([1, 1], order) ** (-p)
             rec.expect(
                 compose(binsum, inner1),
                 PowerSeries([1, 1], order) ** (k + 1)
                 / PowerSeries([1, -(p - 1)], order),
                 "substituted display I at p=%d k=%d" % (p, k),
             )
-            inner2 = x * PowerSeries([1, -1], order) ** (p - 1)
             rec.expect(
                 compose(binsum, inner2),
                 (PowerSeries([1, -p], order) * PowerSeries([1, -1], order) ** k)

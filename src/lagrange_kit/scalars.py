@@ -10,7 +10,8 @@ plain ints so that 0 and 1 work as universal ring constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 
 from .errors import DivisionByNonUnit, ParseError
 
@@ -124,12 +125,22 @@ def poly_eval(coeffs, x):
     return acc
 
 
+def _integer_terms(terms):
+    """The (exponents, integer) pairs of a term dict scaled by the lcm d of
+    its denominators, and d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Fraction.
 
     Terms map exponent tuples (one entry per variable, all >= 0) to nonzero
     Fraction coefficients.  The variable tuple is fixed; mixing polynomials
-    over different variable tuples is an error.
+    over different variable tuples is an error.  A product scales each
+    operand's coefficients to integers by the lcm of their denominators,
+    sums the integer products per exponent tuple, and builds one Fraction
+    per surviving term.
     """
 
     __slots__ = ("vars", "terms")
@@ -256,17 +267,16 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[tuple, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                tot = terms.get(e, 0) + ca * cb
-                if tot:
-                    terms[e] = tot
-                elif e in terms:
-                    del terms[e]
+        a, da = _integer_terms(self.terms)
+        b, db = _integer_terms(other.terms)
+        sums: dict[tuple, int] = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                sums[e] = sums.get(e, 0) + ca * cb
+        scale = da * db
         out = MultiPoly(self.vars)
-        out.terms = terms
+        out.terms = {e: Fraction(c, scale) for e, c in sums.items() if c}
         return out
 
     __rmul__ = __mul__

@@ -13,16 +13,26 @@ both rings, so 0 and 1 are used as universal padding constants.
 Every series product (power series, Laurent series, and the powers inside
 ``reversion``) runs through one convolution routine, ``_convolve``, and
 every series quotient through one triangular recurrence, ``_divide``; both
-skip zero entries.  When all coefficients are ints or Fractions,
-``_convolve`` scales each operand to an integer vector by the lcm of its
-denominators, convolves the integers, and divides each result coefficient
-once by the product of the two scales, so rational products are computed
-over a common denominator and come out exact and reduced.  MultiPoly
-coefficients take the same loop without scaling.  A series is false
-exactly when every stored coefficient is zero, so the two routines also
-skip the zero entries of sequences of series, such as the z-expansions in
-``lagrange``.  ``reversion`` walks the powers of the series one at a time:
-it holds one power, never a table of them.
+skip zero entries.  When all coefficients are ints or Fractions, the
+rational kernels work on integers over one denominator and build one
+reduced Fraction per result coefficient:
+
+* ``_convolve`` scales each operand to an integer vector by the lcm of its
+  denominators, convolves the integers, and divides each result
+  coefficient once by the product of the two scales;
+* ``_divide`` and ``PowerSeries.exp`` scale their input to integers the
+  same way and hold the outputs found so far as integer numerators over
+  one running denominator, the lcm of those outputs' denominators,
+  rescaling them only when it grows, so each recurrence sum is an integer
+  dot product.  Denominators are never cleared by powers of the scaled
+  divisor's constant term, which is 199! for an exp-like divisor at order
+  200.
+
+MultiPoly coefficients take the same loops with denominator 1.  A series is
+false exactly when every stored coefficient is zero, so the two routines
+also skip the zero entries of sequences of series, such as the
+z-expansions in ``lagrange``.  ``reversion`` walks the powers of the series
+one at a time: it holds one power, never a table of them.
 
 Precision notes (standard truncated-arithmetic semantics):
 
@@ -42,7 +52,7 @@ Precision notes (standard truncated-arithmetic semantics):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     BadConstantTerm,
@@ -112,25 +122,71 @@ def _convolve(a, b, length: int) -> list:
     return [Fraction(c, scale) if c else 0 for c in out]
 
 
+def _all_rational(*seqs) -> bool:
+    """True when every entry of the sequences is an int or a Fraction."""
+    return all(type(c) in (int, Fraction) for seq in seqs for c in seq)
+
+
+def _to_integers(*seqs):
+    """The rational sequences scaled to integer lists by one lcm s of all
+    their denominators, and s."""
+    s = lcm(*(c.denominator for seq in seqs for c in seq))
+    return [[c.numerator * (s // c.denominator) for c in seq] for seq in seqs], s
+
+
+def _over_common_denominator(nums: list, den: int, c: Fraction) -> int:
+    """Append the Fraction ``c`` to the integer numerators ``nums`` held over
+    ``den``, rescaling the held entries if c's denominator does not divide
+    den; returns the new denominator, the lcm of den and c's."""
+    d = c.denominator
+    grow = d // gcd(den, d)
+    if grow != 1:
+        nums[:] = [x * grow for x in nums]
+        den *= grow
+    nums.append(c.numerator * (den // d))
+    return den
+
+
 def _divide(a, b, inv0, length: int) -> list:
     """The first ``length`` coefficients of the quotient of the coefficient
     sequences ``a`` and ``b``, where ``inv0`` is the inverse of b[0]: entry
     m is (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.
 
     Entries past the end of ``a`` or ``b`` read as zero, and zero terms are
-    skipped."""
-    nonzero_b = [(j, y) for j, y in enumerate(b[1:length], 1) if y]
-    q = []
+    skipped.  When ``inv0`` is a Fraction and the entries are ints and
+    Fractions, ``a`` and ``b`` are scaled to integers by one lcm s of their
+    denominators, and the quotient entries found so far are held as integer
+    numerators over one running denominator (the lcm of theirs), so each
+    sum is an integer dot product and each result one reduced Fraction.
+    Otherwise the same loop runs with denominator 1 and no scaling."""
+    a = a[:length]
+    b = b[:length]
+    rational = type(inv0) is Fraction and _all_rational(a, b)
+    if rational:
+        (a, b), s = _to_integers(a, b)
+        # entry m is (acc / den) * inv0 / s for the integer sum acc below
+        num, den_scale = inv0.numerator, inv0.denominator * s
+    nonzero_b = [(j, y) for j, y in enumerate(b[1:], 1) if y]
+    q = []  # the quotient so far; over den when rational
+    out = [] if rational else q
+    den = 1
     for m in range(length):
         acc = a[m] if m < len(a) else 0
+        if den != 1:
+            acc = acc * den
         for j, y in nonzero_b:
             if j > m:
                 break
             x = q[m - j]
             if x:
                 acc = acc - x * y
-        q.append(acc * inv0)
-    return q
+        if not rational:
+            q.append(acc * inv0)
+            continue
+        c = Fraction(acc * num, den * den_scale)
+        out.append(c)
+        den = _over_common_denominator(q, den, c)
+    return out
 
 
 def _power(base, k: int, one):
@@ -304,23 +360,36 @@ class PowerSeries:
         return PowerSeries(out, self.order)
 
     def exp(self) -> "PowerSeries":
-        if self.coeffs[0] != 0:
+        """exp(self) by the recurrence m y_m = sum of k a_k y_(m-k) over
+        0 < k <= m.  Rational coefficients are scaled to integers by the lcm
+        s of their denominators, and the y found so far are held as integer
+        numerators over one running denominator, as in ``_divide``."""
+        a = self.coeffs
+        if a[0] != 0:
             raise BadConstantTerm("exp needs zero constant term")
         n = self.order
-        y = [0] * n
-        y[0] = 1
+        rational = _all_rational(a)
+        if rational:
+            (a,), s = _to_integers(a)
+        terms = [(k, k * c) for k, c in enumerate(a) if c]
+        y = [1]  # the series so far; over den when rational
+        out = [1] if rational else y
+        den = 1
         for m in range(1, n):
             acc = 0
-            for k in range(1, m + 1):
-                a = self.coeffs[k]
-                if not a:
-                    continue
+            for k, c in terms:
+                if k > m:
+                    break
                 t = y[m - k]
-                if not t:
-                    continue
-                acc = acc + (k * a) * t
-            y[m] = scalar_div_int(acc, m)
-        return PowerSeries(y, n)
+                if t:
+                    acc = acc + c * t
+            if not rational:
+                y.append(scalar_div_int(acc, m))
+                continue
+            c = Fraction(acc, m * s * den)
+            out.append(c)
+            den = _over_common_denominator(y, den, c)
+        return PowerSeries(out, n)
 
     def log(self) -> "PowerSeries":
         if self.coeffs[0] != 1:

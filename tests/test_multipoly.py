@@ -174,6 +174,56 @@ class TestMultiPolyArithmetic:
         assert len(p.terms) == 1
 
 
+def _reference_product(p, q):
+    """The term dict of p * q, one Fraction operation per pair of terms."""
+    terms = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            tot = terms.get(e, 0) + ca * cb
+            if tot:
+                terms[e] = tot
+            elif e in terms:
+                del terms[e]
+    return terms
+
+
+_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+# integral, small-denominator and mixed coefficients, with zeros that the
+# constructor drops
+COEFFICIENT_KINDS = {
+    "integral": st.integers(-6, 6),
+    "fractions": st.one_of(
+        st.fractions(-4, 4, max_denominator=6),
+        st.fractions(-50, 50, max_denominator=10**6),
+    ),
+    "mixed": st.one_of(
+        st.integers(-6, 6), st.fractions(-4, 4, max_denominator=6)
+    ),
+}
+
+
+def _polys(coefficients):
+    return st.dictionaries(_exponents, coefficients, max_size=6).map(
+        lambda terms: MultiPoly(("x", "y"), terms)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+@fast
+@given(data=st.data())
+def test_product_matches_reference(kind, data):
+    p = data.draw(_polys(COEFFICIENT_KINDS[kind]))
+    q = data.draw(_polys(COEFFICIENT_KINDS[kind]))
+    expected = _reference_product(p, q)
+    got = (p * q).terms
+    assert got == expected
+    assert {e: type(c) for e, c in got.items()} == {
+        e: type(c) for e, c in expected.items()
+    }
+    assert (q * p).terms == expected
+
+
 class TestMultiPolyStructure:
     def test_degrees(self):
         x, y = _ring().gens()

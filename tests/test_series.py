@@ -17,11 +17,13 @@ from lagrange_kit.errors import (
     OrderMismatch,
     OutOfPrecision,
 )
-from lagrange_kit.scalars import PolyRing
+from lagrange_kit.cli import _series_from_literal
+from lagrange_kit.scalars import PolyRing, scalar_inverse
 from lagrange_kit.series import (
     LaurentSeries,
     PowerSeries,
     TruncationContext,
+    _divide,
     compose,
     series_from_json,
     series_to_json,
@@ -302,6 +304,104 @@ class TestFractionalPowers:
     def test_negative_integer_power(self):
         geom = PowerSeries([1, -1], 8) ** (-1)
         assert geom == PowerSeries([1] * 8, 8)
+
+
+def _reference_divide(a, b, inv0, length):
+    """The quotient recurrence of ``_divide`` one scalar operation at a
+    time, skipping zero terms."""
+    q = []
+    for m in range(length):
+        acc = a[m] if m < len(a) else 0
+        for j in range(1, min(m, len(b) - 1) + 1):
+            x, y = q[m - j], b[j]
+            if x and y:
+                acc = acc - x * y
+        q.append(acc * inv0)
+    return q
+
+
+def _reference_exp(a):
+    """exp by m y_m = sum of k a_k y_(m-k), one scalar operation at a time."""
+    y = [1]
+    for m in range(1, len(a)):
+        acc = 0
+        for k in range(1, m + 1):
+            if a[k] and y[m - k]:
+                acc = acc + (k * a[k]) * y[m - k]
+        y.append(Fraction(acc, m) if isinstance(acc, int) else acc / m)
+    return y
+
+
+def _same_entries(got, expected):
+    assert list(got) == list(expected)
+    assert [type(c) for c in got] == [type(c) for c in expected]
+
+
+_ints = st.integers(min_value=-6, max_value=6)
+_wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+# each kind of entry, with plenty of zeros
+KERNEL_SCALARS = {
+    "int-only": st.one_of(st.just(0), _ints),
+    "fractions": st.one_of(st.just(Fraction(0)), rationals, _wide_fractions),
+    "mixed": st.one_of(st.just(0), _ints, rationals, _wide_fractions),
+    "multipoly": st.one_of(
+        st.just(0),
+        _ints,
+        rationals,
+        st.tuples(rationals, rationals, rationals).map(
+            lambda t: t[0] * _a + t[1] * _b * _b + t[2]
+        ),
+    ),
+}
+kernel_kinds = pytest.mark.parametrize("kind", sorted(KERNEL_SCALARS))
+
+
+class TestKernels:
+    """``_divide`` and ``exp`` against plain scalar reference loops: the
+    same values and the same type for every coefficient."""
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data(), length=st.integers(min_value=1, max_value=ORDER + 2))
+    def test_divide_matches_reference(self, kind, data, length):
+        scalars = KERNEL_SCALARS[kind]
+        a = data.draw(st.lists(scalars, max_size=ORDER))
+        if kind == "multipoly":
+            b0 = _ring.const(data.draw(rationals.filter(bool)))
+        else:
+            b0 = data.draw(scalars.filter(bool))
+        b = [b0] + data.draw(st.lists(scalars, max_size=ORDER))
+        inv0 = scalar_inverse(b[0])
+        _same_entries(
+            _divide(a, b, inv0, length), _reference_divide(a, b, inv0, length)
+        )
+
+    @fast
+    @given(
+        a=st.lists(_ints, max_size=ORDER),
+        b=st.lists(_ints, max_size=ORDER),
+        length=st.integers(min_value=1, max_value=ORDER + 2),
+    )
+    def test_divide_by_an_int_inverse_keeps_ints(self, a, b, length):
+        b = [1] + b
+        _same_entries(_divide(a, b, 1, length), _reference_divide(a, b, 1, length))
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data())
+    def test_exp_matches_reference(self, kind, data):
+        a = [0] + data.draw(st.lists(KERNEL_SCALARS[kind], max_size=ORDER - 1))
+        a += [0] * (ORDER - len(a))
+        _same_entries(PowerSeries(a, ORDER).exp().coeffs, _reference_exp(a))
+
+    def test_large_denominators_at_order_150(self):
+        n = 150
+        t = PowerSeries([0, 1], n)
+        e = t.exp()
+        assert e == _series_from_literal("exp", n)
+        assert e == TruncationContext(n).exponential()
+        assert 1 / e == (-t).exp()
+        assert e.log() == t
 
 
 class TestReversion:
