@@ -31,6 +31,7 @@ from .lagrange import solve_xR
 from .scalars import format_rational, parse_rational
 from .series import PowerSeries
 
+DEFAULT_ORDER = 30
 DEFAULT_MAX_ORDER = 200
 SERIES_PRESETS = ("exp", "geom", "one-plus-t-squared")
 ORACLE_KINDS = (
@@ -53,6 +54,11 @@ def _max_order() -> int:
     except ValueError:
         raise _UsageError("LAGRANGE_KIT_MAX_ORDER must be an integer, got %r" % raw)
     return cap
+
+
+def _order(args) -> int:
+    """The --order given, or the default when it was left out."""
+    return DEFAULT_ORDER if args.order is None else args.order
 
 
 def _series_from_literal(literal: str, order: int) -> PowerSeries:
@@ -141,17 +147,18 @@ def cmd_coeffs(args, out) -> int:
     started = time.perf_counter()
     if args.k < 1:
         raise _UsageError("k must be positive")
-    r_series = _series_from_literal(args.series, args.order)
+    order = _order(args)
+    r_series = _series_from_literal(args.series, order)
     if not r_series.constant_term:
         raise _UsageError("R must have a nonzero constant term")
     f = solve_xR(r_series)
     fk = f ** args.k
-    rows = [(n, format_rational(Fraction(fk.coeff(n)))) for n in range(args.order)]
+    rows = [(n, format_rational(Fraction(fk.coeff(n)))) for n in range(order)]
     meta = {
         "command": "coeffs",
         "R": args.series,
         "k": args.k,
-        "order": args.order,
+        "order": order,
     }
     _emit_table(
         args.format,
@@ -166,10 +173,11 @@ def cmd_coeffs(args, out) -> int:
 
 def cmd_invert(args, out) -> int:
     started = time.perf_counter()
-    f = _series_from_literal(args.series, args.order)
+    order = _order(args)
+    f = _series_from_literal(args.series, order)
     g = f.reversion()
-    rows = [(n, format_rational(Fraction(g.coeff(n)))) for n in range(args.order)]
-    meta = {"command": "invert", "f": args.series, "order": args.order}
+    rows = [(n, format_rational(Fraction(g.coeff(n)))) for n in range(order)]
+    meta = {"command": "invert", "f": args.series, "order": order}
     _emit_table(
         args.format,
         ("n", "value"),
@@ -181,7 +189,9 @@ def cmd_invert(args, out) -> int:
     return 0
 
 
-_PARAM_FLAGS = ("p", "i", "j", "r", "n_max", "seed")
+# --order too is passed only when given, so a suite that takes no order
+# rejects it instead of running at its own size
+_PARAM_FLAGS = ("order", "p", "i", "j", "r", "n_max", "seed")
 
 
 def cmd_identity(args, out) -> int:
@@ -202,7 +212,7 @@ def cmd_identity(args, out) -> int:
                 "identity %r does not take --%s" % (name, flag.replace("_", "-"))
             )
         params[flag] = value
-    report = run_identity(name, order=args.order, **params)
+    report = run_identity(name, **params)
     if args.format == "json":
         payload = report.to_dict()
         payload["schema"] = 1
@@ -390,7 +400,10 @@ def cmd_list(args, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=30, help="truncation order")
+    common.add_argument(
+        "--order", type=int, default=None,
+        help="truncation order (default %d)" % DEFAULT_ORDER,
+    )
     common.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="pretty"
     )
@@ -453,7 +466,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(merged)
     try:
         cap = _max_order()
-        if not 1 <= args.order <= cap:
+        if not 1 <= _order(args) <= cap:
             raise _UsageError("order must lie in 1..%d" % cap)
         return args.func(args, out)
     except _UsageError as exc:

@@ -17,16 +17,19 @@ log(f/x) extraction, the negative/positive power-coefficient duality, the
 shift expansions for f = x + z H(f), product convolutions, and the closed
 profile sums for coefficients of f^k.
 
-``solve_xR`` computes f itself by form A with phi = t and checks it by
-direct substitution; ``solve_indeterminate`` iterates f = R(f) to a fixed
-point, since it truncates by total degree in the parameters, not by order.
+``solve_xR`` computes f itself by form A with phi = t, walking the powers
+of R as integers over one denominator, and checks it by direct
+substitution through ``compose``; ``solve_indeterminate`` iterates
+f = R(f) to a fixed point, since it truncates by total degree in the
+parameters, not by order.  ``inversion_form_sweep`` reads each form's
+coefficient as one dot product of that form's own operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import (
     BadConstantTerm,
@@ -36,16 +39,30 @@ from .errors import (
     UnguardedCoefficient,
 )
 from .scalars import MultiPoly, int_binomial, scalar_div_int, scalar_inverse
-from .series import LaurentSeries, PowerSeries, _convolve, _divide, compose
+from .series import (
+    LaurentSeries,
+    PowerSeries,
+    _convolve,
+    _divide,
+    _fraction_path,
+    _to_integers,
+    compose,
+)
 
 
 def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     """The unique power series f with f = x * R(f), by form A with phi = t:
     [x^k] f = (1/k) [t^(k-1)] R^k.
 
-    The powers R, R^2, ... are walked one at a time, and the result is
-    verified by direct substitution before returning.  An explicit
-    ``order`` may request a shorter answer, never a longer one.
+    The powers R, R^2, ... are walked one at a time.  On the fraction path
+    R is scaled to integers once, and each power is held as one integer
+    vector over one denominator, with the content gcd(den, *power) divided
+    out after every step (for R = exp the denominator would otherwise grow
+    like (order - 1)!^k), so each coefficient of f is one Fraction.  An
+    integer R gives int coefficients, and MultiPoly R runs the same loop
+    with denominator 1.  The result is verified by direct substitution
+    before returning.  An explicit ``order`` may request a shorter answer,
+    never a longer one.
     """
     if order is not None:
         if order > R.order:
@@ -57,15 +74,29 @@ def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
-    known = [0]
-    power = R.coeffs
-    for k in range(1, n):
+    base = R.coeffs
+    fractions = _fraction_path(base)
+    scale = 1
+    if fractions:
+        (base,), scale = _to_integers(base)
+    known = [0, R.coeffs[0]]
+    power, den = base, scale  # R^k is power / den
+    for k in range(2, n):
+        power = _convolve(power, base, n - 1)
+        if fractions:
+            den *= scale
+            g = gcd(den, *power)
+            if g != 1:
+                power = [c // g for c in power]
+                den //= g
         c = power[k - 1]
-        # an integer R gives an integer f: keep its coefficients ints
-        exact = isinstance(c, int) and not c % k
-        known.append(c // k if exact else scalar_div_int(c, k))
-        if k < n - 1:
-            power = _convolve(power, R.coeffs, n - 1)
+        if fractions:
+            known.append(Fraction(c, k * den) if c else 0)
+        elif isinstance(c, int) and not c % k:
+            # an integer R gives an integer f: keep its coefficients ints
+            known.append(c // k)
+        else:
+            known.append(scalar_div_int(c, k))
     f = PowerSeries(known, n)
     again = PowerSeries([0, 1], n) * compose(R, f)
     if not all(a == b for a, b in zip(again.coeffs, f.coeffs)):
@@ -168,6 +199,8 @@ def inversion_form_sweep(phi, R: PowerSeries, n_values) -> list[FormValues]:
     phi may be a Laurent series; negative exponents of phi reduce the
     reliable top of the directly substituted series, so the largest
     requested n must stay below order - 1 + min(0, phi.min_exponent).
+    Each form reads its coefficient as one dot product of its own operands
+    (``LaurentSeries.product_coeff``), so no two forms share a product.
     """
     phi = _as_laurent(phi, R.order)
     n_values = list(n_values)
@@ -210,10 +243,10 @@ def inversion_form_sweep(phi, R: PowerSeries, n_values) -> list[FormValues]:
         rn1 = powers[n - 1]
         form_a = None
         if n != 0:
-            form_a = scalar_div_int((phid * rn).coeff(n - 1), n)
-        form_b = (wphi * rn).coeff(n)
-        d_value = (phi * rn).coeff(n)
-        form_c = d_value - (phi_rp * rn1).coeff(n - 1)
+            form_a = scalar_div_int(phid.product_coeff(rn, n - 1), n)
+        form_b = wphi.product_coeff(rn, n)
+        d_value = phi.product_coeff(rn, n)
+        form_c = d_value - phi_rp.product_coeff(rn1, n - 1)
         out.append(
             FormValues(
                 n=n,

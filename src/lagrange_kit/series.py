@@ -34,6 +34,14 @@ also skip the zero entries of sequences of series, such as the
 z-expansions in ``lagrange``.  ``reversion`` walks the powers of the series
 one at a time: it holds one power, never a table of them.
 
+``compose`` evaluates an outer polynomial of degree d in the inner series
+by baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
+1973; Brent and Kung, J. ACM 1978): about 2 sqrt(d) series products
+instead of Horner's d, with each block of outer coefficients summed
+against the baby steps as integer dot products over one denominator.
+``LaurentSeries.product_coeff`` reads one coefficient of a product as one
+dot product, without forming the rest.
+
 Precision notes (standard truncated-arithmetic semantics):
 
 * addition, multiplication and division of power series with invertible
@@ -52,7 +60,7 @@ Precision notes (standard truncated-arithmetic semantics):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadConstantTerm,
@@ -85,27 +93,34 @@ def _same_order(a, b) -> None:
         )
 
 
+def _fraction_path(*seqs) -> bool:
+    """True when the entries of the sequences are ints and Fractions, at
+    least one of them a Fraction: the rational kernels then work on integers
+    over one denominator and return Fractions, with the int 0 for zero."""
+    kinds = {type(c) for seq in seqs for c in seq}
+    return Fraction in kinds and kinds <= {int, Fraction}
+
+
+def _to_integers(*seqs):
+    """The rational sequences scaled to integer lists by one lcm s of all
+    their denominators, and s."""
+    s = lcm(*(c.denominator for seq in seqs for c in seq))
+    return [[c.numerator * (s // c.denominator) for c in seq] for seq in seqs], s
+
+
 def _convolve(a, b, length: int) -> list:
     """The first ``length`` coefficients of the product of the coefficient
     sequences ``a`` and ``b``: entry k is the sum of a[i] * b[k - i].
 
-    Zero entries are skipped.  When the coefficients are ints and Fractions,
-    with at least one Fraction, each operand is scaled to integers by the
-    lcm of its denominators and every result is divided once by the product
-    of the two scales: nonzero results are reduced Fractions, zero results
-    the int 0.  Ints alone, and MultiPoly coefficients, take the same loop
-    unscaled."""
-    kinds = {type(c) for c in a}
-    kinds.update(type(c) for c in b)
+    Zero entries are skipped.  On the fraction path (``_fraction_path``)
+    each operand is scaled to integers by the lcm of its denominators and
+    every result is divided once by the product of the two scales: nonzero
+    results are reduced Fractions, zero results the int 0.  Ints alone, and
+    MultiPoly coefficients, take the same loop unscaled."""
     scale = None
-    if Fraction in kinds and kinds <= {int, Fraction}:
-        da = db = 1
-        for c in a:
-            da = lcm(da, c.denominator)
-        for c in b:
-            db = lcm(db, c.denominator)
-        a = [c.numerator * (da // c.denominator) if c else 0 for c in a]
-        b = [c.numerator * (db // c.denominator) if c else 0 for c in b]
+    if _fraction_path(a, b):
+        (a,), da = _to_integers(a)
+        (b,), db = _to_integers(b)
         scale = da * db
     nonzero_b = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * length
@@ -125,13 +140,6 @@ def _convolve(a, b, length: int) -> list:
 def _all_rational(*seqs) -> bool:
     """True when every entry of the sequences is an int or a Fraction."""
     return all(type(c) in (int, Fraction) for seq in seqs for c in seq)
-
-
-def _to_integers(*seqs):
-    """The rational sequences scaled to integer lists by one lcm s of all
-    their denominators, and s."""
-    s = lcm(*(c.denominator for seq in seqs for c in seq))
-    return [[c.numerator * (s // c.denominator) for c in seq] for seq in seqs], s
 
 
 def _over_common_denominator(nums: list, den: int, c: Fraction) -> int:
@@ -588,6 +596,30 @@ class LaurentSeries:
             )
         return NotImplemented
 
+    def product_coeff(self, other, n: int):
+        """[x^n] (self * other) for a series ``other``, read as one dot
+        product instead of forming the whole product: the value of
+        ``(self * other).coeff(n)``, of the same type."""
+        o = self._promote(other)
+        _same_order(self, o)
+        if n >= self.order:
+            raise OutOfPrecision(
+                "coefficient %d requested from a series of order %d" % (n, self.order)
+            )
+        k = n - self.min_exponent - o.min_exponent
+        if k < 0 or self.is_zero() or o.is_zero():
+            return 0
+        a, b = self.coeffs, o.coeffs
+        total = 0
+        for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+            x, y = a[i], b[k - i]
+            if x and y:
+                total = total + x * y
+        # entry k of _convolve(a, b, k + 1), typed as there
+        if _fraction_path(a, b):
+            return Fraction(total) if total else 0
+        return total
+
     def __truediv__(self, other):
         o = self._promote(other)
         if o is not None:
@@ -703,7 +735,20 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
     Admissible when the inner series has zero constant term, or when the
     caller declares the outer series to be a polynomial (its stored
     coefficients are the whole truth).  A Laurent outer series requires an
-    inner series of valuation exactly 1.
+    inner series of valuation exactly 1; its negative powers are summed
+    one power of 1/inner at a time.
+
+    A power series outer of degree d (its last nonzero coefficient) is
+    evaluated by baby steps and giant steps (Paterson and Stockmeyer): with
+    s = ceil(sqrt(d + 1)), each block of s outer coefficients is summed
+    against the baby steps inner^0 .. inner^(s-1), and when d >= s Horner's
+    rule in the giant step inner^s combines the blocks.  That is about
+    2 sqrt(d) series products where Horner's rule in inner takes d: none
+    for a linear outer, two for a quadratic one.  On the fraction path each
+    block sum is an integer dot product over one denominator.  The constant
+    coefficient is added last, as a scalar, so the values, and for rational
+    data and an inner series of valuation 1 the coefficient types, are
+    those of Horner's rule.
     """
     if isinstance(inner, LaurentSeries):
         raise InadmissibleComposition("inner operand must be a power series")
@@ -733,17 +778,39 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
         raise InadmissibleComposition(
             "inner constant term must vanish unless outer is declared polynomial"
         )
-    top = outer.valuation()
-    if top is None:
-        return PowerSeries([0], outer.order)
-    top = max(i for i, c in enumerate(outer.coeffs) if c)
-    acc = PowerSeries([outer.coeffs[top]], outer.order)
-    for k in range(top - 1, -1, -1):
-        acc = acc * inner
-        c = outer.coeffs[k]
-        if c:
-            acc = acc + c
-    return acc
+    n = outer.order
+    top = max((i for i, c in enumerate(outer.coeffs) if c), default=0)
+    s = isqrt(top) + 1
+    terms = [0] + list(outer.coeffs[1 : top + 1])  # c_0 is added last
+    fractions = _fraction_path([c for c in terms if c], inner.coeffs)
+    # the baby steps inner^0 .. inner^(s-1), then inner^s if top >= s
+    powers = [PowerSeries([1], n).coeffs, inner.coeffs]
+    while len(powers) <= min(s, top):
+        powers.append(_convolve(powers[-1], inner.coeffs, n))
+    giant = powers[s] if top >= s else None
+    baby = powers[:s]
+    if fractions:
+        baby, d = _to_integers(*baby)
+        (terms,), e = _to_integers(terms)
+        den = d * e
+    baby = [[(m, y) for m, y in enumerate(p) if y] for p in baby]
+    blocks = []
+    for start in range(0, top + 1, s):
+        block = [0] * n
+        for i, c in enumerate(terms[start : start + s]):
+            if c:
+                for m, y in baby[i]:
+                    block[m] += c * y
+        if fractions:
+            block = [Fraction(v, den) if v else 0 for v in block]
+        blocks.append(block)
+    acc = blocks.pop()
+    while blocks:
+        # a zero sum is the int 0, as in a series product
+        acc = [(x + y) or 0 for x, y in zip(_convolve(acc, giant, n), blocks.pop())]
+    result = PowerSeries(acc, n)
+    c0 = outer.coeffs[0]
+    return result + c0 if c0 else result
 
 
 class TruncationContext:

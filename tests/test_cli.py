@@ -154,7 +154,7 @@ class TestIdentity:
     def test_jensen_with_zero_p(self):
         code, text = run_cli(
             "identity", "jensen", "--p", "0", "--j", "1", "--r", "2",
-            "--n-max", "5", "--order", "10",
+            "--n-max", "5",
         )
         assert code == 0
         assert "PASS" in text
@@ -233,7 +233,7 @@ class TestIdentity:
 
     def test_csv_shape(self):
         code, text = run_cli(
-            "identity", "raney", "--order", "10", "--format", "csv"
+            "identity", "raney", "--format", "csv"
         )
         assert code == 0
         rows = csv_rows(text)
@@ -252,6 +252,29 @@ class TestIdentity:
         code, _ = run_cli("identity", "catalan", "--p", "3")
         assert code == 2
         assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name
+            for name, func in sorted(IDENTITY_CATALOG.items())
+            if "order" not in inspect.signature(func).parameters
+        ],
+    )
+    def test_order_rejected_where_no_order_is_taken(self, name, capsys):
+        code, text, elapsed = run_cli_with_deadline(
+            "identity", name, "--order", "60"
+        )
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert "does not take --order" in capsys.readouterr().err
+
+    def test_default_order_is_30(self):
+        assert run_cli("identity", "narayana")[0] == 0
+        assert run_cli("identity", "lacasse", "--format", "json") == run_cli(
+            "identity", "lacasse", "--order", "30", "--format", "json"
+        )
 
     def test_failing_identity_exits_one(self, monkeypatch):
         def always_fails(order=30):
@@ -424,8 +447,10 @@ class TestOrderCap:
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_identity_output_is_stable(self, fmt):
-        argv = ("identity", "rothe-hagen", "--order", "10", "--format", fmt)
-        assert run_cli(*argv) == run_cli(*argv)
+        argv = ("identity", "rothe-hagen", "--format", fmt)
+        first = run_cli(*argv)
+        assert first[0] == 0
+        assert first == run_cli(*argv)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_coeffs_output_is_stable(self, fmt):

@@ -1,7 +1,10 @@
 """Golden CLI output: the sha256 of the schema-1 stdout of ``coeffs`` and
 ``invert``, frozen from the fixed-point solver and the power-table
 reversion that came before form A and the one-power walk, so a rewrite of
-the series kernels must reproduce every coefficient byte for byte."""
+the series kernels must reproduce every coefficient byte for byte.  The
+order-200 sparse rational and order-120 exp entries were frozen from the
+Fraction power walk and Horner composition that came before the integer
+walk and the baby-step/giant-step composition."""
 
 import hashlib
 import io
@@ -72,6 +75,12 @@ GOLDEN = [
      "27b5b42b9efe19a751fe61874c76450028bc02075aea55c05fbbe5ef6a12cb89"),
     ("coeffs --R 1,1/2,0,0,-1/3 --k 3 --order 60 --format json",
      "0c44ba4ed312f5f031f5328dd75f8738425ed112ab096e0dc294ba5718ebb894"),
+    ("coeffs --R 3,-2/3 --k 1 --order 200 --format json",
+     "95d879206c8200bae0e4c8c61163eaaf42353cb200a4fbef47326b263672a063"),
+    ("coeffs --R 3/2,3 --k 3 --order 200 --format json",
+     "7d4f1591ac9da353c868e2cd7822ce5a555362c6588e42845961b844f83b4fb4"),
+    ("coeffs --R exp --k 2 --order 120 --format json",
+     "3d6fbe7d634064556017b8a2db5e9de3710d3cb26e968c340027f7ae710d1504"),
     ("invert --R 0,1,1 --order 30 --format json",
      "308f97187b374e62e8128f9ee1035aaf6e5f6f4fa54b252cff7c3afaadcdf294"),
     ("invert --R 0,1,1 --order 120 --format json",

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrange_kit.errors import (
     BadConstantTerm,
@@ -31,7 +33,12 @@ from lagrange_kit.lagrange import (
     solve_indeterminate,
     solve_xR,
 )
-from lagrange_kit.scalars import PolyRing, polynomial_from_points, poly_eval
+from lagrange_kit.scalars import (
+    PolyRing,
+    poly_eval,
+    polynomial_from_points,
+    scalar_div_int,
+)
 from lagrange_kit.series import LaurentSeries, PowerSeries, compose
 from lagrange_kit.trees import count_by_profile, ordered_profiles
 
@@ -43,7 +50,74 @@ def _random_R(rng, order, degree=4):
     return PowerSeries(coeffs, order)
 
 
+def _reference_solve_xR(R):
+    """[x^k] f = (1/k) [t^(k-1)] R^k from a schoolbook walk of the powers
+    of R in plain scalar arithmetic, skipping zero terms.  With a Fraction
+    among rational coefficients every later nonzero coefficient of f is a
+    Fraction and every zero one the int 0, as in the series products."""
+    r = list(R.coeffs)
+    n = len(r)
+    kinds = {type(c) for c in r}
+    fractions = Fraction in kinds and kinds <= {int, Fraction}
+    f = [0] * n
+    power = r
+    for k in range(1, n):
+        if k > 1:
+            nxt = []
+            for m in range(n - 1):
+                acc = 0
+                for i in range(m + 1):
+                    if power[i] and r[m - i]:
+                        acc = acc + power[i] * r[m - i]
+                nxt.append(acc)
+            power = nxt
+        c = power[k - 1]
+        if fractions and k > 1:
+            f[k] = Fraction(c) / k if c else 0
+        elif isinstance(c, int) and not c % k:
+            f[k] = c // k
+        else:
+            f[k] = scalar_div_int(c, k)
+    return f
+
+
+_ints = st.integers(min_value=-5, max_value=5)
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_poly_ring = PolyRing("a", "b")
+_pa, _pb = _poly_ring.gens()
+# each kind of weight series, with plenty of zeros
+R_SCALARS = {
+    "int-only": st.one_of(st.just(0), _ints),
+    "fractions": st.one_of(st.just(Fraction(0)), _fractions),
+    "mixed": st.one_of(st.just(0), _ints, _fractions),
+    "multipoly": st.one_of(
+        st.just(0),
+        _ints,
+        st.tuples(_fractions, _fractions).map(lambda t: t[0] * _pa + t[1] * _pb + 1),
+    ),
+}
+
+
 class TestSolveXR:
+    @pytest.mark.parametrize("kind", sorted(R_SCALARS))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), order=st.integers(min_value=1, max_value=10))
+    def test_matches_reference_walk(self, kind, data, order):
+        coeffs = data.draw(st.lists(R_SCALARS[kind], max_size=order))
+        R = PowerSeries(coeffs, order)
+        got = solve_xR(R).coeffs
+        expected = _reference_solve_xR(R)
+        assert list(got) == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+
+    def test_tree_function_at_order_150(self):
+        n = 150
+        f = solve_xR(PowerSeries([Fraction(1, factorial(k)) for k in range(n)], n))
+        assert f.coeffs == (0,) + tuple(
+            Fraction(k ** (k - 1), factorial(k)) for k in range(1, n)
+        )
+        assert all(type(c) is Fraction for c in f.coeffs[1:])
+
     def test_geometric_weights_give_catalan(self):
         f = solve_xR(PowerSeries([1] * 10, 10))
         assert f.coeffs == (0, 1, 1, 2, 5, 14, 42, 132, 429, 1430)
@@ -215,6 +289,40 @@ class TestFormAgreement:
             phi = LaurentSeries(tail, -2, order)
             for fv in inversion_form_sweep(phi, R, range(-4, 11)):
                 assert fv.agree, (fv.n, R.coeffs[:5])
+
+    def test_forms_read_their_full_products(self):
+        # each form, read as one dot product, is the coefficient of the
+        # whole product of its own operands, of the same type
+        rng = random.Random(11)
+        order = 16
+        x = PowerSeries([0, 1], order)
+        for _ in range(4):
+            R = _random_R(rng, order)
+            phi = LaurentSeries(
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(18)],
+                -2,
+                order,
+            )
+            rp = R.derivative()
+            wphi = phi * (1 - (x * rp) / R)
+            for fv in inversion_form_sweep(phi, R, range(-4, 11)):
+                n = fv.n
+                rn, rn1 = R ** n, R ** (n - 1)
+                d_value = (phi * rn).coeff(n)
+                expected = [
+                    d_value - ((phi * rp) * rn1).coeff(n - 1),
+                    (wphi * rn).coeff(n),
+                    d_value,
+                    d_value,
+                ]
+                got = [fv.form_c, fv.form_b, fv.form_d, fv.form_e]
+                if n:
+                    got.append(fv.form_a)
+                    expected.append(
+                        Fraction((phi.derivative() * rn).coeff(n - 1)) / n
+                    )
+                assert got == expected
+                assert [type(v) for v in got] == [type(v) for v in expected]
 
     def test_precision_guard(self):
         order = 10

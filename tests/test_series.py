@@ -1,12 +1,13 @@
 """Truncated power/Laurent series arithmetic: axioms, calculus, codecs."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lagrange_kit import series
 from lagrange_kit.errors import (
     BadConstantTerm,
     DivisionByNonUnit,
@@ -394,6 +395,37 @@ class TestKernels:
         a += [0] * (ORDER - len(a))
         _same_entries(PowerSeries(a, ORDER).exp().coeffs, _reference_exp(a))
 
+    @kernel_kinds
+    @fast
+    @given(
+        data=st.data(),
+        shifts=st.tuples(st.integers(-3, 2), st.integers(-3, 2)),
+        n=st.integers(min_value=-7, max_value=ORDER - 1),
+    )
+    def test_product_coeff_reads_the_product(self, kind, data, shifts, n):
+        scalars = KERNEL_SCALARS[kind]
+        a, b = (
+            LaurentSeries(
+                data.draw(st.lists(scalars, max_size=ORDER + 3))[: ORDER - m],
+                m,
+                ORDER,
+            )
+            for m in shifts
+        )
+        if data.draw(st.booleans()) and b.min_exponent >= 0:
+            b = b.to_power_series()
+        got, expected = a.product_coeff(b, n), (a * b).coeff(n)
+        assert got == expected
+        if kind != "multipoly":
+            assert type(got) is type(expected)
+
+    def test_product_coeff_types_on_the_fraction_path(self):
+        a = LaurentSeries([1, Fraction(1, 2)], -1, 4)
+        b = PowerSeries([2, -1], 4)
+        # int terms alone still read as a Fraction, a cancelled sum as the int 0
+        assert [a.product_coeff(b, n) for n in (-1, 0)] == [2, 0]
+        assert [type(a.product_coeff(b, n)) for n in (-1, 0)] == [Fraction, int]
+
     def test_large_denominators_at_order_150(self):
         n = 150
         t = PowerSeries([0, 1], n)
@@ -501,7 +533,111 @@ class TestLaurent:
         assert p.to_laurent().to_power_series() == p
 
 
+def _reference_compose(outer, inner):
+    """Horner's rule in inner, one series product per outer coefficient
+    below the degree; a Laurent outer adds its negative powers one power
+    of 1/inner at a time."""
+    n = outer.order
+    if isinstance(outer, LaurentSeries):
+        pos = PowerSeries([outer.coeff(k) for k in range(n)], n)
+        result = _reference_compose(pos, inner).to_laurent()
+        inv = LaurentSeries([1], 0, n) / inner.to_laurent()
+        p = inv
+        for k in range(-1, outer.min_exponent - 1, -1):
+            c = outer.coeff(k)
+            if c:
+                result = result + p * c
+            p = p * inv
+        return result
+    if not outer:
+        return PowerSeries([0], n)
+    top = max(i for i, c in enumerate(outer.coeffs) if c)
+    acc = PowerSeries([outer.coeffs[top]], n)
+    for k in range(top - 1, -1, -1):
+        acc = acc * inner
+        c = outer.coeffs[k]
+        if c:
+            acc = acc + c
+    return acc
+
+
+def _nonzero(scalars):
+    return scalars.map(lambda c: c or 1)
+
+
+@st.composite
+def _outer_coeffs(draw, scalars):
+    """Coefficients of an outer polynomial of every degree below ORDER,
+    dense (every coefficient nonzero) or sparse (about one in four)."""
+    degree = draw(st.integers(min_value=0, max_value=ORDER - 1))
+    nonzero = _nonzero(scalars)
+    if draw(st.booleans()):
+        body = [draw(nonzero) for _ in range(degree)]
+    else:
+        body = [
+            draw(scalars) if draw(st.integers(0, 3)) == 0 else 0
+            for _ in range(degree)
+        ]
+    return body + [draw(nonzero)]
+
+
 class TestCompose:
+    @kernel_kinds
+    @fast
+    @given(data=st.data())
+    def test_matches_horner(self, kind, data):
+        scalars = KERNEL_SCALARS[kind]
+        outer = PowerSeries(data.draw(_outer_coeffs(scalars)), ORDER)
+        tail = data.draw(st.lists(scalars, max_size=ORDER - 2))
+        inner = PowerSeries([0, data.draw(_nonzero(scalars))] + tail, ORDER)
+        got, expected = compose(outer, inner), _reference_compose(outer, inner)
+        if kind == "multipoly":
+            assert got == expected
+        else:
+            # rational coefficients keep Horner's types, too
+            _same_entries(got.coeffs, expected.coeffs)
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data())
+    def test_polynomial_outer_with_unit_inner(self, kind, data):
+        scalars = KERNEL_SCALARS[kind]
+        outer = PowerSeries(data.draw(_outer_coeffs(scalars)), ORDER)
+        inner = PowerSeries(data.draw(st.lists(scalars, max_size=ORDER)), ORDER)
+        assert compose(outer, inner, outer_polynomial=True) == _reference_compose(
+            outer, inner
+        )
+
+    @fast
+    @given(
+        outer=laurent_series,
+        tail=st.lists(rationals, max_size=ORDER - 2),
+        lead=rationals.filter(bool),
+    )
+    def test_laurent_outer_matches_horner(self, outer, tail, lead):
+        inner = PowerSeries([0, lead] + tail, ORDER)
+        assert compose(outer, inner) == _reference_compose(outer, inner)
+
+    @pytest.mark.parametrize("order", [9, 200])
+    def test_never_more_products_than_horner(self, order, monkeypatch):
+        calls = []
+        convolve = series._convolve
+
+        def counted(a, b, length):
+            calls.append(length)
+            return convolve(a, b, length)
+
+        monkeypatch.setattr(series, "_convolve", counted)
+        inner = PowerSeries([0, 1, 1], order)
+        for degree in range(order):
+            calls.clear()
+            compose(PowerSeries([1] * (degree + 1), order), inner)
+            s = isqrt(degree) + 1
+            blocks = -(-(degree + 1) // s)
+            assert len(calls) == max(s - 2, 0) + (degree >= s) + blocks - 1
+            assert len(calls) <= degree  # Horner's rule takes degree products
+        assert len(calls) == (27 if order == 200 else 4)
+
     def test_requires_zero_constant_inner(self):
         outer = PowerSeries([1, 1], 4)
         inner = PowerSeries([1, 1], 4)
