@@ -189,6 +189,9 @@ def cmd_invert(args, out) -> int:
     return 0
 
 
+# subcommands that read no order reject --order instead of ignoring it
+_ORDERLESS = ("oracle", "list")
+
 # --order too is passed only when given, so a suite that takes no order
 # rejects it instead of running at its own size
 _PARAM_FLAGS = ("order", "p", "i", "j", "r", "n_max", "seed")
@@ -465,6 +468,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(merged)
     try:
+        if args.order is not None and args.command in _ORDERLESS:
+            raise _UsageError("%s does not take --order" % args.command)
         cap = _max_order()
         if not 1 <= _order(args) <= cap:
             raise _UsageError("order must lie in 1..%d" % cap)

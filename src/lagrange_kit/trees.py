@@ -3,22 +3,26 @@
 Everything here counts by exhaustive enumeration so it can sit on the
 opposite side of a test from the algebraic coefficient formulas.  Ordered
 forests are generated through their reduced codes, labeled forests by a
-pruned parent-function search, and unrooted trees by edge subsets, so no
-route shares machinery with the series engine.
+pruned parent-function search, and unrooted trees by a backtracking
+search over the edges of K_m, so no route shares machinery with the
+series engine, and the tree search shares none with the Prufer codec
+whose round trips it checks.
 
 Each census is counted once per size, while its enumeration runs, and is
 held in a module-level ``lru_cache``: ordered forests by profile per
 (n, k), labeled forests by child counts and by profile per n, and trees by
-degree sequence per m.  Every count query is then a lookup.  The forest
-searches report each object to a visitor and keep none: the ordered search
-hands over each valid reduced code, which the census counts by its sorted
-entries (a vertex with entry e has e + 1 children, so the sorted code
-fixes the profile), and only ``enumerate_ordered_forests`` decodes.  The
-trees on [m] are cached packed, 2(m - 1) one-byte endpoints per tree,
-behind a read-only sequence of canonical edge tuples; the degree census
-and the Prufer round trips read them there.  Prufer encoding and decoding
-take linear time, with a leaf pointer that only moves up, and keep every
-input check.
+degree sequence per m.  Every count query is then a lookup.  Each search
+packs a count vector into one integer key as it assigns: the ordered
+search counts the code entries by value (a vertex with entry e has e + 1
+children, so the counts are the profile), the labeled search counts the
+children of each vertex, and the tree search the degree of each vertex.
+A census counts objects by key and turns each distinct key into its map
+key once.  The forest searches report each object to a visitor and keep
+none, and only ``enumerate_ordered_forests`` decodes.  The trees on [m]
+are cached packed, 2(m - 1) one-byte endpoints per tree, behind a
+read-only sequence of canonical edge tuples; the Prufer round trips read
+them there.  Prufer encoding and decoding take linear time, with a leaf
+pointer that only moves up, and check their input in one pass.
 
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
@@ -31,7 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, groupby, repeat
+from itertools import combinations
 from math import factorial
 
 from .errors import BadSequence, InvalidCode, NotATree, SizeLimit
@@ -41,6 +45,16 @@ ORDERED_FOREST_LIMIT = 12
 LABELED_TREE_LIMIT = 8
 LABELED_FOREST_LIMIT = 7
 CYCLE_LEMMA_LIMIT = 4 ** 10
+
+
+def _digits(key: int, base: int, length: int) -> tuple:
+    """The lowest length digits of key in the given base, lowest first:
+    a count vector that a search packed into one integer."""
+    out = []
+    for _ in range(length):
+        key, digit = divmod(key, base)
+        out.append(digit)
+    return tuple(out)
 
 
 # -- ordered forests and their codes -------------------------------------------
@@ -154,9 +168,11 @@ def decode_reduced(code, k: int) -> OrderedForest:
 
 
 def _ordered_forest_search(n: int, k: int, visit) -> None:
-    """Call visit(entries) for every valid reduced code of length n with
-    total -k, that is for every forest of k ordered trees on n vertices;
-    the entries list is reused between calls."""
+    """Call visit(entries, key) for every valid reduced code of length n
+    with total -k, that is for every forest of k ordered trees on n
+    vertices; the entries list is reused between calls.  The key counts
+    the entries by value as they are assigned: digit j, base n + 1, is the
+    number of entries equal to j - 1, that is of vertices with j children."""
     if n > ORDERED_FOREST_LIMIT:
         raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, ORDERED_FOREST_LIMIT))
     if k < 1:
@@ -164,28 +180,30 @@ def _ordered_forest_search(n: int, k: int, visit) -> None:
     if n < k:
         return
     entries = [0] * n
+    # weight[e + 1] is the key's unit for entry e
+    weight = [(n + 1) ** j for j in range(n + 1)]
 
-    def search(i: int, partial: int) -> None:
+    def search(i: int, partial: int, key: int) -> None:
         remaining_after = n - i - 1
         if remaining_after == 0:
             e = -k - partial
             if e >= -1:
                 entries[i] = e
-                visit(entries)
+                visit(entries, key + weight[e + 1])
             return
         top = min(-1, remaining_after - k) - partial
         for e in range(-1, top + 1):
             entries[i] = e
-            search(i + 1, partial + e)
+            search(i + 1, partial + e, key + weight[e + 1])
 
-    search(0, 0)
+    search(0, 0, 0)
 
 
 def enumerate_ordered_forests(n: int, k: int) -> list:
     """Every forest of k ordered trees with n vertices, decoded from the
     valid reduced codes of length n."""
     out = []
-    _ordered_forest_search(n, k, lambda entries: out.append(decode_reduced(entries, k)))
+    _ordered_forest_search(n, k, lambda entries, key: out.append(decode_reduced(entries, k)))
     return out
 
 
@@ -209,19 +227,18 @@ def _normalize_profile(profile) -> dict:
 @lru_cache(maxsize=128)
 def _ordered_profile_census(n: int, k: int) -> dict:
     """Sorted profile items -> number of ordered k-forests on n vertices
-    with that profile.  Codes are counted by their sorted entries, and each
-    distinct key becomes a profile once: a vertex with reduced entry e has
-    e + 1 children, so the sorted code and the profile fix each other."""
-    by_code: dict = {}
+    with that profile.  Codes are counted by the search's key, which counts
+    the vertices by number of children, and each distinct key becomes a
+    profile once."""
+    by_key: dict = {}
 
-    def visit(entries: list) -> None:
-        key = tuple(sorted(entries))
-        by_code[key] = by_code.get(key, 0) + 1
+    def visit(entries: list, key: int) -> None:
+        by_key[key] = by_key.get(key, 0) + 1
 
     _ordered_forest_search(n, k, visit)
     return {
-        tuple((e + 1, len(list(run))) for e, run in groupby(key)): count
-        for key, count in by_code.items()
+        tuple((j, c) for j, c in enumerate(_digits(key, n + 1, n + 1)) if c): count
+        for key, count in by_key.items()
     }
 
 
@@ -276,7 +293,7 @@ def cycle_lemma_count(seq) -> int:
     return count
 
 
-# -- labeled trees via Prufer codes and edge subsets -----------------------------
+# -- labeled trees via Prufer codes and a spanning-tree search --------------------
 
 
 @dataclass(frozen=True)
@@ -288,37 +305,41 @@ class PruferCode:
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
+        m = self.m
+        if m < 2:
             raise ValueError("m must be at least 2")
-        if len(self.entries) != self.m - 2:
-            raise InvalidCode("expected %d entries, got %d" % (self.m - 2, len(self.entries)))
-        if any(not isinstance(e, int) or not 1 <= e <= self.m for e in self.entries):
-            raise InvalidCode("entries must lie in 1..%d" % self.m)
+        if len(self.entries) != m - 2:
+            raise InvalidCode("expected %d entries, got %d" % (m - 2, len(self.entries)))
+        for e in self.entries:
+            if not (isinstance(e, int) and 1 <= e <= m):
+                raise InvalidCode("entries must lie in 1..%d" % m)
 
 
 def _check_tree(edges, m: int | None):
     """The edges as a list of pairs and the vertex count m, or NotATree:
     m - 1 distinct edges joining vertices of [m] with no cycle, which for
-    that many edges is the same as connected."""
+    that many edges is the same as connected.  One pass checks each edge's
+    ends and joins them in a union-find; a self loop or a closed cycle is
+    noted and raised after the pass, so a bad label anywhere is reported
+    first, then a self loop, then a wrong or repeated edge, then a cycle."""
     edges = [tuple(e) for e in edges]
-    ends = [v for e in edges for v in e]
-    labels = set(ends)
     if m is None:
-        m = max(labels) if labels else 0
+        m = max((v for e in edges for v in e), default=0)
+        if m >= 2 and not isinstance(m, int):
+            raise NotATree("edges must join vertices in 1..%d" % m)
     if m < 2:
         raise NotATree("need at least two vertices")
-    if (
-        not {2}.issuperset(map(len, edges))
-        or not all(map(isinstance, ends, repeat(int)))
-        or ends and not 1 <= min(ends) <= max(ends) <= m
-    ):
-        raise NotATree("edges must join vertices in 1..%d" % m)
-    if any(u == v for u, v in edges):
-        raise NotATree("self loops are not allowed")
-    if len(edges) != m - 1 or len({frozenset(e) for e in edges}) != m - 1:
-        raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
     root = list(range(m + 1))
-    for u, v in edges:
+    loop = cycle = False
+    for e in edges:
+        if len(e) != 2:
+            raise NotATree("edges must join vertices in 1..%d" % m)
+        u, v = e
+        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= m and 1 <= v <= m):
+            raise NotATree("edges must join vertices in 1..%d" % m)
+        if u == v:
+            loop = True
+            continue
         while root[u] != u:
             root[u] = root[root[u]]
             u = root[u]
@@ -326,8 +347,15 @@ def _check_tree(edges, m: int | None):
             root[v] = root[root[v]]
             v = root[v]
         if u == v:
-            raise NotATree("edge set is not connected")
+            cycle = True
         root[u] = v
+    if loop:
+        raise NotATree("self loops are not allowed")
+    # a repeated edge closes a cycle, so only then are the edges compared
+    if len(edges) != m - 1 or cycle and len(set(map(frozenset, edges))) != m - 1:
+        raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
+    if cycle:
+        raise NotATree("edge set is not connected")
     return edges, m
 
 
@@ -380,10 +408,10 @@ def prufer_decode(code, m: int | None = None) -> tuple:
         m = len(entries) + 2
     if m < 2 or len(entries) != m - 2:
         raise InvalidCode("code length must be m - 2")
-    if any(not isinstance(e, int) or not 1 <= e <= m for e in entries):
-        raise InvalidCode("entries must lie in 1..%d" % m)
     degree = [1] * (m + 1)
     for e in entries:
+        if not (isinstance(e, int) and 1 <= e <= m):
+            raise InvalidCode("entries must lie in 1..%d" % m)
         degree[e] += 1
     edges = []
     low = 1
@@ -434,52 +462,77 @@ class _PackedTrees(Sequence):
 
 
 @lru_cache(maxsize=16)
-def enumerate_labeled_trees(m: int):
-    """All unrooted trees on [m] as canonical edge tuples, found by
-    testing every (m-1)-subset of possible edges for connectivity; held
-    packed, as a read-only sequence, for m >= 2."""
+def _labeled_tree_census(m: int) -> tuple:
+    """The trees on [m], packed, and the map degree sequence -> number of
+    trees, both from one backtracking search over the edges of K_m in
+    lexicographic order (Read and Tarjan, Networks 1975).  An edge that
+    closes a cycle is skipped, and a branch is dropped as soon as its
+    edges and the ones after them can no longer span.  Each tree comes out
+    as a sorted (m-1)-subset of the sorted edge list, and the trees in
+    lexicographic order."""
     if m > LABELED_TREE_LIMIT:
         raise SizeLimit("m = %d exceeds the enumeration limit %d" % (m, LABELED_TREE_LIMIT))
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
-        return ((),)
-    all_edges = list(combinations(range(1, m + 1), 2))
+        return ((),), {(0,): 1}
+    edges = list(combinations(range(1, m + 1), 2))
+    n_edges = len(edges)
+    # the edges from (a, b) on join a to each of b..m and every pair above
+    # a, so a branch can still span iff each component has a vertex >= a.
+    # Only the component of a - 1 can newly fail, at the first edge
+    # (a, a + 1) of a's run: closes[i] is a - 1 there and 0 elsewhere
+    closes = [p if p != a else 0 for (p, _), (a, _) in zip([(0, 0)] + edges, edges)]
+    # a degree sequence is packed base m, a degree being at most m - 1
+    weight = [m ** (u - 1) + m ** (v - 1) for u, v in edges]
+    # a component is a bitmask of its vertices; comp[v] is v's component
+    members = [[v for v in range(1, m + 1) if mask >> v & 1] for mask in range(1 << (m + 1))]
+    comp = [1 << v for v in range(m + 1)]
+    last = m - 2
+    chosen = bytearray(2 * (m - 1))
     packed = bytearray()
-    for subset in combinations(all_edges, m - 1):
-        parent = list(range(m + 1))
+    by_key: dict = {}
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+    def search(depth: int, start: int, key: int) -> None:
+        for i in range(start, n_edges - last + depth):
+            a = closes[i]
+            if a and not comp[a] >> (a + 1):
+                return
+            u, v = edges[i]
+            cu = comp[u]
+            if cu >> v & 1:
+                continue
+            chosen[2 * depth] = u
+            chosen[2 * depth + 1] = v
+            if depth == last:
+                packed.extend(chosen)
+                tree_key = key + weight[i]
+                by_key[tree_key] = by_key.get(tree_key, 0) + 1
+                continue
+            cv = comp[v]
+            merged = cu | cv
+            for w in members[merged]:
+                comp[w] = merged
+            search(depth + 1, i + 1, key + weight[i])
+            for w in members[cu]:
+                comp[w] = cu
+            for w in members[cv]:
+                comp[w] = cv
 
-        acyclic = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if acyclic:
-            # combinations of the sorted edge list are already canonical
-            packed.extend(chain.from_iterable(subset))
-    return _PackedTrees(bytes(packed), m)
+    search(0, 0, 0)
+    census = {_digits(key, m, m): count for key, count in by_key.items()}
+    return _PackedTrees(bytes(packed), m), census
 
 
-@lru_cache(maxsize=None)
+def enumerate_labeled_trees(m: int):
+    """All unrooted trees on [m] as canonical edge tuples, in lexicographic
+    order; held packed, as a read-only sequence, for m >= 2."""
+    return _labeled_tree_census(m)[0]
+
+
 def _degree_census(m: int) -> dict:
     """Degree sequence -> number of trees on [m] with those degrees."""
-    census: dict = {}
-    for edges in enumerate_labeled_trees(m):
-        deg = [0] * (m + 1)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        key = tuple(deg[1:])
-        census[key] = census.get(key, 0) + 1
-    return census
+    return _labeled_tree_census(m)[1]
 
 
 def count_degree_trees(m: int, degrees) -> int:
@@ -526,20 +579,30 @@ def degree_sequences(m: int):
 
 
 def _labeled_forest_search(n: int, visit) -> None:
-    """Call visit(parent, kids) for every acyclic parent assignment on
-    [n]: parent[i] is the parent of vertex i, with 0 marking a root, and
-    kids[v] is the number of children of v, so kids[0] counts the roots.
-    Both lists are reused between calls."""
+    """Call visit(parent, key) for every acyclic parent assignment on [n]:
+    parent[i] is the parent of vertex i, with 0 marking a root, and digit
+    v of key, base n + 1, is the number of children of v, so digit 0
+    counts the roots.  The parent list is reused between calls."""
     if n > LABELED_FOREST_LIMIT:
         raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, LABELED_FOREST_LIMIT))
     if n < 1:
         raise ValueError("n must be positive")
     parent = [0] * (n + 1)
-    kids = [0] * (n + 1)
+    weight = [(n + 1) ** v for v in range(n + 1)]
 
-    def search(i: int) -> None:
-        if i > n:
-            visit(parent, kids)
+    def search(i: int, key: int) -> None:
+        if i == n:
+            # the last vertex's choices are the leaves, visited in one loop;
+            # a chain from p ends at a root (0) or at n, closing a cycle
+            for p in range(n):
+                v = p
+                while v and v != n:
+                    v = parent[v]
+                if v:
+                    continue
+                parent[n] = p
+                visit(parent, key + weight[p])
+            parent[n] = 0
             return
         for p in range(n + 1):
             if p == i:
@@ -547,9 +610,7 @@ def _labeled_forest_search(n: int, visit) -> None:
             if p and _chases_back(i, p):
                 continue
             parent[i] = p
-            kids[p] += 1
-            search(i + 1)
-            kids[p] -= 1
+            search(i + 1, key + weight[p])
         parent[i] = 0
 
     def _chases_back(start: int, p: int) -> bool:
@@ -562,7 +623,7 @@ def _labeled_forest_search(n: int, visit) -> None:
             v = parent[v]
         return False
 
-    search(1)
+    search(1, 0)
 
 
 def enumerate_labeled_forests(n: int, k: int) -> list:
@@ -572,8 +633,8 @@ def enumerate_labeled_forests(n: int, k: int) -> list:
         raise ValueError("k must be positive")
     out = []
 
-    def visit(parent: list, kids: list) -> None:
-        if kids[0] == k:
+    def visit(parent: list, key: int) -> None:
+        if key % (n + 1) == k:
             out.append(tuple(parent[1:]))
 
     _labeled_forest_search(n, visit)
@@ -584,21 +645,24 @@ def enumerate_labeled_forests(n: int, k: int) -> list:
 def _labeled_census(n: int) -> tuple:
     """Two maps over the rooted forests on [n]: (k,) + child counts ->
     number of forests, and (k, sorted profile items) -> number of forests.
-    The profile map is folded from the child-count map, since a forest's
-    profile is the multiset of its child counts."""
-    by_child: dict = {}
+    Forests are counted by the search's key, and each distinct key becomes
+    both map keys once; a forest's profile is the multiset of its child
+    counts."""
+    by_key: dict = {}
 
-    def visit(parent: list, kids: list) -> None:
-        key = tuple(kids)
-        by_child[key] = by_child.get(key, 0) + 1
+    def visit(parent: list, key: int) -> None:
+        by_key[key] = by_key.get(key, 0) + 1
 
     _labeled_forest_search(n, visit)
+    by_child: dict = {}
     by_profile: dict = {}
-    for key, count in by_child.items():
+    for key, count in by_key.items():
+        digits = _digits(key, n + 1, n + 1)
+        by_child[digits] = count
         profile: dict = {}
-        for c in key[1:]:
+        for c in digits[1:]:
             profile[c] = profile.get(c, 0) + 1
-        pkey = (key[0], tuple(sorted(profile.items())))
+        pkey = (digits[0], tuple(sorted(profile.items())))
         by_profile[pkey] = by_profile.get(pkey, 0) + count
     return by_child, by_profile
 

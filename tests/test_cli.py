@@ -424,6 +424,28 @@ class TestList:
         assert len(payload["identities"]) == 19
 
 
+class TestOrderlessCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "prufer", "--m", "4", "--order", "60"),
+            ("oracle", "cycle-lemma", "--order", "30", "--format", "csv"),
+            ("oracle", "degree-trees", "--order", "500"),
+            ("list", "--order", "60"),
+            ("list", "--order", "30", "--format", "json"),
+        ],
+    )
+    def test_order_is_rejected(self, argv, capsys):
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text == ""
+        assert "does not take --order" in capsys.readouterr().err
+
+    def test_without_order_they_run(self):
+        assert run_cli("oracle", "prufer", "--m", "4")[0] == 0
+        assert run_cli("list")[0] == 0
+
+
 class TestOrderCap:
     def test_default_cap(self):
         code, _ = run_cli("coeffs", "--order", "201")

@@ -1,10 +1,14 @@
-"""Golden CLI output: the sha256 of the schema-1 stdout of ``coeffs`` and
-``invert``, frozen from the fixed-point solver and the power-table
-reversion that came before form A and the one-power walk, so a rewrite of
-the series kernels must reproduce every coefficient byte for byte.  The
-order-200 sparse rational and order-120 exp entries were frozen from the
-Fraction power walk and Horner composition that came before the integer
-walk and the baby-step/giant-step composition."""
+"""Golden CLI output: the sha256 of the schema-1 stdout of ``coeffs``,
+``invert`` and ``oracle``.  The ``coeffs`` and ``invert`` entries were
+frozen from the fixed-point solver and the power-table reversion that came
+before form A and the one-power walk, so a rewrite of the series kernels
+must reproduce every coefficient byte for byte.  The order-200 sparse
+rational and order-120 exp entries were frozen from the Fraction power
+walk and Horner composition that came before the integer walk and the
+baby-step/giant-step composition.  The ``oracle`` entries were frozen from
+the edge-subset scan for trees, the multi-pass Prufer checks and the
+sorted-entry ordered census, so a rewrite of the tree searches must
+reproduce every row."""
 
 import hashlib
 import io
@@ -93,6 +97,26 @@ GOLDEN = [
      "1476b8754d88c48ab1c775d7c134e07bfc14494f318338e5fc16c32dfecb0ff9"),
     ("invert --R 0,1,1/2,1/6,1/24 --order 120 --format json",
      "85b4de2e1aa77cbb726b9640004712d5fd98787e2e972e65594fe3c684f55e98"),
+    ("oracle ordered-forest --n 12 --k 3 --format json",
+     "a594ebebe71937a2285237798ee492a345f27bae0ce58109b98cc462877d5281"),
+    ("oracle ordered-forest --n 12 --k 3 --format csv",
+     "1d144d8c946a2ae5f94f92e670fd5a927794534bd08b8a9b99a9c21420f30065"),
+    ("oracle labeled-forest --n 7 --k 2 --format json",
+     "692bbe747b83f429356b52034aa2f0a9d47fc014bd35cbdd86b90eb0d7bd5b32"),
+    ("oracle labeled-forest --n 7 --k 2 --format csv",
+     "4cf02eb901b3be6cd6e31576455c9bc6f39f10ba7aad161a34d5f92bef23d7d2"),
+    ("oracle prufer --m 7 --format json",
+     "eb64b33fd82ee2e5c93f140faa10d830b6ced2325d3695953d44d843ec209e81"),
+    ("oracle prufer --m 7 --format csv",
+     "cd499d20d172319789d6155e925b89d6597fff44855596116ec74c196803b2d8"),
+    ("oracle degree-trees --m 7 --format json",
+     "0b2975ea5cc5ffc25ff32d2773016ce35430aaf30c210b47636abf10cf2005f8"),
+    ("oracle degree-trees --m 7 --format csv",
+     "50e98abe82c540f68a646ba6aa48ed409973a88df91f6aa7d088007654482b79"),
+    ("oracle cycle-lemma --len 8 --format json",
+     "3cc9c7937d7f34a1470bc209c13f4c67c2fd3d94037871aa9e2a6d17d233141b"),
+    ("oracle cycle-lemma --len 8 --format csv",
+     "6e9a4e9e0c25b913139ae58d0b288d040dab32b68208fc7c2c6fb6e5d4f520bd"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import functools
 import itertools
 import math
 import pathlib
@@ -352,6 +353,7 @@ def _min_leaf_decode(code, m):
     return tuple(sorted(edges))
 
 
+@functools.lru_cache(maxsize=None)
 def _trees_by_union_find(m):
     # every (m-1)-subset of the edges of K_m that closes no cycle
     out = []
@@ -373,6 +375,52 @@ def _trees_by_union_find(m):
         if acyclic:
             out.append(subset)
     return out
+
+
+def _check_tree_reference(edges, m):
+    # one pass per check, in the order the messages rank: labels, self
+    # loops, edge count and repeats, then connectivity
+    edges = [tuple(e) for e in edges]
+    ends = [v for e in edges for v in e]
+    if m is None:
+        m = max(ends) if ends else 0
+    if m < 2:
+        raise NotATree("need at least two vertices")
+    if any(len(e) != 2 for e in edges) or any(
+        not isinstance(v, int) or not 1 <= v <= m for v in ends
+    ):
+        raise NotATree("edges must join vertices in 1..%d" % m)
+    if any(u == v for u, v in edges):
+        raise NotATree("self loops are not allowed")
+    if len(edges) != m - 1 or len({frozenset(e) for e in edges}) != m - 1:
+        raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
+    reached = {1}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    if len(reached) != m:
+        raise NotATree("edge set is not connected")
+    return edges, m
+
+
+def _outcome(check, edges, m):
+    try:
+        return check(edges, m)
+    except (NotATree, TypeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _reaches_a_root(parent, v):
+    # follow parents from v; more than n steps means a cycle
+    for _ in range(len(parent) + 1):
+        if v == 0:
+            return True
+        v = parent[v - 1]
+    return False
 
 
 class TestFastRoutesAgainstReferences:
@@ -422,8 +470,62 @@ class TestFastRoutesAgainstReferences:
             for code in itertools.product(range(1, m + 1), repeat=m - 2):
                 assert trees.prufer_decode(code, m) == _min_leaf_decode(code, m)
 
+    def test_one_pass_tree_check_ranks_faults_like_the_reference(self):
+        # every list of up to three edges over the labels 0..4, for m = 3
+        # and for m inferred, plus malformed edges mixed into valid ones
+        pairs = list(itertools.product(range(5), repeat=2))
+        cases = [
+            list(edges)
+            for size in range(4)
+            for edges in itertools.product(pairs, repeat=size)
+        ]
+        odd = [(1, 2, 3), (1.0, 2), ("1", 2), (True, 2), (1,), (2, 3.0), (2, 2.5)]
+        for bad in odd:
+            cases += [[bad, (2, 3)], [(1, 1), bad], [(1, 2), bad]]
+        for edges in cases:
+            for m in (3, None):
+                want = _outcome(_check_tree_reference, edges, m)
+                assert _outcome(trees._check_tree, edges, m) == want, (edges, m)
+
+    def test_degree_census_equals_a_count_over_subsets(self):
+        for m in range(2, 8):
+            want = collections.Counter()
+            for edges in _trees_by_union_find(m):
+                degree = [0] * m
+                for u, v in edges:
+                    degree[u - 1] += 1
+                    degree[v - 1] += 1
+                want[tuple(degree)] += 1
+            assert trees._degree_census(m) == want
+
+    def test_labeled_census_equals_counts_over_forests(self):
+        for n in range(1, 7):
+            by_child = collections.Counter()
+            by_profile = collections.Counter()
+            for k in range(1, n + 1):
+                for parent in trees.enumerate_labeled_forests(n, k):
+                    kids = [0] * n
+                    for p in parent:
+                        if p:
+                            kids[p - 1] += 1
+                    by_child[(k,) + tuple(kids)] += 1
+                    profile = collections.Counter(kids)
+                    by_profile[(k, tuple(sorted(profile.items())))] += 1
+            assert trees._labeled_census(n) == (by_child, by_profile)
+
+    def test_labeled_forests_are_the_acyclic_parent_maps(self):
+        for n in range(1, 6):
+            want = collections.defaultdict(set)
+            for parent in itertools.product(range(n + 1), repeat=n):
+                if all(_reaches_a_root(parent, v) for v in range(1, n + 1)):
+                    want[parent.count(0)].add(parent)
+            for k in range(1, n + 1):
+                got = trees.enumerate_labeled_forests(n, k)
+                assert len(got) == len(set(got)) == len(want[k])
+                assert set(got) == want[k]
+
     def test_packed_trees_equal_the_subset_route(self):
-        for m in range(2, 7):
+        for m in range(2, 8):
             want = _trees_by_union_find(m)
             got = trees.enumerate_labeled_trees(m)
             assert len(got) == len(want)
