@@ -17,8 +17,8 @@ log(f/x) extraction, the negative/positive power-coefficient duality, the
 shift expansions for f = x + z H(f), product convolutions, and the closed
 profile sums for coefficients of f^k.
 
-``solve_xR`` computes f itself by form A with phi = t, walking the powers
-of R as integers over one denominator, and checks it by direct
+``solve_xR`` computes f itself by form A with phi = t, reading the powers
+of R from the series engine's one power walk, and checks it by direct
 substitution through ``compose``; ``solve_indeterminate`` iterates
 f = R(f) to a fixed point, since it truncates by total degree in the
 parameters, not by order.  ``inversion_form_sweep`` reads each form's
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .errors import (
     BadConstantTerm,
@@ -44,8 +44,7 @@ from .series import (
     PowerSeries,
     _convolve,
     _divide,
-    _fraction_path,
-    _to_integers,
+    _powers,
     compose,
 )
 
@@ -54,15 +53,13 @@ def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     """The unique power series f with f = x * R(f), by form A with phi = t:
     [x^k] f = (1/k) [t^(k-1)] R^k.
 
-    The powers R, R^2, ... are walked one at a time.  On the fraction path
-    R is scaled to integers once, and each power is held as one integer
-    vector over one denominator, with the content gcd(den, *power) divided
-    out after every step (for R = exp the denominator would otherwise grow
-    like (order - 1)!^k), so each coefficient of f is one Fraction.  An
-    integer R gives int coefficients, and MultiPoly R runs the same loop
-    with denominator 1.  The result is verified by direct substitution
-    before returning.  An explicit ``order`` may request a shorter answer,
-    never a longer one.
+    The powers R, R^2, ... come from the series engine's power walk, one
+    at a time.  On the fraction path each power is one integer vector over
+    one denominator with its content divided out after every step, so each
+    coefficient of f is one Fraction.  An integer R gives int coefficients,
+    and MultiPoly R runs the same walk with denominator 1.  The result is
+    verified by direct substitution before returning.  An explicit
+    ``order`` may request a shorter answer, never a longer one.
     """
     if order is not None:
         if order > R.order:
@@ -74,23 +71,12 @@ def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
-    base = R.coeffs
-    fractions = _fraction_path(base)
-    scale = 1
-    if fractions:
-        (base,), scale = _to_integers(base)
     known = [0, R.coeffs[0]]
-    power, den = base, scale  # R^k is power / den
-    for k in range(2, n):
-        power = _convolve(power, base, n - 1)
-        if fractions:
-            den *= scale
-            g = gcd(den, *power)
-            if g != 1:
-                power = [c // g for c in power]
-                den //= g
+    powers = _powers(R.coeffs, n - 1, n - 1)
+    next(powers)  # R itself: [x^1] f is R(0)
+    for k, (power, den) in enumerate(powers, 2):
         c = power[k - 1]
-        if fractions:
+        if den is not None:
             known.append(Fraction(c, k * den) if c else 0)
         elif isinstance(c, int) and not c % k:
             # an integer R gives an integer f: keep its coefficients ints
@@ -317,15 +303,18 @@ def schur_jabotinsky_pair(f: PowerSeries, n: int, k: int):
         raise FormAUndefined("the duality is stated for n != 0")
     if f.valuation() != 1:
         raise NotReversible("f must have valuation exactly 1")
-    order = f.order
-    if n >= _laurent_power_reliable(order, k) - 1:
-        raise OutOfPrecision("n = %d unreadable from f^%d at order %d" % (n, k, order))
-    if -k >= _laurent_power_reliable(order, -n) - 1:
+    if not schur_jabotinsky_window(f.order, n, k):
         raise OutOfPrecision(
-            "-k = %d unreadable from g^%d at order %d" % (-k, -n, order)
+            "n = %d, k = %d unreadable from f^%d and g^%d at order %d"
+            % (n, k, k, -n, f.order)
         )
+    return _duality_sides(f, f.reversion(), n, k)
+
+
+def _duality_sides(f: PowerSeries, g: PowerSeries, n: int, k: int):
+    """``schur_jabotinsky_pair`` for a g already computed as f.reversion(),
+    so that a caller reading many (n, k) reverts f once."""
     lhs = (f.to_laurent() ** k).coeff(n)
-    g = f.reversion()
     rhs_coeff = (g.to_laurent() ** (-n)).coeff(-k)
     return lhs, Fraction(k, n) * rhs_coeff
 

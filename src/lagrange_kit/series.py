@@ -10,29 +10,28 @@ tracking a minimum.
 Coefficients may be ints, Fractions, or MultiPoly values; ints embed into
 both rings, so 0 and 1 are used as universal padding constants.
 
-Every series product (power series, Laurent series, and the powers inside
-``reversion``) runs through one convolution routine, ``_convolve``, and
-every series quotient through one triangular recurrence, ``_divide``; both
-skip zero entries.  When all coefficients are ints or Fractions, the
-rational kernels work on integers over one denominator and build one
-reduced Fraction per result coefficient:
+Three kernels do the coefficient work, and each skips zero entries:
+``_convolve`` every series product (power series, Laurent series, and the
+powers inside ``reversion``); ``_divide`` every series quotient and
+``PowerSeries.exp``, as one triangular recurrence; and ``_powers`` the walk
+seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.  Only this
+module turns rational data into integers over one denominator: when all
+coefficients are ints and Fractions, at least one a Fraction
+(``_fraction_path``), a kernel scales its input by the lcm of its
+denominators, works on integers, and builds one reduced Fraction per
+result coefficient.  ``_divide`` holds the outputs found so far over one
+running denominator, their lcm, and never clears denominators by powers of
+the scaled divisor's constant term (199! for an exp-like divisor at order
+200); ``_powers`` divides out each power's content, so its denominator
+stays the lcm of the power's instead of growing like (order - 1)!^k for
+exp.  MultiPoly coefficients take the same loops with denominator 1.  A
+series is false exactly when every stored coefficient is zero, so
+``_convolve`` and ``_divide`` also skip the zero entries of sequences of
+series, such as the z-expansions in ``lagrange``.
 
-* ``_convolve`` scales each operand to an integer vector by the lcm of its
-  denominators, convolves the integers, and divides each result
-  coefficient once by the product of the two scales;
-* ``_divide`` and ``PowerSeries.exp`` scale their input to integers the
-  same way and hold the outputs found so far as integer numerators over
-  one running denominator, the lcm of those outputs' denominators,
-  rescaling them only when it grows, so each recurrence sum is an integer
-  dot product.  Denominators are never cleared by powers of the scaled
-  divisor's constant term, which is 199! for an exp-like divisor at order
-  200.
-
-MultiPoly coefficients take the same loops with denominator 1.  A series is
-false exactly when every stored coefficient is zero, so the two routines
-also skip the zero entries of sequences of series, such as the
-z-expansions in ``lagrange``.  ``reversion`` walks the powers of the series
-one at a time: it holds one power, never a table of them.
+``reversion`` keeps its own walk of Fraction powers, one at a time, and its
+own triangular solve: it is the independent route that ``solve_xR`` is
+checked against, so the two must not share a walk.
 
 ``compose`` evaluates an outer polynomial of degree d in the inner series
 by baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
@@ -108,6 +107,14 @@ def _to_integers(*seqs):
     return [[c.numerator * (s // c.denominator) for c in seq] for seq in seqs], s
 
 
+def _from_integers(nums, den) -> list:
+    """The integers ``nums`` over ``den`` as reduced Fractions, with the int
+    0 for zero; a ``den`` of None leaves native entries as they are."""
+    if den is None:
+        return nums
+    return [Fraction(c, den) if c else 0 for c in nums]
+
+
 def _convolve(a, b, length: int) -> list:
     """The first ``length`` coefficients of the product of the coefficient
     sequences ``a`` and ``b``: entry k is the sum of a[i] * b[k - i].
@@ -132,49 +139,51 @@ def _convolve(a, b, length: int) -> list:
             if j >= room:
                 break
             out[i + j] += x * y
-    if scale is None:
-        return out
-    return [Fraction(c, scale) if c else 0 for c in out]
+    return _from_integers(out, scale)
 
 
-def _all_rational(*seqs) -> bool:
-    """True when every entry of the sequences is an int or a Fraction."""
-    return all(type(c) in (int, Fraction) for seq in seqs for c in seq)
+def _powers(seq, count: int, length: int):
+    """Yield seq^1 .. seq^count as pairs (power, den), each product cut to
+    ``length`` entries.  On the fraction path seq is scaled to integers
+    once, each power is an integer vector over den, and the content
+    gcd(den, *power) is divided out after every product.  Otherwise the
+    powers hold their native entries, ints or MultiPoly, and den is None."""
+    power, den = seq, None
+    if _fraction_path(seq):
+        (power,), den = _to_integers(seq)
+    base, scale = power, den
+    for k in range(count):
+        if k:
+            power = _convolve(power, base, length)
+            if den is not None:
+                den *= scale
+                g = gcd(den, *power)
+                if g != 1:
+                    power = [c // g for c in power]
+                    den //= g
+        yield power, den
 
 
-def _over_common_denominator(nums: list, den: int, c: Fraction) -> int:
-    """Append the Fraction ``c`` to the integer numerators ``nums`` held over
-    ``den``, rescaling the held entries if c's denominator does not divide
-    den; returns the new denominator, the lcm of den and c's."""
-    d = c.denominator
-    grow = d // gcd(den, d)
-    if grow != 1:
-        nums[:] = [x * grow for x in nums]
-        den *= grow
-    nums.append(c.numerator * (den // d))
-    return den
-
-
-def _divide(a, b, inv0, length: int) -> list:
+def _divide(a, b, inv0, length: int, by_index: bool = False) -> list:
     """The first ``length`` coefficients of the quotient of the coefficient
     sequences ``a`` and ``b``, where ``inv0`` is the inverse of b[0]: entry
-    m is (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.
+    m is (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.  With
+    ``by_index``, b[j] counts as -j b[j] and entry m > 0 is divided by m
+    too, its leading term: for a = [1] and inv0 = 1 that is the recurrence
+    m q_m = sum of j b[j] q[m - j] of exp(b).
 
-    Entries past the end of ``a`` or ``b`` read as zero, and zero terms are
-    skipped.  When ``inv0`` is a Fraction and the entries are ints and
-    Fractions, ``a`` and ``b`` are scaled to integers by one lcm s of their
-    denominators, and the quotient entries found so far are held as integer
-    numerators over one running denominator (the lcm of theirs), so each
-    sum is an integer dot product and each result one reduced Fraction.
-    Otherwise the same loop runs with denominator 1 and no scaling."""
+    Entries past the end of ``a`` or ``b`` read as zero.  On the fraction
+    path of ``a``, ``b`` and ``inv0`` the quotient entries found so far are
+    held as integer numerators over one running denominator, so each sum is
+    an integer dot product.  Otherwise the same loop runs unscaled."""
     a = a[:length]
     b = b[:length]
-    rational = type(inv0) is Fraction and _all_rational(a, b)
+    rational = _fraction_path(a, b, (inv0,))
     if rational:
         (a, b), s = _to_integers(a, b)
         # entry m is (acc / den) * inv0 / s for the integer sum acc below
         num, den_scale = inv0.numerator, inv0.denominator * s
-    nonzero_b = [(j, y) for j, y in enumerate(b[1:], 1) if y]
+    nonzero_b = [(j, -j * y if by_index else y) for j, y in enumerate(b[1:], 1) if y]
     q = []  # the quotient so far; over den when rational
     out = [] if rational else q
     den = 1
@@ -188,12 +197,19 @@ def _divide(a, b, inv0, length: int) -> list:
             x = q[m - j]
             if x:
                 acc = acc - x * y
+        w = m if by_index and m else 1
         if not rational:
-            q.append(acc * inv0)
+            q.append(acc * inv0 if w == 1 else scalar_div_int(acc * inv0, w))
             continue
-        c = Fraction(acc * num, den * den_scale)
+        c = Fraction(acc * num, w * den * den_scale)
         out.append(c)
-        den = _over_common_denominator(q, den, c)
+        # hold c over den too, rescaling the held entries if den must grow
+        d = c.denominator
+        grow = d // gcd(den, d)
+        if grow != 1:
+            q = [x * grow for x in q]
+            den *= grow
+        q.append(c.numerator * (den // d))
     return out
 
 
@@ -369,35 +385,12 @@ class PowerSeries:
 
     def exp(self) -> "PowerSeries":
         """exp(self) by the recurrence m y_m = sum of k a_k y_(m-k) over
-        0 < k <= m.  Rational coefficients are scaled to integers by the lcm
-        s of their denominators, and the y found so far are held as integer
-        numerators over one running denominator, as in ``_divide``."""
-        a = self.coeffs
-        if a[0] != 0:
+        0 < k <= m, run by ``_divide``'s loop."""
+        if self.coeffs[0] != 0:
             raise BadConstantTerm("exp needs zero constant term")
-        n = self.order
-        rational = _all_rational(a)
-        if rational:
-            (a,), s = _to_integers(a)
-        terms = [(k, k * c) for k, c in enumerate(a) if c]
-        y = [1]  # the series so far; over den when rational
-        out = [1] if rational else y
-        den = 1
-        for m in range(1, n):
-            acc = 0
-            for k, c in terms:
-                if k > m:
-                    break
-                t = y[m - k]
-                if t:
-                    acc = acc + c * t
-            if not rational:
-                y.append(scalar_div_int(acc, m))
-                continue
-            c = Fraction(acc, m * s * den)
-            out.append(c)
-            den = _over_common_denominator(y, den, c)
-        return PowerSeries(out, n)
+        y = _divide([1], self.coeffs, Fraction(1), self.order, by_index=True)
+        y[0] = 1  # the int 1, not the loop's Fraction(1)
+        return PowerSeries(y, self.order)
 
     def log(self) -> "PowerSeries":
         if self.coeffs[0] != 1:
@@ -601,6 +594,8 @@ class LaurentSeries:
         product instead of forming the whole product: the value of
         ``(self * other).coeff(n)``, of the same type."""
         o = self._promote(other)
+        if o is None:
+            raise TypeError("not a series: %r" % (other,))
         _same_order(self, o)
         if n >= self.order:
             raise OutOfPrecision(
@@ -744,8 +739,10 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
     against the baby steps inner^0 .. inner^(s-1), and when d >= s Horner's
     rule in the giant step inner^s combines the blocks.  That is about
     2 sqrt(d) series products where Horner's rule in inner takes d: none
-    for a linear outer, two for a quadratic one.  On the fraction path each
-    block sum is an integer dot product over one denominator.  The constant
+    for a linear outer, two for a quadratic one.  The baby steps and the
+    giant step come from one power walk, ``_powers``; on the fraction path
+    the baby steps are integer vectors over one denominator, so each block
+    sum is an integer dot product.  The constant
     coefficient is added last, as a scalar, so the values, and for rational
     data and an inner series of valuation 1 the coefficient types, are
     those of Horner's rule.
@@ -782,17 +779,17 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
     top = max((i for i, c in enumerate(outer.coeffs) if c), default=0)
     s = isqrt(top) + 1
     terms = [0] + list(outer.coeffs[1 : top + 1])  # c_0 is added last
-    fractions = _fraction_path([c for c in terms if c], inner.coeffs)
     # the baby steps inner^0 .. inner^(s-1), then inner^s if top >= s
-    powers = [PowerSeries([1], n).coeffs, inner.coeffs]
-    while len(powers) <= min(s, top):
-        powers.append(_convolve(powers[-1], inner.coeffs, n))
-    giant = powers[s] if top >= s else None
-    baby = powers[:s]
-    if fractions:
-        baby, d = _to_integers(*baby)
+    powers = [([1], None), *_powers(inner.coeffs, min(s, top), n)]
+    giant = _from_integers(*powers[s]) if top >= s else None
+    den = None
+    if _fraction_path([c for c in terms if c], inner.coeffs):
+        d = lcm(*(p_den or 1 for _, p_den in powers[:s]))
+        baby = [[c * (d // (p_den or 1)) for c in p] for p, p_den in powers[:s]]
         (terms,), e = _to_integers(terms)
         den = d * e
+    else:
+        baby = [_from_integers(p, p_den) for p, p_den in powers[:s]]
     baby = [[(m, y) for m, y in enumerate(p) if y] for p in baby]
     blocks = []
     for start in range(0, top + 1, s):
@@ -801,9 +798,7 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
             if c:
                 for m, y in baby[i]:
                     block[m] += c * y
-        if fractions:
-            block = [Fraction(v, den) if v else 0 for v in block]
-        blocks.append(block)
+        blocks.append(_from_integers(block, den))
     acc = blocks.pop()
     while blocks:
         # a zero sum is the int 0, as in a series product

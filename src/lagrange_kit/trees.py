@@ -197,6 +197,7 @@ def _ordered_forest_search(n: int, k: int, visit) -> None:
             search(i + 1, partial + e, key + weight[e + 1])
 
     search(0, 0, 0)
+    del search  # the closure refers to itself: free it without gc
 
 
 def enumerate_ordered_forests(n: int, k: int) -> list:
@@ -520,6 +521,7 @@ def _labeled_tree_census(m: int) -> tuple:
                 comp[w] = cv
 
     search(0, 0, 0)
+    del search  # the closure refers to itself: free it without gc
     census = {_digits(key, m, m): count for key, count in by_key.items()}
     return _PackedTrees(bytes(packed), m), census
 
@@ -624,6 +626,7 @@ def _labeled_forest_search(n: int, visit) -> None:
         return False
 
     search(1, 0)
+    del search  # the closure refers to itself: free it without gc
 
 
 def enumerate_labeled_forests(n: int, k: int) -> list:
@@ -750,4 +753,5 @@ def ordered_profiles(n: int, k: int) -> list:
             search(i + 1, left_vertices - c, left_weight - c * i, acc + [(i, c)])
 
     search(1, n, target, [])
+    del search  # the closure refers to itself: free it without gc
     return sorted(out)

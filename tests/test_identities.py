@@ -15,6 +15,7 @@ from lagrange_kit.identities import (
     check_catalan_suite,
     check_fc_polynomiality,
     check_jensen,
+    check_schur_jabotinsky,
     compute_p_l,
     compute_q_l,
     compute_r_m,
@@ -100,6 +101,21 @@ class TestEntryChecks:
     def test_checks_count_every_expectation(self):
         assert check_jensen().checks == 18
         assert check_jensen(n_max=0).checks == 2
+
+    def test_schur_jabotinsky_reverts_each_series_once(self, monkeypatch):
+        calls = []
+        reversion = PowerSeries.reversion
+
+        def counted(f):
+            calls.append(f)
+            return reversion(f)
+
+        monkeypatch.setattr(PowerSeries, "reversion", counted)
+        report = check_schur_jabotinsky(trials=20, order=20)
+        assert report.passed and report.checks == 122
+        # x c(x) once, and each of the 20 random series once
+        assert len(calls) == 21
+        assert len(set(calls)) == 21
 
     @pytest.mark.parametrize(
         "name, params",

@@ -426,6 +426,12 @@ class TestKernels:
         assert [a.product_coeff(b, n) for n in (-1, 0)] == [2, 0]
         assert [type(a.product_coeff(b, n)) for n in (-1, 0)] == [Fraction, int]
 
+    def test_product_coeff_rejects_a_non_series(self):
+        a = LaurentSeries([1, 2], -1, 4)
+        for other in (None, 3, Fraction(1, 2), [1, 2]):
+            with pytest.raises(TypeError):
+                a.product_coeff(other, 0)
+
     def test_large_denominators_at_order_150(self):
         n = 150
         t = PowerSeries([0, 1], n)

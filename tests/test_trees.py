@@ -3,6 +3,7 @@
 import ast
 import collections
 import functools
+import gc
 import itertools
 import math
 import pathlib
@@ -556,3 +557,40 @@ def test_trees_imports_no_other_layer():
             continue
         for name in names:
             assert not forbidden & set(name.split(".")), name
+
+
+def test_lagrange_leaves_the_integer_form_to_series():
+    # how rational data becomes integers over one denominator is known to
+    # the series kernels alone; lagrange reads their results
+    from lagrange_kit import lagrange
+
+    imported = set()
+    for node in ast.walk(ast.parse(pathlib.Path(lagrange.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update("%s.%s" % (node.module, a.name) for a in node.names)
+    assert "series._fraction_path" not in imported
+    assert "series._to_integers" not in imported
+    assert "series._powers" in imported
+
+
+def test_censuses_leave_no_reference_cycles():
+    # each search is a closure that calls itself; the walks must free it
+    # by reference counting, not leave it to the cyclic collector
+    walks = [
+        (trees._ordered_profile_census, (10, 3)),
+        (trees._labeled_census, (6,)),
+        (trees._labeled_tree_census, (6,)),
+        (trees.ordered_profiles, (10, 3)),
+        (trees.enumerate_labeled_forests, (5, 2)),
+        (trees.enumerate_ordered_forests, (6, 2)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for walk, args in walks:
+            if hasattr(walk, "cache_clear"):
+                walk.cache_clear()
+            walk(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
