@@ -1040,6 +1040,14 @@ def check_fc_polynomiality(
         raise SizeLimit("p must be at least 2")
     if i < 0 or j < 0:
         raise SizeLimit("i and j must be nonnegative")
+    for key, value in (("p", p), ("i", i), ("j", j)):
+        if value > N_MAX_LIMIT:
+            raise SizeLimit("%s = %d must be at most %d" % (key, value, N_MAX_LIMIT))
+    d = j - i - 1 if i < j else i - j  # the degree the suite reads
+    if d >= order:
+        raise SizeLimit(
+            "the degree %d this suite reads must be below the order %d" % (d, order)
+        )
 
     def weight(n):
         return Fraction(
@@ -1056,7 +1064,6 @@ def check_fc_polynomiality(
 
     details = rec.details = {"p": p, "i": i, "j": j}
     if i < j:
-        d = j - i - 1
         for m in range(d + 1, order):
             rec.expect(s.coeff(m), 0, "vanishing coefficient at m=%d" % m)
         rec.require(s.coeff(d) != 0, "degree exactly %d" % d)
@@ -1090,7 +1097,6 @@ def check_fc_polynomiality(
             rec.expect(ints, [2, -1], "worked example polynomial 2 - x")
             rec.expect(scale, 4, "worked example scale")
     else:
-        d = i - j
         damp = PowerSeries([1, -(p - 1)], order) ** (2 * d + 1)
         damped = s * damp
         for m in range(d + 1, order):

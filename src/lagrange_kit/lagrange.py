@@ -419,9 +419,9 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     x = PowerSeries([0, 1], order)
     zero = PowerSeries([0], order)
     fz = [x] + [zero] * z_order
-    for _ in range(z_order + 1):
-        hf = _taylor_apply(H, fz, z_order)
-        fz = [x] + hf[: z_order]
+    # [z^(j-1)] H(f) reads only the entries of f below z^j
+    for j in range(1, z_order + 1):
+        fz[j] = _taylor_apply(H, fz, j - 1)[j - 1]
     if _taylor_apply(H, fz, z_order)[: z_order] != fz[1:]:
         raise AssertionError("shifted fixed point failed the substitution check")
     phi_direct = _taylor_apply(phi, fz, z_order)

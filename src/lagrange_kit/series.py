@@ -7,6 +7,16 @@ finite range of negative exponents and stores the window
 the same order; mixing orders raises ``OrderMismatch`` instead of silently
 tracking a minimum.
 
+Both types share one ring arithmetic, written once in the private base
+``_Series`` on the stored window: a ``PowerSeries`` is the window from 0
+(``min_exponent`` is 0 on the class).  A binary operation returns a
+``LaurentSeries`` exactly when an operand is one, and then promotes a
+``PowerSeries`` operand by ``to_laurent``.  Only the canonical forms
+differ (a Laurent series drops leading zeros), and so do ``derivative``
+and ``integral``, which stay per class because their zero entries differ
+in type: ``PowerSeries.integral`` divides every entry, giving Fraction(0),
+where the Laurent version leaves the int 0.
+
 Coefficients may be ints, Fractions, or MultiPoly values; ints embed into
 both rings, so 0 and 1 are used as universal padding constants.
 
@@ -229,10 +239,161 @@ def _power(base, k: int, one):
     return result
 
 
-class PowerSeries:
-    """A series c_0 + c_1 x + ... + c_(N-1) x^(N-1) + O(x^N)."""
+class _Series:
+    """The ring operations of both series types, on the stored window
+    [min_exponent, order); a ``PowerSeries`` is the window from 0.  A
+    binary operation returns a ``LaurentSeries`` exactly when an operand is
+    one, with a ``PowerSeries`` operand promoted by ``to_laurent``."""
 
     __slots__ = ("coeffs", "order")
+
+    def _pair(self, other):
+        """self and the series ``other`` as two series of the result's type."""
+        _same_order(self, other)
+        if type(self) is type(other):
+            return self, other
+        return _as_laurent(self), _as_laurent(other)
+
+    def _window(self, m: int):
+        """The coefficients of x^m .. x^(order-1), for m <= min_exponent."""
+        pad = self.min_exponent - m
+        return (0,) * pad + self.coeffs if pad else self.coeffs
+
+    # -- structure ---------------------------------------------------------
+
+    def coeff(self, n: int):
+        if n >= self.order:
+            raise OutOfPrecision(
+                "coefficient %d requested from a series of order %d" % (n, self.order)
+            )
+        if n < self.min_exponent:
+            return 0
+        return self.coeffs[n - self.min_exponent]
+
+    def valuation(self):
+        """Exponent of the first nonzero stored coefficient, or None if all zero."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return self.min_exponent + i
+        return None
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, _Series):
+            a, b = self._pair(other)
+            m = min(a.min_exponent, b.min_exponent)
+            return a._make([x + y for x, y in zip(a._window(m), b._window(m))], m)
+        if _is_scalar(other):
+            m = min(self.min_exponent, 0)
+            out = list(self._window(m))
+            out[0 - m] = out[0 - m] + other
+            return self._make(out, m)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make([-c for c in self.coeffs], self.min_exponent)
+
+    def __sub__(self, other):
+        if isinstance(other, _Series):
+            return self + (-other)
+        if _is_scalar(other):
+            return self + (-1 * other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            a, b = self._pair(other)
+            m = a.min_exponent + b.min_exponent
+            if m >= a.order:
+                return a._make([], 0)
+            return a._make(_convolve(a.coeffs, b.coeffs, a.order - m), m)
+        if _is_scalar(other):
+            return self._make([c * other for c in self.coeffs], self.min_exponent)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if _is_scalar(other):
+            return self._make([other * c for c in self.coeffs], self.min_exponent)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, _Series):
+            a, b = self._pair(other)
+            if isinstance(a, LaurentSeries):
+                if not b:
+                    raise DivisionByZeroSeries("division by the zero series")
+                if not a:
+                    return a._make([], 0)
+            elif not b.coeffs[0]:
+                raise DivisionByNonUnit(
+                    "divisor has zero constant term; divide as Laurent series instead"
+                )
+            # a Laurent divisor's first stored coefficient is its leading one
+            inv0 = scalar_inverse(b.coeffs[0])
+            m = a.min_exponent - b.min_exponent
+            if m >= a.order:
+                return a._make([], 0)
+            return a._make(_divide(a.coeffs, b.coeffs, inv0, a.order - m), m)
+        if _is_scalar(other):
+            inv = scalar_inverse(other)
+            return self._make([c * inv for c in self.coeffs], self.min_exponent)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if _is_scalar(other):
+            return self._make([other], 0) / self
+        return NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError(
+                "** takes integer exponents; use PowerSeries.pow for rational ones"
+            )
+        return _power(self, k, self._make([1], 0))
+
+    # -- comparison and display --------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, _Series):
+            return NotImplemented
+        a, b = self._pair(other)
+        m = min(a.min_exponent, b.min_exponent)
+        return a._window(m) == b._window(m)
+
+    def __hash__(self):
+        # over the canonical window, so that equal series of either type agree
+        v = self.valuation()
+        start = len(self.coeffs) if v is None else v - self.min_exponent
+        return hash((self.order, v, self.coeffs[start:]))
+
+    def __str__(self):
+        return _render(self.coeffs, self.min_exponent, self.order)
+
+    def __repr__(self):
+        return "%s(order=%d: %s)" % (type(self).__name__, self.order, self)
+
+
+def _as_laurent(s: _Series) -> "LaurentSeries":
+    return s.to_laurent() if isinstance(s, PowerSeries) else s
+
+
+class PowerSeries(_Series):
+    """A series c_0 + c_1 x + ... + c_(N-1) x^(N-1) + O(x^N)."""
+
+    __slots__ = ()
+    min_exponent = 0
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -246,33 +407,15 @@ class PowerSeries:
         self.coeffs = tuple(coeffs)
         self.order = order
 
+    def _make(self, coeffs, min_exponent: int) -> "PowerSeries":
+        # the window of a power series result starts at x^0
+        return PowerSeries(coeffs, self.order)
+
     # -- simple structure ----------------------------------------------
 
     @property
     def constant_term(self):
         return self.coeffs[0]
-
-    def coeff(self, n: int):
-        if n >= self.order:
-            raise OutOfPrecision(
-                "coefficient %d requested from a series of order %d" % (n, self.order)
-            )
-        if n < 0:
-            return 0
-        return self.coeffs[n]
-
-    def valuation(self):
-        """Index of the first nonzero stored coefficient, or None if all zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self
 
     def truncated(self, order: int) -> "PowerSeries":
         if not 1 <= order <= self.order:
@@ -285,79 +428,6 @@ class PowerSeries:
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by x^k (any integer k); the result is a Laurent series."""
         return self.to_laurent().shift(k)
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self.to_laurent() + other
-        if isinstance(other, PowerSeries):
-            _same_order(self, other)
-            return PowerSeries(
-                [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-            )
-        if _is_scalar(other):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return PowerSeries(out, self.order)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (PowerSeries, LaurentSeries)) or _is_scalar(other):
-            return self + (-other if not _is_scalar(other) else -1 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self.to_laurent() * other
-        if isinstance(other, PowerSeries):
-            _same_order(self, other)
-            return PowerSeries(
-                _convolve(self.coeffs, other.coeffs, self.order), self.order
-            )
-        if _is_scalar(other):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return PowerSeries([other * c for c in self.coeffs], self.order)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self.to_laurent() / other
-        if isinstance(other, PowerSeries):
-            _same_order(self, other)
-            b0 = other.coeffs[0]
-            if not b0:
-                raise DivisionByNonUnit(
-                    "divisor has zero constant term; divide as Laurent series instead"
-                )
-            q = _divide(self.coeffs, other.coeffs, scalar_inverse(b0), self.order)
-            return PowerSeries(q, self.order)
-        if _is_scalar(other):
-            inv = scalar_inverse(other)
-            return PowerSeries([c * inv for c in self.coeffs], self.order)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if _is_scalar(other):
-            return PowerSeries([other], self.order) / self
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("use .pow() for non-integer exponents")
-        return _power(self, k, PowerSeries([1], self.order))
 
     def pow(self, e) -> "PowerSeries":
         """General power: self ** e for an integral e, otherwise
@@ -430,32 +500,13 @@ class PowerSeries:
                 power = _convolve(power, self.coeffs, n)
         return PowerSeries(g, n)
 
-    # -- comparison and display ------------------------------------------
 
-    def __eq__(self, other):
-        if isinstance(other, PowerSeries):
-            _same_order(self, other)
-            return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        if isinstance(other, LaurentSeries):
-            return self.to_laurent() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __str__(self):
-        return _render(self.coeffs, 0, self.order)
-
-    def __repr__(self):
-        return "PowerSeries(order=%d: %s)" % (self.order, self)
-
-
-class LaurentSeries:
+class LaurentSeries(_Series):
     """A series with finitely many negative exponents, stored on
     [min_exponent, order).  Canonical form: either the zero series
     (min_exponent 0) or a nonzero leading stored coefficient."""
 
-    __slots__ = ("coeffs", "min_exponent", "order")
+    __slots__ = ("min_exponent",)
 
     def __init__(self, coeffs, min_exponent: int = 0, order: int | None = None):
         coeffs = list(coeffs)
@@ -483,29 +534,14 @@ class LaurentSeries:
     def zero(cls, order: int) -> "LaurentSeries":
         return cls([], 0, order)
 
-    # -- structure ---------------------------------------------------------
+    def _make(self, coeffs, min_exponent: int) -> "LaurentSeries":
+        return LaurentSeries(coeffs, min_exponent, self.order)
 
-    def coeff(self, n: int):
-        if n >= self.order:
-            raise OutOfPrecision(
-                "coefficient %d requested from a series of order %d" % (n, self.order)
-            )
-        if n < self.min_exponent:
-            return 0
-        return self.coeffs[n - self.min_exponent]
+    # -- structure ---------------------------------------------------------
 
     def residue(self):
         """The coefficient of x^(-1)."""
         return self.coeff(-1)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def valuation(self):
-        return None if self.is_zero() else self.min_exponent
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by x^k.  For k < 0 the top |k| stored entries are filled
@@ -528,74 +564,13 @@ class LaurentSeries:
             [0] * self.min_exponent + list(self.coeffs), self.order
         )
 
-    # -- ring operations -----------------------------------------------------
-
-    def _promote(self, other):
-        if isinstance(other, PowerSeries):
-            return other.to_laurent()
-        if isinstance(other, LaurentSeries):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._promote(other)
-        if o is not None:
-            _same_order(self, o)
-            m = min(self.min_exponent, o.min_exponent)
-            out = [self.coeff(n) + o.coeff(n) for n in range(m, self.order)]
-            return LaurentSeries(out, m, self.order)
-        if _is_scalar(other):
-            m = min(self.min_exponent, 0)
-            out = [self.coeff(n) for n in range(m, self.order)]
-            out[0 - m] = out[0 - m] + other
-            return LaurentSeries(out, m, self.order)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentSeries([-c for c in self.coeffs], self.min_exponent, self.order)
-
-    def __sub__(self, other):
-        o = self._promote(other)
-        if o is not None:
-            return self + (-o)
-        if _is_scalar(other):
-            return self + (-1 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._promote(other)
-        if o is not None:
-            _same_order(self, o)
-            n = self.order
-            m = self.min_exponent + o.min_exponent
-            if m >= n or self.is_zero() or o.is_zero():
-                return LaurentSeries.zero(n)
-            return LaurentSeries(_convolve(self.coeffs, o.coeffs, n - m), m, n)
-        if _is_scalar(other):
-            return LaurentSeries(
-                [c * other for c in self.coeffs], self.min_exponent, self.order
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return LaurentSeries(
-                [other * c for c in self.coeffs], self.min_exponent, self.order
-            )
-        return NotImplemented
-
     def product_coeff(self, other, n: int):
         """[x^n] (self * other) for a series ``other``, read as one dot
         product instead of forming the whole product: the value of
         ``(self * other).coeff(n)``, of the same type."""
-        o = self._promote(other)
-        if o is None:
+        if not isinstance(other, _Series):
             raise TypeError("not a series: %r" % (other,))
+        o = _as_laurent(other)
         _same_order(self, o)
         if n >= self.order:
             raise OutOfPrecision(
@@ -614,37 +589,6 @@ class LaurentSeries:
         if _fraction_path(a, b):
             return Fraction(total) if total else 0
         return total
-
-    def __truediv__(self, other):
-        o = self._promote(other)
-        if o is not None:
-            _same_order(self, o)
-            if o.is_zero():
-                raise DivisionByZeroSeries("division by the zero series")
-            if self.is_zero():
-                return LaurentSeries.zero(self.order)
-            inv0 = scalar_inverse(o.coeffs[0])
-            m = self.min_exponent - o.min_exponent
-            if m >= self.order:
-                return LaurentSeries.zero(self.order)
-            q = _divide(self.coeffs, o.coeffs, inv0, self.order - m)
-            return LaurentSeries(q, m, self.order)
-        if _is_scalar(other):
-            inv = scalar_inverse(other)
-            return LaurentSeries(
-                [c * inv for c in self.coeffs], self.min_exponent, self.order
-            )
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if _is_scalar(other):
-            return LaurentSeries([other], 0, self.order) / self
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("Laurent powers take integer exponents")
-        return _power(self, k, LaurentSeries([1], 0, self.order))
 
     # -- calculus ------------------------------------------------------------
 
@@ -671,28 +615,6 @@ class LaurentSeries:
                 continue
             out[e + 1 - (m + 1)] = scalar_div_int(c, e + 1)
         return LaurentSeries(out, m + 1, self.order)
-
-    # -- comparison and display -----------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, PowerSeries):
-            other = other.to_laurent()
-        if isinstance(other, LaurentSeries):
-            _same_order(self, other)
-            m = min(self.min_exponent, other.min_exponent)
-            return all(
-                self.coeff(n) == other.coeff(n) for n in range(m, self.order)
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.min_exponent, self.coeffs))
-
-    def __str__(self):
-        return _render(self.coeffs, self.min_exponent, self.order)
-
-    def __repr__(self):
-        return "LaurentSeries(order=%d: %s)" % (self.order, self)
 
 
 def _render(coeffs, min_exponent, order) -> str:
@@ -853,12 +775,9 @@ class TruncationContext:
 
 def series_to_json(s) -> dict:
     """Serialize a series to the canonical JSON shape."""
-    if isinstance(s, PowerSeries):
-        m, coeffs = 0, s.coeffs
-    elif isinstance(s, LaurentSeries):
-        m, coeffs = s.min_exponent, s.coeffs
-    else:
+    if not isinstance(s, _Series):
         raise TypeError("not a series: %r" % (s,))
+    m, coeffs = s.min_exponent, s.coeffs
     variables = None
     enc = []
     for c in coeffs:

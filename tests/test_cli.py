@@ -183,6 +183,11 @@ class TestIdentity:
             ("fc-polynomial", "--p", "1"),
             ("fc-polynomial", "--i", "-1"),
             ("rational-expansion", "--r", "-1"),
+            ("fc-polynomial", "--p", "10000", "--order", "30"),
+            ("fc-polynomial", "--i", "100000"),
+            ("fc-polynomial", "--j", "51"),
+            ("fc-polynomial", "--i", "40", "--order", "30"),
+            ("fc-polynomial", "--j", "40", "--order", "30"),
         ],
     )
     def test_bad_suite_parameter_fails_fast(self, argv, capsys):

@@ -1,5 +1,6 @@
 """Truncated power/Laurent series arithmetic: axioms, calculus, codecs."""
 
+import operator
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -537,6 +538,71 @@ class TestLaurent:
     def test_power_series_round_trip(self):
         p = PowerSeries([0, 1, 2], 4)
         assert p.to_laurent().to_power_series() == p
+
+
+def _as_laurent(v):
+    return v.to_laurent() if isinstance(v, PowerSeries) else v
+
+
+# the ring members written once, for both series types
+SHARED_MEMBERS = (
+    "coeff", "valuation", "__bool__", "is_zero", "__neg__", "__add__",
+    "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__pow__", "__eq__", "__hash__", "__str__", "__repr__",
+)
+
+
+class TestMixedTypes:
+    def test_both_types_share_one_base(self):
+        assert PowerSeries.__bases__ == LaurentSeries.__bases__
+        (base,) = PowerSeries.__bases__
+        assert base is not object
+        for name in SHARED_MEMBERS:
+            assert name in vars(base)
+            assert name not in vars(PowerSeries)
+            assert name not in vars(LaurentSeries)
+        assert not hasattr(LaurentSeries, "_promote")
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        data=st.data(),
+        op=st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+        swap=st.booleans(),
+    )
+    def test_laurent_exactly_when_an_operand_is_laurent(self, data, op, swap):
+        a = data.draw(mixed_series)
+        b = data.draw(st.one_of(mixed_series, rationals, rationals.map(int)))
+        if swap:
+            a, b = b, a
+        try:
+            got = op(a, b)
+        except (DivisionByNonUnit, DivisionByZeroSeries, ZeroDivisionError):
+            return  # undefined for these operands
+        laurent = isinstance(a, LaurentSeries) or isinstance(b, LaurentSeries)
+        assert type(got) is (LaurentSeries if laurent else PowerSeries)
+        expected = op(_as_laurent(a), _as_laurent(b))
+        assert [got.coeff(n) for n in range(-2 * ORDER, ORDER)] == [
+            expected.coeff(n) for n in range(-2 * ORDER, ORDER)
+        ]
+
+    def test_hash_agrees_with_equality_across_types(self):
+        p = PowerSeries([0, 1, 2], 4)
+        assert p == p.to_laurent()
+        assert len({p, p.to_laurent()}) == 1
+        assert hash(PowerSeries([Fraction(2), 0, Fraction(1, 2)], 4)) == hash(
+            PowerSeries([2, 0, Fraction(1, 2)], 4)
+        )
+        assert hash(PowerSeries([Fraction(0)], 4)) == hash(LaurentSeries.zero(4))
+
+    @fast
+    @given(a=any_series)
+    def test_equal_series_hash_equal(self, a):
+        same = [a, _ints_where_integral(a), _as_laurent(a)]
+        if (a.valuation() or 0) >= 0:
+            same.append(_as_laurent(a).to_power_series())
+        for b in same:
+            assert b == a
+            assert hash(b) == hash(a)
 
 
 def _reference_compose(outer, inner):
