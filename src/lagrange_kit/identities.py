@@ -1254,23 +1254,23 @@ def check_rational_expansion(rec, r: int = 1, s: int = 2, n_max: int = 12) -> No
     rec.order = n_max
     if r < 0 or s < 0:
         raise SizeLimit("r and s must be nonnegative")
+
+    def direct(r, s, i, j):
+        # [a^i b^j] of the triple product, summed over the power n of ab
+        return sum(
+            comb(r, i - n) * comb(s, j - n) * comb(r + s + n, n)
+            for n in range(min(i, j) + 1)
+            if i - n <= r and j - n <= s
+        )
+
     for i in range(n_max + 1):
         for j in range(n_max + 1):
-            direct = sum(
-                comb(r, i - n) * comb(s, j - n) * comb(r + s + n, n)
-                for n in range(min(i, j) + 1)
-                if i - n <= r and j - n <= s
-            )
             rec.expect(
-                direct,
+                direct(r, s, i, j),
                 int_binomial(r + j, i) * int_binomial(s + i, j),
                 "coefficient at a^%d b^%d" % (i, j),
             )
-    rec.expect(
-        int_binomial(1 + 1, 1) * int_binomial(1 + 1, 1) if (r, s) == (1, 1) else True,
-        4 if (r, s) == (1, 1) else True,
-        "frozen value at r=s=1, a^1 b^1",
-    )
+    rec.expect(direct(1, 1, 1, 1), 4, "frozen value at r=s=1, a^1 b^1")
 
 
 # -- finite differences ----------------------------------------------------------------

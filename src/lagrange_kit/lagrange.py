@@ -23,13 +23,20 @@ substitution through ``compose``; ``solve_indeterminate`` iterates
 f = R(f) to a fixed point, since it truncates by total degree in the
 parameters, not by order.  ``inversion_form_sweep`` reads each form's
 coefficient as one dot product of that form's own operands.
+
+``derivative_form`` and ``cauchy_convolution_check`` read two term lists,
+the shift terms D^(m-1)(g' H^m)/m! and the ratio terms D^m(g H^m)/m!, off
+one walk of H^0 .. H^z.  The direct route reads neither: it substitutes f
+into H, phi, psi and H' in one Taylor pass over the powers of f - x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
+from operator import mul
 
 from .errors import (
     BadConstantTerm,
@@ -38,7 +45,7 @@ from .errors import (
     OutOfPrecision,
     UnguardedCoefficient,
 )
-from .scalars import MultiPoly, int_binomial, scalar_div_int, scalar_inverse
+from .scalars import MultiPoly, scalar_div_int, scalar_inverse
 from .series import (
     LaurentSeries,
     PowerSeries,
@@ -332,30 +339,45 @@ def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:
 # ``_convolve`` and ``_divide``; a product may hold the int 0 for a zero entry.
 
 
-def _derivative_times(s: PowerSeries, m: int) -> PowerSeries:
-    for _ in range(m):
-        s = s.derivative()
-    return s
+def _divided_derivative(s: PowerSeries, m: int) -> PowerSeries:
+    """D^m(s)/m!: coefficient n is C(n + m, m) s_(n+m)."""
+    return PowerSeries(
+        [comb(n + m, m) * c for n, c in enumerate(s.coeffs[m:])], s.order
+    )
 
 
-def _taylor_apply(alpha: PowerSeries, fz, z_order):
-    """alpha evaluated at a substitution whose z^0 entry is exactly x,
-    via the Taylor sum of D^m(alpha)/m! against (f - x)^m."""
-    order = alpha.order
-    zero = PowerSeries([0], order)
+def _shift_terms(g: PowerSeries, powers, ms) -> list:
+    """Lagrange's terms of g(f) at each m in ms, with powers[m] = H^m: g at
+    m = 0, otherwise D^(m-1)(g' H^m)/m!."""
+    gp = g.derivative()
+    return [
+        _divided_derivative(gp * powers[m], m - 1) * Fraction(1, m) if m else g
+        for m in ms
+    ]
+
+
+def _ratio_terms(g: PowerSeries, powers, ms) -> list:
+    """The terms D^m(g H^m)/m! of g(f)/(1 - z H'(f)) at each m in ms."""
+    return [_divided_derivative(g * powers[m], m) for m in ms]
+
+
+def _taylor_apply(alphas, fz, z_order):
+    """Each alpha evaluated at a substitution whose z^0 entry is exactly x,
+    via the Taylor sum of D^m(alpha)/m! against (f - x)^m; the powers of
+    f - x are formed once for all of them."""
+    zero = PowerSeries([0], alphas[0].order)
     delta = [zero] + list(fz[1:])
-    out = [alpha] + [zero] * z_order
-    pw = delta
+    outs = [[alpha] + [zero] * z_order for alpha in alphas]
+    pw = [1]  # (f - x)^0
     for m in range(1, z_order + 1):
-        cm = _derivative_times(alpha, m) * Fraction(1, factorial(m))
-        if not cm.is_zero():
-            for j in range(m, z_order + 1):
-                entry = pw[j]
-                if entry:
-                    out[j] = out[j] + cm * entry
-        if m < z_order:
-            pw = _convolve(pw, delta, z_order + 1)
-    return out
+        pw = _convolve(pw, delta, z_order + 1)
+        for alpha, out in zip(alphas, outs):
+            cm = _divided_derivative(alpha, m)
+            if cm:
+                for j in range(m, z_order + 1):
+                    if pw[j]:
+                        out[j] = out[j] + cm * pw[j]
+    return outs
 
 
 @dataclass
@@ -395,39 +417,30 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     order = phi.order
     if psi.order != order or H.order != order:
         raise ValueError("phi, psi, H must share the truncation order")
+    if z_order < 0:
+        raise ValueError("z_order must be nonnegative")
     x_order = order - z_order
     if x_order < 1:
         raise ValueError("z_order too large for this truncation order")
-    one_over = lambda m: Fraction(1, factorial(m))
 
-    via_shift = [phi]
-    for m in range(1, z_order + 1):
-        via_shift.append(
-            _derivative_times(phi.derivative() * H ** m, m - 1) * one_over(m)
-        )
+    one = PowerSeries([1], order)
+    powers = list(accumulate([H] * z_order, mul, initial=one))
+    ms = range(z_order + 1)
+    via_shift = _shift_terms(phi, powers, ms)
     hp = H.derivative()
-    via_weight = [phi]
-    for m in range(1, z_order + 1):
-        first = _derivative_times(phi * H ** m, m) * one_over(m)
-        second = _derivative_times(phi * hp * H ** (m - 1), m - 1) * one_over(m - 1)
-        via_weight.append(first - second)
-    ratio_via_powers = [
-        _derivative_times(psi * H ** m, m) * one_over(m)
-        for m in range(z_order + 1)
-    ]
+    ratio_phi = _ratio_terms(phi, powers, ms)
+    ratio_phi_hp = _ratio_terms(phi * hp, powers, ms[:-1])
+    via_weight = [phi] + [a - b for a, b in zip(ratio_phi[1:], ratio_phi_hp)]
+    ratio_via_powers = _ratio_terms(psi, powers, ms)
 
-    x = PowerSeries([0, 1], order)
-    zero = PowerSeries([0], order)
-    fz = [x] + [zero] * z_order
+    fz = [PowerSeries([0, 1], order)] + [PowerSeries([0], order)] * z_order
     # [z^(j-1)] H(f) reads only the entries of f below z^j
     for j in range(1, z_order + 1):
-        fz[j] = _taylor_apply(H, fz, j - 1)[j - 1]
-    if _taylor_apply(H, fz, z_order)[: z_order] != fz[1:]:
+        fz[j] = _taylor_apply([H], fz, j - 1)[0][j - 1]
+    h_f, phi_direct, psi_f, hp_f = _taylor_apply([H, phi, psi, hp], fz, z_order)
+    if h_f[: z_order] != fz[1:]:
         raise AssertionError("shifted fixed point failed the substitution check")
-    phi_direct = _taylor_apply(phi, fz, z_order)
-    psi_f = _taylor_apply(psi, fz, z_order)
-    hp_f = _taylor_apply(hp, fz, z_order)
-    denom = [PowerSeries([1], order)] + [-e for e in hp_f[: z_order]]
+    denom = [one] + [-e for e in hp_f[: z_order]]
     ratio_direct = _divide(psi_f, denom, 1, z_order + 1)
 
     cut = lambda entries: [e.truncated(x_order) for e in entries]
@@ -446,42 +459,25 @@ def cauchy_convolution_check(phi: PowerSeries, psi: PowerSeries,
                              H: PowerSeries, n: int) -> bool:
     """Verify both product convolutions of the shifted expansions at index n.
 
-    The m = 0 factor of a phi' expansion is phi itself (and symmetrically
-    for psi at m = n); comparisons are made through the exact x window.
+    Each convolution over n! is the z^n coefficient of a product of term
+    lists: shift(phi) ratio(psi) against ratio(phi psi), and shift(phi)
+    shift(psi) against shift(phi psi), compared through the exact x window.
     """
     order = phi.order
     if n < 0 or order - n < 2:
         raise ValueError("n out of range for this truncation order")
     x_order = order - n
-
-    def first_factor(m):
-        if m == 0:
-            return phi
-        return _derivative_times(phi.derivative() * H ** m, m - 1)
-
-    def plain_factor(g, m):
-        return _derivative_times(g * H ** m, m)
-
-    lhs1 = PowerSeries([0], order)
-    lhs2 = PowerSeries([0], order)
-    for m in range(n + 1):
-        c = int_binomial(n, m)
-        f1 = first_factor(m)
-        lhs1 = lhs1 + c * (f1 * plain_factor(psi, n - m))
-        if m == n:
-            second = psi
-        else:
-            second = _derivative_times(psi.derivative() * H ** (n - m), n - m - 1)
-        lhs2 = lhs2 + c * (f1 * second)
-    rhs1 = _derivative_times(phi * psi * H ** n, n)
-    if n == 0:
-        rhs2 = phi * psi
-    else:
-        rhs2 = _derivative_times((phi * psi).derivative() * H ** n, n - 1)
-    return (
-        lhs1.truncated(x_order) == rhs1.truncated(x_order)
-        and lhs2.truncated(x_order) == rhs2.truncated(x_order)
-    )
+    powers = list(accumulate([H] * n, mul, initial=PowerSeries([1], order)))
+    ms = range(n + 1)
+    shift_phi = _shift_terms(phi, powers, ms)
+    for terms in (_ratio_terms, _shift_terms):
+        psi_terms = terms(psi, powers, ms)
+        lhs = sum((shift_phi[m] * psi_terms[n - m] for m in ms),
+                  PowerSeries([0], order))
+        rhs = terms(phi * psi, powers, [n])[0]
+        if lhs.truncated(x_order) != rhs.truncated(x_order):
+            return False
+    return True
 
 
 # -- closed profile sums ------------------------------------------------------

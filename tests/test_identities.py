@@ -102,6 +102,14 @@ class TestEntryChecks:
         assert check_jensen().checks == 18
         assert check_jensen(n_max=0).checks == 2
 
+    @pytest.mark.parametrize("r, s", [(1, 2), (1, 1), (0, 3)])
+    def test_rational_expansion_frozen_value_reads_the_sum(self, r, s):
+        # at n_max = 0 the loop reads only a^0 b^0, where every term is 1;
+        # the second check is the triple-product sum at r = s = 1, a^1 b^1
+        report = run_identity("rational-expansion", n_max=0, r=r, s=s)
+        assert report.passed
+        assert report.checks == 2
+
     def test_schur_jabotinsky_reverts_each_series_once(self, monkeypatch):
         calls = []
         reversion = PowerSeries.reversion

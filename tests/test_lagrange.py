@@ -17,6 +17,9 @@ from lagrange_kit.errors import (
 )
 from lagrange_kit.lagrange import (
     FormValues,
+    _divided_derivative,
+    _ratio_terms,
+    _shift_terms,
     cauchy_convolution_check,
     coeff_all_forms,
     coefficient_form_a,
@@ -39,7 +42,7 @@ from lagrange_kit.scalars import (
     polynomial_from_points,
     scalar_div_int,
 )
-from lagrange_kit.series import LaurentSeries, PowerSeries, compose
+from lagrange_kit.series import LaurentSeries, PowerSeries, _Series, compose
 from lagrange_kit.trees import count_by_profile, ordered_profiles
 
 
@@ -578,6 +581,11 @@ class TestShiftedEquation:
         with pytest.raises(ValueError):
             derivative_form(phi, phi, 4)
 
+    def test_negative_z_order_rejected_up_front(self):
+        phi = PowerSeries([1, 2, 3], 6)
+        with pytest.raises(ValueError, match="z_order must be nonnegative"):
+            derivative_form(phi, phi, -1)
+
     def test_cauchy_convolutions(self):
         rng = random.Random(37)
         order = 10
@@ -594,3 +602,180 @@ class TestShiftedEquation:
         phi = PowerSeries([1], 5)
         with pytest.raises(ValueError):
             cauchy_convolution_check(phi, phi, phi, 4)
+
+
+# -- the shift expansions as first written: m repeated derivatives, H ** m
+# and 1/m! as a Fraction, and one Taylor pass per substituted series
+
+
+def _derivative_times(s, m):
+    for _ in range(m):
+        s = s.derivative()
+    return s
+
+
+def _over_factorial(s, m):
+    return s * Fraction(1, factorial(m))
+
+
+def _z_product(a, b, zero):
+    return [sum((a[i] * b[j - i] for i in range(j + 1)), zero)
+            for j in range(len(a))]
+
+
+def _reference_taylor(alpha, fz, z_order):
+    zero = PowerSeries([0], alpha.order)
+    delta = [zero] + list(fz[1:z_order + 1])
+    out = [alpha] + [zero] * z_order
+    pw = delta
+    for m in range(1, z_order + 1):
+        cm = _over_factorial(_derivative_times(alpha, m), m)
+        for j in range(m, z_order + 1):
+            out[j] = out[j] + cm * pw[j]
+        pw = _z_product(pw, delta, zero)
+    return out
+
+
+def _reference_derivative_form(phi, H, z_order, psi):
+    """The five lists of ``derivative_form``, in its field order."""
+    order = phi.order
+    zero = PowerSeries([0], order)
+    hp = H.derivative()
+    via_shift = [phi] + [
+        _over_factorial(_derivative_times(phi.derivative() * H ** m, m - 1), m)
+        for m in range(1, z_order + 1)
+    ]
+    via_weight = [phi] + [
+        _over_factorial(_derivative_times(phi * H ** m, m), m)
+        - _over_factorial(
+            _derivative_times(phi * hp * H ** (m - 1), m - 1), m - 1)
+        for m in range(1, z_order + 1)
+    ]
+    ratio_via_powers = [
+        _over_factorial(_derivative_times(psi * H ** m, m), m)
+        for m in range(z_order + 1)
+    ]
+    fz = [PowerSeries([0, 1], order)] + [zero] * z_order
+    for j in range(1, z_order + 1):
+        fz[j] = _reference_taylor(H, fz, j - 1)[j - 1]
+    phi_direct = _reference_taylor(phi, fz, z_order)
+    psi_f = _reference_taylor(psi, fz, z_order)
+    hp_f = _reference_taylor(hp, fz, z_order)
+    # psi(f) / (1 - z H'(f)) by long division in z
+    ratio_direct = []
+    for j in range(z_order + 1):
+        ratio_direct.append(psi_f[j] + sum(
+            (hp_f[i - 1] * ratio_direct[j - i] for i in range(1, j + 1)), zero))
+    x_order = order - z_order
+    return [
+        [e.truncated(x_order) for e in entries]
+        for entries in (phi_direct, via_weight, via_shift, ratio_direct,
+                        ratio_via_powers)
+    ]
+
+
+def _reference_cauchy_sums(phi, psi, H, n):
+    """(lhs1, rhs1, lhs2, rhs2): both convolutions at index n, not yet
+    divided by n!."""
+    zero = PowerSeries([0], phi.order)
+
+    def shift(g, m):
+        if m == 0:
+            return g
+        return _derivative_times(g.derivative() * H ** m, m - 1)
+
+    def ratio(g, m):
+        return _derivative_times(g * H ** m, m)
+
+    lhs1 = sum((comb(n, m) * (shift(phi, m) * ratio(psi, n - m))
+                for m in range(n + 1)), zero)
+    lhs2 = sum((comb(n, m) * (shift(phi, m) * shift(psi, n - m))
+                for m in range(n + 1)), zero)
+    return lhs1, ratio(phi * psi, n), lhs2, shift(phi * psi, n)
+
+
+def _sparse_series(rng, order):
+    pick = lambda: rng.choice(
+        [0, 0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))]
+    )
+    return PowerSeries([pick() for _ in range(order)], order)
+
+
+def _sparse_triples(seed, order, count):
+    rng = random.Random(seed)
+    triples = [tuple(_sparse_series(rng, order) for _ in range(3))
+               for _ in range(count)]
+    phi, psi, H = triples[0]
+    return triples + [(PowerSeries([0], order), psi, H)]
+
+
+class TestShiftTermConstruction:
+    """The closed-form terms against the construction they replaced."""
+
+    def test_divided_derivative_is_repeated_derivative_over_factorial(self):
+        order = 9
+        rng = random.Random(41)
+        ring = PolyRing("a", "b")
+        a, b = ring.gens()
+        cases = [
+            PowerSeries([rng.randint(-5, 5) for _ in range(order)], order),
+            PowerSeries([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(order)], order),
+            PowerSeries([ring.one(), a, 0, a * b - 2, b * b, Fraction(1, 3) * a],
+                        order),
+        ]
+        for s in cases:
+            for m in range(order):
+                want = _derivative_times(s, m) * Fraction(1, factorial(m))
+                assert _divided_derivative(s, m) == want
+
+    def test_derivative_form_matches_first_construction(self):
+        order, z_order = 10, 4
+        for phi, psi, H in _sparse_triples(43, order, 6):
+            got = derivative_form(phi, H, z_order, psi=psi)
+            want = _reference_derivative_form(phi, H, z_order, psi)
+            fields = [got.phi_direct, got.phi_via_weight, got.phi_via_shift,
+                      got.ratio_direct, got.ratio_via_powers]
+            for got_entries, want_entries in zip(fields, want):
+                assert len(got_entries) == z_order + 1
+                assert got_entries == want_entries
+            assert got.agree
+
+    def test_cauchy_sums_match_first_construction(self):
+        order = 10
+        for phi, psi, H in _sparse_triples(47, order, 4):
+            powers = [PowerSeries([1], order)]
+            for _ in range(order - 2):
+                powers.append(powers[-1] * H)
+            for n in range(order - 1):
+                x_order = order - n
+                lhs1, rhs1, lhs2, rhs2 = _reference_cauchy_sums(phi, psi, H, n)
+                ms = range(n + 1)
+                shift_phi = _shift_terms(phi, powers, ms)
+                zero = PowerSeries([0], order)
+                for terms, lhs, rhs in ((_ratio_terms, lhs1, rhs1),
+                                        (_shift_terms, lhs2, rhs2)):
+                    psi_terms = terms(psi, powers, ms)
+                    total = sum((shift_phi[m] * psi_terms[n - m] for m in ms),
+                                zero)
+                    assert total == lhs * Fraction(1, factorial(n))
+                    assert (terms(phi * psi, powers, [n])[0]
+                            == rhs * Fraction(1, factorial(n)))
+                want = (lhs1.truncated(x_order) == rhs1.truncated(x_order)
+                        and lhs2.truncated(x_order) == rhs2.truncated(x_order))
+                assert cauchy_convolution_check(phi, psi, H, n) is want
+
+    def test_no_series_is_raised_to_a_power(self, monkeypatch):
+        calls = []
+        power = _Series.__pow__
+
+        def counted(s, k):
+            calls.append(k)
+            return power(s, k)
+
+        monkeypatch.setattr(_Series, "__pow__", counted)
+        for phi, psi, H in _sparse_triples(53, 10, 2):
+            derivative_form(phi, H, 4, psi=psi)
+            for n in range(5):
+                cauchy_convolution_check(phi, psi, H, n)
+        assert calls == []
