@@ -826,19 +826,15 @@ def compute_r_m(m: int) -> MultiPoly:
     up = ring.var("u")
     span = 3 * m + 4
     seq = [weighted_stirling(j + m, j, kp) for j in range(span + 1)]
-    sig = [(-1) ** i * comb(2 * m + 1, i) for i in range(2 * m + 2)]
+    product = PowerSeries(seq, span + 1) * PowerSeries([1, -1], span + 1) ** (2 * m + 1)
     out = ring.zero()
     for d in range(span + 1):
-        coeff = ring.zero()
-        for i in range(min(d, 2 * m + 1) + 1):
-            coeff = coeff + sig[i] * seq[d - i]
+        coeff = product.coeff(d)
+        if not coeff:
+            continue
         if d > m:
-            if not coeff.is_zero():
-                raise DegreeViolation(
-                    "degree %d in u exceeds the bound %d" % (d, m)
-                )
-        elif not coeff.is_zero():
-            out = out + coeff * up ** d
+            raise DegreeViolation("degree %d in u exceeds the bound %d" % (d, m))
+        out = out + coeff * up ** d
     if out.degree_in("k") > m:
         raise DegreeViolation("degree in k exceeds the bound %d" % m)
     return out
@@ -1054,13 +1050,10 @@ def check_fc_polynomiality(
             factorial(p * n + i), factorial(n) * factorial((p - 1) * n + j)
         )
 
+    # the sum is W(x/(1+x)^p)/(1+x)^(i+1) with W = sum_n w(n) t^n
+    wsum = PowerSeries([weight(n) for n in range(order)], order)
     inv = PowerSeries([1, 1], order) ** (-1)
-    step = inv ** p
-    g = inv ** (i + 1)
-    s = PowerSeries([0], order)
-    for n in range(order):
-        s = s + weight(n) * (g * PowerSeries([0] * n + [1], order))
-        g = g * step
+    s = compose(wsum, PowerSeries([0, 1], order) * inv ** p) * inv ** (i + 1)
 
     details = rec.details = {"p": p, "i": i, "j": j}
     if i < j:
@@ -1084,7 +1077,6 @@ def check_fc_polynomiality(
         )
         c = fuss_catalan_series(p, order)
         one = PowerSeries([1], order)
-        wsum = PowerSeries([weight(n) for n in range(order)], order)
         rec.expect(
             wsum,
             compose(_poly_series(coeffs, order), c - one) * c ** (i + 1),

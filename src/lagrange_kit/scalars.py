@@ -33,6 +33,22 @@ def parse_rational(text: str, position: int | None = None) -> Fraction:
         raise ParseError("bad rational literal %r%s" % (text, where)) from exc
 
 
+def _power(base, k: int, one):
+    """base ** k for an integer k by binary powering from the unit ``one``;
+    a negative k powers one / base."""
+    if k < 0:
+        base = one / base
+        k = -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 def int_binomial(a: int, k: int) -> int:
     """Binomial coefficient with integer (possibly negative) top index."""
     if k < 0:
@@ -286,14 +302,7 @@ class MultiPoly:
             return NotImplemented
         if k < 0:
             return scalar_inverse(self) ** (-k)
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.const(self.vars, 1))
 
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):

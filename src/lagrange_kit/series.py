@@ -83,6 +83,7 @@ from .errors import (
 )
 from .scalars import (
     MultiPoly,
+    _power,
     format_rational,
     parse_rational,
     scalar_div_int,
@@ -221,22 +222,6 @@ def _divide(a, b, inv0, length: int, by_index: bool = False) -> list:
             den *= grow
         q.append(c.numerator * (den // d))
     return out
-
-
-def _power(base, k: int, one):
-    """base ** k for an integer k by binary powering from the unit ``one``;
-    a negative k powers one / base."""
-    if k < 0:
-        base = one / base
-        k = -k
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 class _Series:

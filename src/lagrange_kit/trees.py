@@ -22,7 +22,9 @@ none, and only ``enumerate_ordered_forests`` decodes.  The trees on [m]
 are cached packed, 2(m - 1) one-byte endpoints per tree, behind a
 read-only sequence of canonical edge tuples; the Prufer round trips read
 them there.  Prufer encoding and decoding take linear time, with a leaf
-pointer that only moves up, and check their input in one pass.
+pointer that only moves up, and check their input in one pass; the
+encoder's leaf deletion is its tree check, since m - 1 loop-free edges on
+[m] form a tree exactly when a leaf is left at each deletion.
 
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
@@ -150,20 +152,16 @@ def decode_reduced(code, k: int) -> OrderedForest:
     if any(not isinstance(e, int) or e < -1 for e in entries):
         raise InvalidCode("reduced entries must be integers >= -1")
     partial = 0
+    stack = []
     for i, e in enumerate(entries):
         partial += e
         if partial >= 0:
             raise InvalidCode("partial sum %d at position %d is not negative" % (partial, i))
+        # the stack holds minus the previous partial sum, e - partial
+        # subtrees, so a negative sum leaves the e + 1 that entry e takes
+        stack[-partial - 1 :] = [tuple(stack[-partial - 1 :])]
     if partial != -k:
         raise InvalidCode("entries sum to %d, expected %d" % (partial, -k))
-    stack = []
-    for e in entries:
-        j = e + 1
-        if j > len(stack):
-            raise InvalidCode("entry needs %d subtrees but only %d are available" % (j, len(stack)))
-        children = tuple(stack[len(stack) - j :]) if j else ()
-        del stack[len(stack) - j :]
-        stack.append(children)
     return OrderedForest(k, tuple(stack))
 
 
@@ -316,50 +314,6 @@ class PruferCode:
                 raise InvalidCode("entries must lie in 1..%d" % m)
 
 
-def _check_tree(edges, m: int | None):
-    """The edges as a list of pairs and the vertex count m, or NotATree:
-    m - 1 distinct edges joining vertices of [m] with no cycle, which for
-    that many edges is the same as connected.  One pass checks each edge's
-    ends and joins them in a union-find; a self loop or a closed cycle is
-    noted and raised after the pass, so a bad label anywhere is reported
-    first, then a self loop, then a wrong or repeated edge, then a cycle."""
-    edges = [tuple(e) for e in edges]
-    if m is None:
-        m = max((v for e in edges for v in e), default=0)
-        if m >= 2 and not isinstance(m, int):
-            raise NotATree("edges must join vertices in 1..%d" % m)
-    if m < 2:
-        raise NotATree("need at least two vertices")
-    root = list(range(m + 1))
-    loop = cycle = False
-    for e in edges:
-        if len(e) != 2:
-            raise NotATree("edges must join vertices in 1..%d" % m)
-        u, v = e
-        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= m and 1 <= v <= m):
-            raise NotATree("edges must join vertices in 1..%d" % m)
-        if u == v:
-            loop = True
-            continue
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        if u == v:
-            cycle = True
-        root[u] = v
-    if loop:
-        raise NotATree("self loops are not allowed")
-    # a repeated edge closes a cycle, so only then are the edges compared
-    if len(edges) != m - 1 or cycle and len(set(map(frozenset, edges))) != m - 1:
-        raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
-    if cycle:
-        raise NotATree("edge set is not connected")
-    return edges, m
-
-
 # Both codec directions delete the least-labeled leaf m - 2 times in linear
 # time: a pointer `low` only moves up, and a leaf that appears below it when
 # its last neighbor goes is the least leaf at once.
@@ -367,34 +321,63 @@ def _check_tree(edges, m: int | None):
 
 def prufer_encode(edges, m: int | None = None) -> PruferCode:
     """Repeatedly delete the least-labeled leaf, recording its neighbor.
-    Each vertex keeps the XOR of its neighbors' labels, so a leaf's one
-    remaining neighbor is read off directly."""
-    edges, m = _check_tree(edges, m)
-    degree = [0] * (m + 1)
+
+    One pass over the edges checks their ends and builds each vertex's
+    degree and the XOR of its neighbors' labels, so a leaf's one remaining
+    neighbor is read off directly.  The deletion walk is the tree check:
+    m - 1 loop-free edges on [m] form a tree exactly when a leaf is left at
+    each of the m - 2 deletions.  A bad label anywhere is reported first,
+    then a self loop, then a wrong count or a repeated edge, then a cycle."""
+    edges = [tuple(e) for e in edges]
+    if m is None:
+        m = max((v for e in edges for v in e), default=0)
+        if m >= 2 and not isinstance(m, int):
+            raise NotATree("edges must join vertices in 1..%d" % m)
+    if m < 2:
+        raise NotATree("need at least two vertices")
+    # degree[m + 1] = 1 ends the scan for a leaf past m
+    degree = [0] * (m + 1) + [1]
     others = [0] * (m + 1)
-    for u, v in edges:
+    loop = False
+    for e in edges:
+        # an edge without two ends reads as the bad label 0
+        u, v = e if len(e) == 2 else (0, 0)
+        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= m and 1 <= v <= m):
+            raise NotATree("edges must join vertices in 1..%d" % m)
+        if u == v:
+            loop = True
         degree[u] += 1
         degree[v] += 1
         others[u] ^= v
         others[v] ^= u
-    code = []
-    low = 1
-    while degree[low] != 1:
-        low += 1
-    leaf = low
-    for _ in range(m - 2):
-        neighbor = others[leaf]
-        others[neighbor] ^= leaf
-        degree[neighbor] -= 1
-        code.append(neighbor)
-        if degree[neighbor] == 1 and neighbor < low:
-            leaf = neighbor
-        else:
+    if loop:
+        raise NotATree("self loops are not allowed")
+    if len(edges) == m - 1:
+        code = []
+        low = 1
+        while degree[low] != 1:
             low += 1
-            while degree[low] != 1:
+        leaf = low
+        for _ in range(m - 2):
+            if leaf > m:
+                break
+            neighbor = others[leaf]
+            others[neighbor] ^= leaf
+            degree[neighbor] -= 1
+            code.append(neighbor)
+            if degree[neighbor] == 1 and neighbor < low:
+                leaf = neighbor
+            else:
                 low += 1
-            leaf = low
-    return PruferCode(tuple(code), m)
+                while degree[low] != 1:
+                    low += 1
+                leaf = low
+        else:
+            return PruferCode(tuple(code), m)
+        # out of leaves: the edges repeat one or close a cycle
+        if len(set(map(frozenset, edges))) == m - 1:
+            raise NotATree("edge set is not connected")
+    raise NotATree("a tree on %d vertices has exactly %d distinct edges" % (m, m - 1))
 
 
 def prufer_decode(code, m: int | None = None) -> tuple:

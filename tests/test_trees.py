@@ -415,6 +415,14 @@ def _outcome(check, edges, m):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
+def _encode_outcome(edges, m):
+    # the reference's (edges, m) for a tree stands for the encoded code
+    got = _outcome(trees.prufer_encode, edges, m)
+    if isinstance(got, trees.PruferCode):
+        return [tuple(e) for e in edges], got.m
+    return got
+
+
 def _reaches_a_root(parent, v):
     # follow parents from v; more than n steps means a cycle
     for _ in range(len(parent) + 1):
@@ -486,7 +494,24 @@ class TestFastRoutesAgainstReferences:
         for edges in cases:
             for m in (3, None):
                 want = _outcome(_check_tree_reference, edges, m)
-                assert _outcome(trees._check_tree, edges, m) == want, (edges, m)
+                assert _encode_outcome(edges, m) == want, (edges, m)
+
+    def test_leaf_deletion_tells_cycles_from_repeated_edges(self):
+        # every multiset of m - 1 pairs over [m], self loops included, in
+        # both edge orders: m - 1 loop-free edges that are no tree either
+        # repeat an edge or close a cycle beside an unreached vertex
+        seen = collections.Counter()
+        for m in (4, 5):
+            pairs = list(itertools.combinations_with_replacement(range(1, m + 1), 2))
+            for multiset in itertools.combinations_with_replacement(pairs, m - 1):
+                flipped = [(v, u) for u, v in reversed(multiset)]
+                for edges in (list(multiset), flipped):
+                    for given in (m, None):
+                        want = _outcome(_check_tree_reference, edges, given)
+                        assert _encode_outcome(edges, given) == want, (edges, given)
+                        seen[want if isinstance(want, str) else "ok"] += 1
+        assert seen["NotATree: edge set is not connected"] > 0
+        assert seen["ok"] == 4 * (4 ** 2 + 5 ** 3)
 
     def test_degree_census_equals_a_count_over_subsets(self):
         for m in range(2, 8):
