@@ -21,11 +21,10 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
 from . import trees
-from .errors import LagrangeKitError, SizeLimit
+from .errors import LagrangeKitError
 from .identities import IDENTITY_CATALOG, identity_names, run_identity
 from .lagrange import solve_xR
 from .scalars import format_rational, parse_rational
@@ -34,13 +33,6 @@ from .series import PowerSeries
 DEFAULT_ORDER = 30
 DEFAULT_MAX_ORDER = 200
 SERIES_PRESETS = ("exp", "geom", "one-plus-t-squared")
-ORACLE_KINDS = (
-    "ordered-forest",
-    "labeled-forest",
-    "prufer",
-    "cycle-lemma",
-    "degree-trees",
-)
 
 
 class _UsageError(Exception):
@@ -248,120 +240,15 @@ def cmd_identity(args, out) -> int:
     return 0 if report.passed else 1
 
 
-def _profile_label(profile) -> str:
-    return " ".join("n%d=%d" % (i, c) for i, c in profile)
-
-
-def _check_oracle_args(args) -> None:
-    """Reject bad or oversized oracle arguments before any work starts."""
-    kind = args.kind
-    if kind in ("ordered-forest", "labeled-forest"):
-        if args.n < 1 or args.k < 1:
-            raise _UsageError("n and k must be positive")
-        limit = (
-            trees.ORDERED_FOREST_LIMIT
-            if kind == "ordered-forest"
-            else trees.LABELED_FOREST_LIMIT
-        )
-        if args.n > limit:
-            raise SizeLimit("n = %d exceeds the enumeration limit %d" % (args.n, limit))
-    elif kind in ("prufer", "degree-trees"):
-        if args.m < 2:
-            raise _UsageError("m must be at least 2")
-        if args.m > trees.LABELED_TREE_LIMIT:
-            raise SizeLimit(
-                "m = %d exceeds the enumeration limit %d"
-                % (args.m, trees.LABELED_TREE_LIMIT)
-            )
-    elif kind == "cycle-lemma":
-        alphabet = _parse_int_list(args.alphabet)
-        if not alphabet or any(e < -1 for e in alphabet):
-            raise _UsageError("alphabet entries must be integers >= -1")
-        if args.length < 1:
-            raise _UsageError("len must be positive")
-        # a one-entry alphabet still costs O(len^2) per sequence, so it is
-        # counted as two entries; 2 ** cap already exceeds the limit, so
-        # capping the exponent keeps the check cheap for any --len
-        base = max(len(alphabet), 2)
-        cap = trees.CYCLE_LEMMA_LIMIT.bit_length()
-        if base ** min(args.length, cap) > trees.CYCLE_LEMMA_LIMIT:
-            raise SizeLimit(
-                "%d entries at length %d exceed the enumeration limit %d"
-                % (len(alphabet), args.length, trees.CYCLE_LEMMA_LIMIT)
-            )
-
-
-def _oracle_rows(args):
-    kind = args.kind
-    if kind == "ordered-forest":
-        for profile in trees.ordered_profiles(args.n, args.k):
-            yield (
-                _profile_label(profile),
-                trees.count_by_profile(args.n, args.k, dict(profile)),
-                trees.ordered_forest_profile_formula(args.n, args.k, dict(profile)),
-            )
-    elif kind == "labeled-forest":
-        for profile in trees.ordered_profiles(args.n, args.k):
-            yield (
-                _profile_label(profile),
-                trees.labeled_forest_profile_count(args.n, args.k, dict(profile)),
-                trees.labeled_forest_profile_formula(args.n, args.k, dict(profile)),
-            )
-    elif kind == "prufer":
-        m = args.m
-        forest = trees.enumerate_labeled_trees(m)
-        yield ("trees on [%d]" % m, len(forest), m ** (m - 2))
-        good = 0
-        for edges in forest:
-            if trees.prufer_decode(trees.prufer_encode(edges, m)) == edges:
-                good += 1
-        yield ("encode-decode round trips", good, len(forest))
-        codes = 0
-        good = 0
-        for code in product(range(1, m + 1), repeat=m - 2):
-            codes += 1
-            if trees.prufer_encode(trees.prufer_decode(code, m), m).entries == code:
-                good += 1
-        yield ("decode-encode round trips", good, codes)
-    elif kind == "cycle-lemma":
-        alphabet = _parse_int_list(args.alphabet)
-        for length in range(1, args.length + 1):
-            cases = 0
-            agree = 0
-            for seq in product(alphabet, repeat=length):
-                total = sum(seq)
-                if total >= 0:
-                    continue
-                cases += 1
-                if trees.cycle_lemma_count(seq) == -total:
-                    agree += 1
-            yield ("length %d" % length, agree, cases)
-    elif kind == "degree-trees":
-        m = args.m
-        total_census = 0
-        total_formula = 0
-        for degs in trees.degree_sequences(m):
-            census = trees.count_degree_trees(m, degs)
-            formula = trees.degree_trees_formula(m, degs)
-            total_census += census
-            total_formula += formula
-            yield ("d=%s" % (",".join(map(str, degs))), census, formula)
-        yield ("total (Cayley)", total_census, m ** (m - 2))
-        yield ("formula total", total_formula, m ** (m - 2))
-    else:
-        raise _UsageError("unknown oracle kind %r" % kind)
-
-
 def cmd_oracle(args, out) -> int:
     started = time.perf_counter()
-    _check_oracle_args(args)
-    rows = []
-    mismatches = 0
-    for label, census, formula in _oracle_rows(args):
-        match = census == formula
-        if not match:
-            mismatches += 1
-        rows.append((label, census, formula, "yes" if match else "NO"))
+    alphabet = _parse_int_list(args.alphabet) if args.kind == "cycle-lemma" else None
+    rows = [
+        (label, census, formula, "yes" if census == formula else "NO")
+        for label, census, formula in trees.oracle_rows(
+            args.kind, n=args.n, k=args.k, m=args.m, alphabet=alphabet, length=args.length
+        )
+    ]
     meta = {"command": "oracle", "kind": args.kind}
     if args.kind in ("ordered-forest", "labeled-forest"):
         meta.update({"n": args.n, "k": args.k})
@@ -377,7 +264,7 @@ def cmd_oracle(args, out) -> int:
         (time.perf_counter() - started) * 1000.0,
         out,
     )
-    return 1 if mismatches else 0
+    return 1 if any(row[3] == "NO" for row in rows) else 0
 
 
 def cmd_list(args, out) -> int:
@@ -437,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force census vs closed formula")
-    p.add_argument("kind", choices=ORACLE_KINDS)
+    p.add_argument("kind", choices=trees.ORACLE_KINDS)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=5)

@@ -28,7 +28,11 @@ encoder's leaf deletion is its tree check, since m - 1 loop-free edges on
 
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
-the formulas.
+the formulas.  ``oracle_rows(kind, ...)`` is the one entry that pairs them:
+it checks every argument its kind reads before the first census runs
+(``SizeLimit`` for a size out of range, past its enumeration limit, or
+leaving no case to check; ``BadSequence`` for an alphabet entry below -1),
+then yields (case, census, formula) rows.  The limits live here alone.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 from .errors import BadSequence, InvalidCode, NotATree, SizeLimit
@@ -47,6 +51,11 @@ ORDERED_FOREST_LIMIT = 12
 LABELED_TREE_LIMIT = 8
 LABELED_FOREST_LIMIT = 7
 CYCLE_LEMMA_LIMIT = 4 ** 10
+
+
+def _within_limit(name: str, size: int, limit: int) -> None:
+    if size > limit:
+        raise SizeLimit("%s = %d exceeds the enumeration limit %d" % (name, size, limit))
 
 
 def _digits(key: int, base: int, length: int) -> tuple:
@@ -171,8 +180,7 @@ def _ordered_forest_search(n: int, k: int, visit) -> None:
     vertices; the entries list is reused between calls.  The key counts
     the entries by value as they are assigned: digit j, base n + 1, is the
     number of entries equal to j - 1, that is of vertices with j children."""
-    if n > ORDERED_FOREST_LIMIT:
-        raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, ORDERED_FOREST_LIMIT))
+    _within_limit("n", n, ORDERED_FOREST_LIMIT)
     if k < 1:
         raise ValueError("k must be positive")
     if n < k:
@@ -330,8 +338,11 @@ def prufer_encode(edges, m: int | None = None) -> PruferCode:
     then a self loop, then a wrong count or a repeated edge, then a cycle."""
     edges = [tuple(e) for e in edges]
     if m is None:
-        m = max((v for e in edges for v in e), default=0)
-        if m >= 2 and not isinstance(m, int):
+        # only numbers compare with the labels 1..m: any other end is a bad label
+        ends = [v for e in edges for v in e]
+        numbers = [v for v in ends if isinstance(v, (int, float))]
+        m = max(numbers, default=0)
+        if len(numbers) < len(ends) or (m >= 2 and not isinstance(m, int)):
             raise NotATree("edges must join vertices in 1..%d" % m)
     if m < 2:
         raise NotATree("need at least two vertices")
@@ -454,8 +465,7 @@ def _labeled_tree_census(m: int) -> tuple:
     edges and the ones after them can no longer span.  Each tree comes out
     as a sorted (m-1)-subset of the sorted edge list, and the trees in
     lexicographic order."""
-    if m > LABELED_TREE_LIMIT:
-        raise SizeLimit("m = %d exceeds the enumeration limit %d" % (m, LABELED_TREE_LIMIT))
+    _within_limit("m", m, LABELED_TREE_LIMIT)
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
@@ -568,8 +578,7 @@ def _labeled_forest_search(n: int, visit) -> None:
     parent[i] is the parent of vertex i, with 0 marking a root, and digit
     v of key, base n + 1, is the number of children of v, so digit 0
     counts the roots.  The parent list is reused between calls."""
-    if n > LABELED_FOREST_LIMIT:
-        raise SizeLimit("n = %d exceeds the enumeration limit %d" % (n, LABELED_FOREST_LIMIT))
+    _within_limit("n", n, LABELED_FOREST_LIMIT)
     if n < 1:
         raise ValueError("n must be positive")
     parent = [0] * (n + 1)
@@ -738,3 +747,89 @@ def ordered_profiles(n: int, k: int) -> list:
     search(1, n, target, [])
     del search  # the closure refers to itself: free it without gc
     return sorted(out)
+
+
+# -- the oracle: census rows beside their closed formulas --------------------------
+
+ORACLE_KINDS = (
+    "ordered-forest",
+    "labeled-forest",
+    "prufer",
+    "cycle-lemma",
+    "degree-trees",
+)
+
+
+def oracle_rows(kind: str, *, n: int, k: int, m: int, alphabet, length: int):
+    """Yield (case, census, formula) rows for one oracle kind.
+
+    The forest kinds read n and k and compare each profile's census with
+    its formula; prufer and degree-trees read m; cycle-lemma reads the
+    alphabet and the longest length.  Every argument the kind reads is
+    checked before the first census runs: a size out of range, past its
+    enumeration limit, or leaving no case to check raises SizeLimit, and
+    an alphabet entry below -1 raises BadSequence."""
+    if kind in ("ordered-forest", "labeled-forest"):
+        if n < 1 or k < 1:
+            raise SizeLimit("n and k must be positive")
+        ordered = kind == "ordered-forest"
+        _within_limit("n", n, ORDERED_FOREST_LIMIT if ordered else LABELED_FOREST_LIMIT)
+        if k > n:
+            raise SizeLimit("no case to check: k = %d trees exceed n = %d vertices" % (k, n))
+        # looked up when the rows run, so a patched census is the one read
+        if ordered:
+            census, formula = count_by_profile, ordered_forest_profile_formula
+        else:
+            census, formula = labeled_forest_profile_count, labeled_forest_profile_formula
+        for profile in ordered_profiles(n, k):
+            label = " ".join("n%d=%d" % item for item in profile)
+            yield label, census(n, k, dict(profile)), formula(n, k, dict(profile))
+    elif kind == "cycle-lemma":
+        if not alphabet or any(not isinstance(e, int) or e < -1 for e in alphabet):
+            raise BadSequence("alphabet entries must be integers >= -1")
+        if length < 1:
+            raise SizeLimit("len must be positive")
+        # a one-entry alphabet still costs O(len^2) per sequence, so it is
+        # counted as two entries; 2 ** cap already exceeds the limit, so
+        # capping the exponent keeps the check cheap for any length
+        base = max(len(alphabet), 2)
+        if base ** min(length, CYCLE_LEMMA_LIMIT.bit_length()) > CYCLE_LEMMA_LIMIT:
+            raise SizeLimit(
+                "%d entries at length %d exceed the enumeration limit %d"
+                % (len(alphabet), length, CYCLE_LEMMA_LIMIT)
+            )
+        if -1 not in alphabet:
+            raise SizeLimit("no case to check: without -1 no sequence has a negative sum")
+        for size in range(1, length + 1):
+            cases = agree = 0
+            for seq in product(alphabet, repeat=size):
+                total = sum(seq)
+                if total < 0:
+                    cases += 1
+                    agree += cycle_lemma_count(seq) == -total
+            yield "length %d" % size, agree, cases
+    elif kind in ("prufer", "degree-trees"):
+        if m < 2:
+            raise SizeLimit("m must be at least 2")
+        _within_limit("m", m, LABELED_TREE_LIMIT)
+        if kind == "prufer":
+            forest = enumerate_labeled_trees(m)
+            yield "trees on [%d]" % m, len(forest), m ** (m - 2)
+            good = sum(prufer_decode(prufer_encode(edges, m)) == edges for edges in forest)
+            yield "encode-decode round trips", good, len(forest)
+            good = sum(
+                prufer_encode(prufer_decode(code, m), m).entries == code
+                for code in product(range(1, m + 1), repeat=m - 2)
+            )
+            yield "decode-encode round trips", good, m ** (m - 2)
+            return
+        total_census = total_formula = 0
+        for degs in degree_sequences(m):
+            census, formula = count_degree_trees(m, degs), degree_trees_formula(m, degs)
+            total_census += census
+            total_formula += formula
+            yield "d=%s" % ",".join(map(str, degs)), census, formula
+        yield "total (Cayley)", total_census, m ** (m - 2)
+        yield "formula total", total_formula, m ** (m - 2)
+    else:
+        raise ValueError("unknown oracle kind %r" % kind)

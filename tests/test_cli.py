@@ -1,15 +1,17 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
+import ast
 import csv
 import inspect
 import io
 import json
+import pathlib
 import signal
 import time
 
 import pytest
 
-from lagrange_kit import cli
+from lagrange_kit import cli, trees
 from lagrange_kit.errors import SizeLimit
 from lagrange_kit.identities import (
     IDENTITY_CATALOG,
@@ -372,6 +374,9 @@ class TestOracle:
             ("labeled-forest", "--n", "0"),
             ("labeled-forest", "--k", "0"),
             ("cycle-lemma", "--len", "0"),
+            ("ordered-forest", "--n", "3", "--k", "5"),
+            ("labeled-forest", "--n", "2", "--k", "4"),
+            ("cycle-lemma", "--alphabet", "0,1,2"),
         ],
     )
     def test_out_of_range_arguments(self, argv, capsys):
@@ -399,13 +404,33 @@ class TestOracle:
         assert "enumeration limit" in capsys.readouterr().err
 
     def test_cycle_lemma_limit_admits_length_ten(self):
-        args = cli.build_parser().parse_args(
-            ["oracle", "cycle-lemma", "--alphabet=-1,0,1,2", "--len", "10"]
-        )
-        cli._check_oracle_args(args)
-        args.length = 11
+        # the checks run before the first row; the length-1 row is cheap
+        sizes = dict(n=6, k=1, m=5, alphabet=[-1, 0, 1, 2])
+        next(trees.oracle_rows("cycle-lemma", length=10, **sizes))
         with pytest.raises(SizeLimit):
-            cli._check_oracle_args(args)
+            next(trees.oracle_rows("cycle-lemma", length=11, **sizes))
+
+    def test_cli_leaves_limits_and_censuses_to_trees(self):
+        # the enumeration limits, argument checks and census loops live in
+        # trees alone; the CLI parses, builds the meta dict and formats
+        banned = {
+            "count_by_profile",
+            "labeled_forest_profile_count",
+            "count_degree_trees",
+            "prufer_encode",
+            "prufer_decode",
+            "cycle_lemma_count",
+        }
+        for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            assert not (name.endswith("_LIMIT") or name in banned), name
 
 
 class TestList:

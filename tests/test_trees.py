@@ -167,6 +167,10 @@ class TestPrufer:
             trees.prufer_encode([(1, 1), (2, 3)], 3)  # self loop
         with pytest.raises(NotATree):
             trees.prufer_encode([(1, 2), (2, 3), (1, 3)], 3)  # cycle
+        # with m inferred, a label that is no number is bad, not a TypeError
+        for edges in ([("a", "b")], [("a", 1), (1, 2)], [(None, 1)], [("x",)]):
+            with pytest.raises(NotATree, match="edges must join vertices"):
+                trees.prufer_encode(edges)
 
     def test_bad_codes(self):
         with pytest.raises(InvalidCode):
@@ -384,7 +388,11 @@ def _check_tree_reference(edges, m):
     edges = [tuple(e) for e in edges]
     ends = [v for e in edges for v in e]
     if m is None:
-        m = max(ends) if ends else 0
+        # m is the greatest end; an end that is not a number is a bad label
+        numbers = [v for v in ends if isinstance(v, (int, float))]
+        m = max(numbers) if numbers else 0
+        if len(numbers) < len(ends):
+            raise NotATree("edges must join vertices in 1..%d" % m)
     if m < 2:
         raise NotATree("need at least two vertices")
     if any(len(e) != 2 for e in edges) or any(
