@@ -240,22 +240,39 @@ def cmd_identity(args, out) -> int:
     return 0 if report.passed else 1
 
 
+# the flags each oracle kind reads, with their defaults; the others stay
+# None unless given, so a kind rejects a flag it does not read
+_ORACLE_FLAGS = {
+    "ordered-forest": {"n": 6, "k": 1},
+    "labeled-forest": {"n": 6, "k": 1},
+    "prufer": {"m": 5},
+    "degree-trees": {"m": 5},
+    "cycle-lemma": {"alphabet": "-1,0,1,2", "len": 6},
+}
+
+
 def cmd_oracle(args, out) -> int:
     started = time.perf_counter()
-    alphabet = _parse_int_list(args.alphabet) if args.kind == "cycle-lemma" else None
+    reads = _ORACLE_FLAGS[args.kind]
+    meta = {"command": "oracle", "kind": args.kind}
+    for flag in ("n", "k", "m", "alphabet", "len"):
+        value = getattr(args, flag)
+        if flag in reads:
+            meta[flag] = reads[flag] if value is None else value
+        elif value is not None:
+            raise _UsageError("oracle %r does not take --%s" % (args.kind, flag))
+    alphabet = _parse_int_list(meta["alphabet"]) if "alphabet" in meta else None
     rows = [
         (label, census, formula, "yes" if census == formula else "NO")
         for label, census, formula in trees.oracle_rows(
-            args.kind, n=args.n, k=args.k, m=args.m, alphabet=alphabet, length=args.length
+            args.kind,
+            n=meta.get("n"),
+            k=meta.get("k"),
+            m=meta.get("m"),
+            alphabet=alphabet,
+            length=meta.get("len"),
         )
     ]
-    meta = {"command": "oracle", "kind": args.kind}
-    if args.kind in ("ordered-forest", "labeled-forest"):
-        meta.update({"n": args.n, "k": args.k})
-    elif args.kind in ("prufer", "degree-trees"):
-        meta["m"] = args.m
-    else:
-        meta.update({"alphabet": args.alphabet, "len": args.length})
     _emit_table(
         args.format,
         ("case", "oracle", "formula", "match"),
@@ -325,11 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force census vs closed formula")
     p.add_argument("kind", choices=trees.ORACLE_KINDS)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--alphabet", default="-1,0,1,2")
-    p.add_argument("--len", dest="length", type=int, default=6)
+    for flag in ("--n", "--k", "--m", "--len"):
+        p.add_argument(flag, type=int, default=None)
+    p.add_argument("--alphabet", default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("list", parents=[common], help="list identity names")

@@ -377,6 +377,7 @@ class TestOracle:
             ("ordered-forest", "--n", "3", "--k", "5"),
             ("labeled-forest", "--n", "2", "--k", "4"),
             ("cycle-lemma", "--alphabet", "0,1,2"),
+            ("prufer", "--n", "8"),
         ],
     )
     def test_out_of_range_arguments(self, argv, capsys):
@@ -402,6 +403,26 @@ class TestOracle:
         assert code == 2
         assert text == ""
         assert "enumeration limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("prufer", "n"),
+            ("degree-trees", "len"),
+            ("ordered-forest", "m"),
+            ("labeled-forest", "alphabet"),
+            ("cycle-lemma", "k"),
+        ],
+    )
+    def test_flag_the_kind_does_not_read(self, kind, flag, capsys):
+        # rejected before any work, even at a value the kind would accept
+        code, text = run_cli("oracle", kind, "--%s" % flag, "3", "--format", "csv")
+        assert code == 2
+        assert text == ""
+        assert "oracle %r does not take --%s" % (kind, flag) in capsys.readouterr().err
+
+    def test_every_kind_has_its_flags(self):
+        assert set(cli._ORACLE_FLAGS) == set(trees.ORACLE_KINDS)
 
     def test_cycle_lemma_limit_admits_length_ten(self):
         # the checks run before the first row; the length-1 row is cheap

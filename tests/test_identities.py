@@ -1,20 +1,27 @@
 """Identity catalog: every check runs clean and reports honestly."""
 
 import inspect
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lagrange_kit import identities
 from lagrange_kit.errors import InsufficientRange, SizeLimit, UnknownIdentity
 from lagrange_kit.identities import (
     IDENTITY_CATALOG,
     N_MAX_LIMIT,
     IdentityReport,
+    _binomial_convolutions,
     _Recorder,
     catalan_series,
     check_catalan_suite,
     check_fc_polynomiality,
     check_jensen,
+    check_rothe_hagen,
     check_schur_jabotinsky,
     compute_p_l,
     compute_q_l,
@@ -27,7 +34,7 @@ from lagrange_kit.identities import (
     tree_function,
     weighted_stirling,
 )
-from lagrange_kit.scalars import PolyRing
+from lagrange_kit.scalars import PolyRing, int_binomial
 from lagrange_kit.series import PowerSeries
 
 
@@ -179,6 +186,99 @@ def _fact(n):
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def _reference_binomial_convolutions(rec, p, k_values, l_values, n_max):
+    """Both convolution identities summed directly in Fractions, one
+    fresh product per term; reads identities.int_binomial when called."""
+    C = identities.int_binomial
+    for k in k_values:
+        for l in l_values:
+            for n in range(n_max + 1):
+                if any(p * i + k == 0 for i in range(n + 1)):
+                    continue
+                lhs = sum(
+                    Fraction(k, p * i + k) * C(p * i + k, i) * C(p * (n - i) + l, n - i)
+                    for i in range(n + 1)
+                )
+                rec.expect(
+                    lhs,
+                    C(p * n + k + l, n),
+                    "mixed form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
+                )
+                if p * n + k + l == 0 or any(
+                    p * (n - i) + l == 0 for i in range(n + 1)
+                ):
+                    continue
+                lhs = sum(
+                    Fraction(k, p * i + k)
+                    * C(p * i + k, i)
+                    * Fraction(l, p * (n - i) + l)
+                    * C(p * (n - i) + l, n - i)
+                    for i in range(n + 1)
+                )
+                rec.expect(
+                    lhs,
+                    Fraction(k + l, p * n + k + l) * C(p * n + k + l, n),
+                    "cycle form at p=%d k=%d l=%d n=%d" % (p, k, l, n),
+                )
+
+
+# a range inside -8..8 through 0, so every p has a pole at k = 0 and the
+# wider ones reach the poles k = -p, -2p, ...
+_through_zero = st.builds(
+    lambda lo, hi: range(lo, hi + 1),
+    st.integers(min_value=-8, max_value=0),
+    st.integers(min_value=0, max_value=8),
+)
+
+
+class TestBinomialConvolutions:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        p=st.integers(min_value=1, max_value=5),
+        k_values=_through_zero,
+        l_values=_through_zero,
+        n_max=st.integers(min_value=0, max_value=12),
+        shift=st.one_of(
+            st.none(),
+            st.tuples(st.integers(min_value=-8, max_value=68), st.integers(0, 12)),
+        ),
+    )
+    def test_matches_direct_sums(self, p, k_values, l_values, n_max, shift):
+        # shift, when drawn, puts int_binomial off by one at one argument,
+        # so failing runs must agree on their first failure as well
+        def binomial(a, i):
+            return int_binomial(a, i) + ((a, i) == shift)
+
+        runs = []
+        with mock.patch.object(identities, "int_binomial", binomial):
+            for run in (_binomial_convolutions, _reference_binomial_convolutions):
+                rec = _Recorder()
+                run(rec, p, k_values, l_values, n_max)
+                runs.append((rec.count, rec.first_failure is None, rec.first_failure))
+        assert runs[0] == runs[1]
+        if shift is None:
+            assert runs[0][1]
+
+    def test_left_hand_tables_feed_a_real_check(self, monkeypatch):
+        # C(13, 5) is the i = 5 term of C(2i + 3, i) (p = 2, k = 3); catalan
+        # at order 3 reaches it only through its convolutions
+        def off_by_one(a, i):
+            return int_binomial(a, i) + ((a, i) == (13, 5))
+
+        monkeypatch.setattr(identities, "int_binomial", off_by_one)
+        for report in (check_rothe_hagen(), check_catalan_suite(order=3, conv_n_max=8)):
+            assert not report.passed
+            label = report.first_failure.split(":")[0]
+            found = re.fullmatch(
+                r"(?:mixed|cycle) form at p=(\d+) k=(-?\d+) l=(-?\d+) n=(\d+)", label
+            )
+            assert found, report.first_failure
+            p, k, l, n = map(int, found.groups())
+            # the right-hand side reads C(pn + k + l, n) alone, so a failure
+            # there at another argument is a left-hand term that is off
+            assert (p * n + k + l, n) != (13, 5)
 
 
 class TestWeightedStirling:
