@@ -8,8 +8,9 @@ report carries the first counterexample instead.
 A suite is a body ``body(rec, ...)`` declared with ``@identity(name,
 min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
-for an ``n_max`` or ``conv_n_max`` outside 0..N_MAX_LIMIT or an ``order``
-below ``min_order``.  The report's ``params`` are the bound arguments
+for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
+``conv_n_max``, ``degree_bound``, ``i_total_max``) or an ``order`` below
+``min_order``.  The report's ``params`` are the bound arguments
 minus ``order`` and its ``checks`` count every ``rec.expect`` and
 ``rec.require``; a run with no check fails.  A body overwrites
 ``rec.order``, ``rec.params`` or ``rec.details`` where its report differs.
@@ -130,6 +131,18 @@ class _Recorder:
 # the largest n_max or conv_n_max a suite accepts: at 50 the slowest check
 # (hirzebruch-residue) takes 0.9-1.3 s on a 2-core host, rothe-hagen 0.6 s
 N_MAX_LIMIT = 50
+# the largest degree_bound: at 15 narayana takes 1.0 s on a 2-core host
+# (1.4 s at 16), fuss-narayana 0.6 s
+DEGREE_BOUND_LIMIT = 15
+# the largest i_total_max: at 12 raney takes 0.8-0.9 s on a 2-core host
+# (1.4-1.5 s at 13)
+I_TOTAL_MAX_LIMIT = 12
+SIZE_LIMITS = {
+    "n_max": N_MAX_LIMIT,
+    "conv_n_max": N_MAX_LIMIT,
+    "degree_bound": DEGREE_BOUND_LIMIT,
+    "i_total_max": I_TOTAL_MAX_LIMIT,
+}
 
 IDENTITY_CATALOG: dict = {}
 
@@ -151,13 +164,13 @@ def identity(name: str, min_order: int = 1):
             bound.apply_defaults()
             params = dict(bound.arguments)
             order = params.pop("order", None)
-            for key in ("n_max", "conv_n_max"):
+            for key, limit in SIZE_LIMITS.items():
                 value = params.get(key)
                 if value is not None and value < 0:
                     raise SizeLimit("%s = %d is negative" % (key, value))
-                if value is not None and value > N_MAX_LIMIT:
+                if value is not None and value > limit:
                     raise SizeLimit(
-                        "%s = %d exceeds the limit %d" % (key, value, N_MAX_LIMIT)
+                        "%s = %d exceeds the limit %d" % (key, value, limit)
                     )
             if order is not None and order < min_order:
                 raise SizeLimit(
@@ -1148,7 +1161,7 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
     )
 
     for k in k_values:
-        fk = (f ** k).truncate_total(degree_bound)
+        fk = f.pow_truncated(k, degree_bound)
         for a in range(degree_bound + 1):
             for b in range(degree_bound + 1 - a):
                 n = a + b + k
@@ -1188,7 +1201,7 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
         coeffs.append(term)
     g = solve_indeterminate(PowerSeries(coeffs, t_order), degree_bound)
     for k in (1, 2):
-        gk = (g ** k).truncate_total(degree_bound)
+        gk = g.pow_truncated(k, degree_bound)
         for vec in _vectors(3, degree_bound):
             n = k + sum(vec)
             rec.expect(
@@ -1213,7 +1226,7 @@ def _mnar_check(rec, exps, plus: bool, k_values, bound: int) -> None:
     f = solve_indeterminate(r_series, bound)
     kind = "product form" if plus else "reciprocal form"
     for k in k_values:
-        fk = (f ** k).truncate_total(bound)
+        fk = f.pow_truncated(k, bound)
         for vec in _vectors(m, bound):
             n = k + sum(vec)
             expected = Fraction(k, n)
@@ -1365,6 +1378,11 @@ def check_raney(rec, i_total_max: int = 5, k_values=(1, 2)) -> None:
     """Coefficients of f^k for f = A1 e^(B1 f) + A2 e^(B2 f) against the
     closed product formula, plus the single-term reduction."""
     bound = rec.order = 2 * i_total_max - min(k_values)
+    if bound < 0:
+        raise SizeLimit(
+            "i_total_max = %d leaves no degree to solve for k = %d"
+            % (i_total_max, min(k_values))
+        )
     ring = PolyRing("a1", "a2", "b1", "b2")
     a1, a2, b1, b2 = ring.gens()
     t_order = bound + 1
@@ -1373,7 +1391,7 @@ def check_raney(rec, i_total_max: int = 5, k_values=(1, 2)) -> None:
     ]
     f = solve_indeterminate(PowerSeries(coeffs, t_order), bound)
     for k in k_values:
-        fk = (f ** k).truncate_total(bound)
+        fk = f.pow_truncated(k, bound)
         for i1 in range(i_total_max + 1):
             for i2 in range(i_total_max + 1 - i1):
                 for j1 in range(i_total_max + 1):
@@ -1516,8 +1534,8 @@ def run_identity(name: str, order: int = 30, **params) -> IdentityReport:
     """Run one named identity check at its own default parameters, with
     any overrides, passing ``order`` to the checks that take one; raises
     UnknownIdentity for a name not in the catalog, and SizeLimit before
-    any work for an ``n_max`` or ``conv_n_max`` outside 0..N_MAX_LIMIT or
-    an ``order`` below the suite's minimum."""
+    any work for a size argument outside 0 up to its limit in
+    ``SIZE_LIMITS`` or an ``order`` below the suite's minimum."""
     try:
         func = IDENTITY_CATALOG[name]
     except KeyError:

@@ -21,13 +21,16 @@ profile sums for coefficients of f^k.
 of R from the series engine's one power walk, and checks it by direct
 substitution through ``compose``; ``solve_indeterminate`` iterates
 f = R(f) to a fixed point, since it truncates by total degree in the
-parameters, not by order.  ``inversion_form_sweep`` reads each form's
-coefficient as one dot product of that form's own operands.
+parameters, not by order: round j is right through total degree j and
+forms no product term above it.  ``inversion_form_sweep`` reads each
+form's coefficient as one dot product of that form's own operands.
 
 ``derivative_form`` and ``cauchy_convolution_check`` read two term lists,
 the shift terms D^(m-1)(g' H^m)/m! and the ratio terms D^m(g H^m)/m!, off
-one walk of H^0 .. H^z.  The direct route reads neither: it substitutes f
-into H, phi, psi and H' in one Taylor pass over the powers of f - x.
+one walk of H^0 .. H^z.  The direct route reads neither: it solves for f
+one z order per round, extending the powers of f - x by one z entry per
+round, and substitutes f into H, phi, psi and H' in one Taylor pass over
+those powers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .scalars import MultiPoly, scalar_div_int, scalar_inverse
 from .series import (
     LaurentSeries,
     PowerSeries,
-    _convolve,
     _divide,
     _powers,
     compose,
@@ -104,6 +106,13 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
     Every coefficient of t^n with n > 0 must carry a parameter factor in each
     of its terms; otherwise the fixed point is not determined degree by
     degree and ``UnguardedCoefficient`` is raised.
+
+    So the degree-j part of R(f) reads only the parts of f below degree j,
+    and round j (j = 0 .. degree_bound) evaluates R(f) by Horner's rule
+    with products truncated at total degree j (``MultiPoly.mul_truncated``,
+    which never forms a term above its bound).  One last evaluation at
+    the full bound checks the fixed point.  r_0 is added untruncated, so
+    its terms above the bound are kept in the result.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -136,16 +145,16 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
         if not c.is_zero():
             top = i
 
-    def evaluate(f: MultiPoly) -> MultiPoly:
+    def evaluate(f: MultiPoly, bound: int) -> MultiPoly:
         acc = coeffs[top]
         for i in range(top - 1, -1, -1):
-            acc = (acc * f).truncate_total(degree_bound) + coeffs[i]
+            acc = acc.mul_truncated(f, bound) + coeffs[i]
         return acc
 
     f = MultiPoly(vars_)
-    for _ in range(degree_bound + 1):
-        f = evaluate(f)
-    if evaluate(f) != f:
+    for j in range(degree_bound + 1):
+        f = evaluate(f, j)
+    if evaluate(f, degree_bound) != f:
         raise AssertionError("fixed point failed the substitution check")
     return f
 
@@ -335,8 +344,8 @@ def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:
 #
 # Values of "series in z with power-series-in-x entries" are plain lists
 # indexed by the z exponent; every entry shares one x truncation order.
-# Products and quotients of such lists go through the series kernels
-# ``_convolve`` and ``_divide``; a product may hold the int 0 for a zero entry.
+# The powers of f - x are formed entry by entry (``_shifted_powers``);
+# quotients of such lists go through the series kernel ``_divide``.
 
 
 def _divided_derivative(s: PowerSeries, m: int) -> PowerSeries:
@@ -361,23 +370,40 @@ def _ratio_terms(g: PowerSeries, powers, ms) -> list:
     return [_divided_derivative(g * powers[m], m) for m in ms]
 
 
-def _taylor_apply(alphas, fz, z_order):
-    """Each alpha evaluated at a substitution whose z^0 entry is exactly x,
-    via the Taylor sum of D^m(alpha)/m! against (f - x)^m; the powers of
-    f - x are formed once for all of them."""
-    zero = PowerSeries([0], alphas[0].order)
-    delta = [zero] + list(fz[1:])
-    outs = [[alpha] + [zero] * z_order for alpha in alphas]
-    pw = [1]  # (f - x)^0
-    for m in range(1, z_order + 1):
-        pw = _convolve(pw, delta, z_order + 1)
-        for alpha, out in zip(alphas, outs):
-            cm = _divided_derivative(alpha, m)
-            if cm:
-                for j in range(m, z_order + 1):
-                    if pw[j]:
-                        out[j] = out[j] + cm * pw[j]
-    return outs
+def _shifted_powers(divided_h, z_order):
+    """The entries of f - x for f = x + z H(f) through z^z_order, and the
+    table pw with pw[m][k] = [z^k] (f - x)^m for 1 <= m <= k <= z_order,
+    from divided_h[m] = D^m(H)/m!.
+
+    Round k forms the z^k entries of the powers, which read only the
+    entries of f through z^k, then [z^(k+1)] f = [z^k] H(f) from them; no
+    entry of a power is formed twice."""
+    zero = PowerSeries([0], divided_h[0].order)
+    delta = [zero] * (z_order + 1)
+    pw = [None, delta] + [[zero] * (z_order + 1) for _ in range(z_order - 1)]
+    for k in range(z_order + 1):
+        for m in range(2, k + 1):
+            pw[m][k] = sum(
+                (delta[i] * pw[m - 1][k - i] for i in range(1, k - m + 2)
+                 if delta[i] and pw[m - 1][k - i]),
+                zero,
+            )
+        if k < z_order:
+            delta[k + 1] = _taylor_sum(divided_h, pw, k)
+    return delta, pw
+
+
+def _taylor_sum(divided, pw, k):
+    """[z^k] alpha(f) for a substitution whose z^0 entry is exactly x, from
+    divided[m] = D^m(alpha)/m! and pw[m][k] = [z^k] (f - x)^m: alpha at
+    k = 0, otherwise the Taylor sum over m = 1 .. k."""
+    if not k:
+        return divided[0]
+    return sum(
+        (divided[m] * pw[m][k] for m in range(1, k + 1)
+         if divided[m] and pw[m][k]),
+        PowerSeries([0], divided[0].order),
+    )
 
 
 @dataclass
@@ -433,12 +459,13 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     via_weight = [phi] + [a - b for a, b in zip(ratio_phi[1:], ratio_phi_hp)]
     ratio_via_powers = _ratio_terms(psi, powers, ms)
 
-    fz = [PowerSeries([0, 1], order)] + [PowerSeries([0], order)] * z_order
-    # [z^(j-1)] H(f) reads only the entries of f below z^j
-    for j in range(1, z_order + 1):
-        fz[j] = _taylor_apply([H], fz, j - 1)[0][j - 1]
-    h_f, phi_direct, psi_f, hp_f = _taylor_apply([H, phi, psi, hp], fz, z_order)
-    if h_f[: z_order] != fz[1:]:
+    divided = [[_divided_derivative(alpha, m) for m in ms]
+               for alpha in (H, phi, psi, hp)]
+    delta, pw = _shifted_powers(divided[0], z_order)
+    h_f, phi_direct, psi_f, hp_f = (
+        [_taylor_sum(d, pw, k) for k in ms] for d in divided
+    )
+    if h_f[: z_order] != delta[1:]:
         raise AssertionError("shifted fixed point failed the substitution check")
     denom = [one] + [-e for e in hp_f[: z_order]]
     ratio_direct = _divide(psi_f, denom, 1, z_order + 1)

@@ -9,9 +9,11 @@ plain ints so that 0 and 1 work as universal ring constants.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import DivisionByNonUnit, ParseError
 
@@ -33,19 +35,19 @@ def parse_rational(text: str, position: int | None = None) -> Fraction:
         raise ParseError("bad rational literal %r%s" % (text, where)) from exc
 
 
-def _power(base, k: int, one):
-    """base ** k for an integer k by binary powering from the unit ``one``;
-    a negative k powers one / base."""
+def _power(base, k: int, one, times=mul):
+    """base ** k for an integer k by binary powering from the unit ``one``
+    with the product ``times``; a negative k powers one / base."""
     if k < 0:
         base = one / base
         k = -k
     result = one
     while k:
         if k & 1:
-            result = result * base
+            result = times(result, base)
         k >>= 1
         if k:
-            base = base * base
+            base = times(base, base)
     return result
 
 
@@ -156,7 +158,10 @@ class MultiPoly:
     over different variable tuples is an error.  A product scales each
     operand's coefficients to integers by the lcm of their denominators,
     sums the integer products per exponent tuple, and builds one Fraction
-    per surviving term.
+    per surviving term.  The degree-bounded product ``mul_truncated``
+    does the same but walks the second operand's terms in order of total
+    degree and stops each walk at the bound, so it never forms a term it
+    would drop; ``pow_truncated`` powers with it.
     """
 
     __slots__ = ("vars", "terms")
@@ -340,6 +345,42 @@ class MultiPoly:
         out = MultiPoly(self.vars)
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         return out
+
+    def mul_truncated(self, other, max_degree: int) -> "MultiPoly":
+        """(self * other).truncate_total(max_degree), forming no term above
+        max_degree: other's terms are walked in order of total degree, and
+        each walk stops before the degree sum passes the bound."""
+        poly = self._coerce(other)
+        if poly is None:
+            raise TypeError("cannot multiply a MultiPoly by %r" % (other,))
+        a, da = _integer_terms(self.terms)
+        b, db = _integer_terms(poly.terms)
+        b.sort(key=lambda term: sum(term[0]))
+        degrees = [sum(e) for e, _ in b]
+        # reach[r]: how many terms of b have total degree at most r
+        reach = [bisect_right(degrees, r) for r in range(max_degree + 1)]
+        sums: dict[tuple, int] = {}
+        for ea, ca in a:
+            room = max_degree - sum(ea)
+            if room < 0:
+                continue
+            for eb, cb in islice(b, reach[room]):
+                e = tuple(map(add, ea, eb))
+                sums[e] = sums.get(e, 0) + ca * cb
+        scale = da * db
+        out = MultiPoly(self.vars)
+        out.terms = {e: Fraction(c, scale) for e, c in sums.items() if c}
+        return out
+
+    def pow_truncated(self, k: int, max_degree: int) -> "MultiPoly":
+        """(self ** k).truncate_total(max_degree) for k >= 0, by binary
+        powering with ``mul_truncated``."""
+        if k < 0:
+            raise ValueError("a truncated power needs k >= 0")
+        one = MultiPoly.const(self.vars, 1).truncate_total(max_degree)
+        return _power(
+            self, k, one, lambda p, q: p.mul_truncated(q, max_degree)
+        )
 
     def subs(self, mapping) -> "MultiPoly":
         """Substitute numbers for some variables; the variable tuple is kept."""

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lagrange_kit import identities
 from lagrange_kit.errors import InsufficientRange, SizeLimit, UnknownIdentity
 from lagrange_kit.identities import (
+    DEGREE_BOUND_LIMIT,
+    I_TOTAL_MAX_LIMIT,
     IDENTITY_CATALOG,
     N_MAX_LIMIT,
     IdentityReport,
@@ -140,11 +142,36 @@ class TestEntryChecks:
             ("hirzebruch-residue", {"n_max": -1}),
             ("catalan", {"conv_n_max": N_MAX_LIMIT + 1}),
             ("catalan", {"conv_n_max": -1}),
+            ("narayana", {"degree_bound": -1}),
+            ("narayana", {"degree_bound": DEGREE_BOUND_LIMIT + 1}),
+            ("fuss-narayana", {"degree_bound": -1}),
+            ("fuss-narayana", {"degree_bound": DEGREE_BOUND_LIMIT + 1}),
+            ("raney", {"i_total_max": -1}),
+            ("raney", {"i_total_max": I_TOTAL_MAX_LIMIT + 1}),
+            # 2 * 0 - min(k_values) leaves a negative degree bound
+            ("raney", {"i_total_max": 0}),
+            ("raney", {"i_total_max": 1, "k_values": (3,)}),
         ],
     )
-    def test_size_arguments_out_of_range(self, name, params):
+    def test_size_arguments_out_of_range(self, name, params, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("solve_indeterminate ran")
+
+        monkeypatch.setattr(identities, "solve_indeterminate", no_work)
         with pytest.raises(SizeLimit):
             run_identity(name, **params)
+
+    @pytest.mark.parametrize(
+        "name, key, limit",
+        [
+            ("fuss-narayana", "degree_bound", DEGREE_BOUND_LIMIT),
+            ("raney", "i_total_max", I_TOTAL_MAX_LIMIT),
+        ],
+    )
+    def test_degree_limits_are_inclusive(self, name, key, limit):
+        report = run_identity(name, **{key: limit})
+        assert report.passed
+        assert report.params[key] == limit
 
     def test_conv_n_max_limit_is_inclusive(self):
         report = run_identity("catalan", order=3, conv_n_max=N_MAX_LIMIT)

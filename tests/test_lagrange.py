@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrange_kit import identities, scalars
 from lagrange_kit.errors import (
     BadConstantTerm,
     FormAUndefined,
@@ -37,6 +38,7 @@ from lagrange_kit.lagrange import (
     solve_xR,
 )
 from lagrange_kit.scalars import (
+    MultiPoly,
     PolyRing,
     poly_eval,
     polynomial_from_points,
@@ -191,6 +193,144 @@ class TestSolveIndeterminate:
         catalan = [1, 1, 2, 5, 14, 42]
         for n in range(6):
             assert f.coefficient((n,)) == catalan[n]
+
+
+def _reference_solve_indeterminate(R, degree_bound):
+    """The full-bound iteration ``solve_indeterminate`` replaced: D + 1
+    rounds, each forming every Horner product in full and truncating it at
+    D, for an R whose guard holds."""
+    sample = next(c for c in R.coeffs if isinstance(c, MultiPoly))
+    coeffs = [c if isinstance(c, MultiPoly) else MultiPoly.const(sample.vars, c)
+              for c in R.coeffs]
+    top = max([i for i, c in enumerate(coeffs) if not c.is_zero()], default=0)
+
+    def evaluate(f):
+        acc = coeffs[top]
+        for i in range(top - 1, -1, -1):
+            acc = (acc * f).truncate_total(degree_bound) + coeffs[i]
+        return acc
+
+    f = MultiPoly(sample.vars)
+    for _ in range(degree_bound + 1):
+        f = evaluate(f)
+    assert evaluate(f) == f
+    return f
+
+
+_VARS = ("a", "b")
+_coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)
+)
+
+
+def _guarded_polys(min_degree):
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda e: sum(e) >= min_degree
+    )
+    return st.dictionaries(exps, _coefficients, max_size=4).map(
+        lambda terms: MultiPoly(_VARS, terms)
+    )
+
+
+class _FormedTerms:
+    """Counts the MultiPoly product terms formed inside scoped calls, and
+    keeps those above the scope's bound.  ``scalars`` forms every product
+    term as tuple(map(add, ea, eb)), so a module-level ``tuple`` there sees
+    each one."""
+
+    def __init__(self, patch):
+        self.bounds = []
+        self.formed = 0
+        self.above = []
+        patch.setattr(scalars, "tuple", self._tuple, raising=False)
+
+    def _tuple(self, items=()):
+        out = tuple(items)
+        if self.bounds and isinstance(items, map):
+            self.formed += 1
+            if sum(out) > self.bounds[-1]:
+                self.above.append(out)
+        return out
+
+    def scoped(self, func, bound_of):
+        def call(*args, **kwargs):
+            self.bounds.append(bound_of(*args, **kwargs))
+            try:
+                return func(*args, **kwargs)
+            finally:
+                self.bounds.pop()
+
+        return call
+
+
+class TestSolveIndeterminateRounds:
+    """Round j works through total degree j only; the result is the full
+    iteration's, term for term."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_bound_iteration(self, data):
+        r0 = data.draw(st.one_of(_coefficients, _guarded_polys(0)))
+        rest = data.draw(st.lists(
+            st.one_of(st.just(0), _guarded_polys(1)), min_size=1, max_size=4))
+        bound = data.draw(st.integers(0, 5))
+        if not any(isinstance(c, MultiPoly) for c in rest):
+            rest[0] = MultiPoly.variable(_VARS, "a")
+        R = PowerSeries([r0] + rest, len(rest) + 1)
+        got = solve_indeterminate(R, bound)
+        want = _reference_solve_indeterminate(R, bound)
+        assert got.terms == want.terms
+
+    def test_constant_coefficient_above_the_bound_is_kept(self):
+        ring = PolyRing(*_VARS)
+        a, b = ring.gens()
+        r0 = 1 + a ** 3 * b ** 2 + Fraction(1, 2) * b ** 7
+        R = PowerSeries([r0, a + b * b, a * b], 3)
+        got = solve_indeterminate(R, 3)
+        assert got.terms == _reference_solve_indeterminate(R, 3).terms
+        assert got.coefficient((3, 2)) == 1
+        assert got.coefficient((0, 7)) == Fraction(1, 2)
+        assert got.truncate_total(3) != got
+
+    def test_forms_no_product_term_above_the_bound(self, monkeypatch):
+        formed = _FormedTerms(monkeypatch)
+        solve = formed.scoped(solve_indeterminate, lambda R, bound: bound)
+        ring = PolyRing("r0", "r1", "r2", "r3")
+        gens = ring.gens()
+        solve(PowerSeries(list(gens), 4), 6)
+        x, y = PolyRing("x", "y").gens()
+        solve(PowerSeries([1 + x ** 5, x + y, x * y], 3), 4)
+        assert formed.formed > 0
+        assert formed.above == []
+
+    def test_suites_read_powers_without_terms_above_the_bound(self, monkeypatch):
+        formed = _FormedTerms(monkeypatch)
+        bounds = {}
+
+        def solve(R, bound):
+            f = solve_indeterminate(R, bound)
+            bounds[id(f)] = bound, f  # f stays alive, so its id stays its own
+            return f
+
+        monkeypatch.setattr(
+            identities, "solve_indeterminate",
+            formed.scoped(solve, lambda R, bound: bound))
+        reads = []
+
+        def power_bound(f, k, *bound):
+            reads.append(id(f))
+            return bounds.get(id(f), (float("inf"),))[0]
+
+        for name in ("__pow__", "pow_truncated"):
+            monkeypatch.setattr(MultiPoly, name, formed.scoped(
+                getattr(MultiPoly, name), power_bound))
+        for name, params in (("narayana", {"degree_bound": 4}),
+                             ("fuss-narayana", {"degree_bound": 3}),
+                             ("raney", {"i_total_max": 3})):
+            assert identities.run_identity(name, **params).passed
+        assert set(reads) >= set(bounds)
+        assert formed.formed > 0
+        assert formed.above == []
 
 
 class TestOrderedForestInvariant:

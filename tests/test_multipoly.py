@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagrange_kit import scalars
 from lagrange_kit.errors import DivisionByNonUnit, ParseError
 from lagrange_kit.scalars import (
     MultiPoly,
@@ -222,6 +223,64 @@ def test_product_matches_reference(kind, data):
         e: type(c) for e, c in expected.items()
     }
     assert (q * p).terms == expected
+
+
+def _polys_or_constants(coefficients):
+    constants = coefficients.map(lambda c: MultiPoly.const(("x", "y"), c))
+    return st.one_of(_polys(coefficients), constants)
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+@fast
+@given(data=st.data())
+def test_truncated_product_and_power_match_truncating_after(kind, data):
+    coefficients = COEFFICIENT_KINDS[kind]
+    p = data.draw(_polys_or_constants(coefficients))
+    q = data.draw(_polys_or_constants(coefficients))
+    bound = data.draw(st.integers(-1, 7))
+    k = data.draw(st.integers(0, 4))
+    got = p.mul_truncated(q, bound)
+    expected = (p * q).truncate_total(bound)
+    assert got.terms == expected.terms
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in expected.terms.items()
+    }
+    assert q.mul_truncated(p, bound) == expected
+    assert p.pow_truncated(k, bound).terms == (p ** k).truncate_total(bound).terms
+
+
+def test_truncated_product_accepts_scalars():
+    x, y = _ring().gens()
+    p = x + y ** 3
+    assert p.mul_truncated(3, 2) == 3 * x
+    assert p.mul_truncated(Fraction(1, 2), 3) == p / 2
+    with pytest.raises(TypeError):
+        p.mul_truncated("x", 2)
+    with pytest.raises(ValueError):
+        p.pow_truncated(-1, 2)
+
+
+@fast
+@given(data=st.data())
+def test_truncated_product_forms_only_terms_within_the_bound(data):
+    # every product term is formed as tuple(map(add, ea, eb)), one add per
+    # variable, so the add calls count the (ea, eb) pairs the product visits
+    p = data.draw(_polys(COEFFICIENT_KINDS["mixed"]))
+    q = data.draw(_polys(COEFFICIENT_KINDS["mixed"]))
+    bound = data.draw(st.integers(-1, 7))
+    calls = []
+
+    def counted(u, v):
+        calls.append(None)
+        return u + v
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "add", counted)
+        p.mul_truncated(q, bound)
+    within = sum(
+        1 for ea in p.terms for eb in q.terms if sum(ea) + sum(eb) <= bound
+    )
+    assert len(calls) == 2 * within
 
 
 class TestMultiPolyStructure:
