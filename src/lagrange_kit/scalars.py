@@ -373,10 +373,10 @@ class MultiPoly:
         return out
 
     def pow_truncated(self, k: int, max_degree: int) -> "MultiPoly":
-        """(self ** k).truncate_total(max_degree) for k >= 0, by binary
-        powering with ``mul_truncated``."""
+        """(self ** k).truncate_total(max_degree), by binary powering with
+        ``mul_truncated``; a negative k powers the inverse, as ``**`` does."""
         if k < 0:
-            raise ValueError("a truncated power needs k >= 0")
+            return scalar_inverse(self).pow_truncated(-k, max_degree)
         one = MultiPoly.const(self.vars, 1).truncate_total(max_degree)
         return _power(
             self, k, one, lambda p, q: p.mul_truncated(q, max_degree)

@@ -238,7 +238,7 @@ def test_truncated_product_and_power_match_truncating_after(kind, data):
     p = data.draw(_polys_or_constants(coefficients))
     q = data.draw(_polys_or_constants(coefficients))
     bound = data.draw(st.integers(-1, 7))
-    k = data.draw(st.integers(0, 4))
+    k = data.draw(st.integers(-2, 4))
     got = p.mul_truncated(q, bound)
     expected = (p * q).truncate_total(bound)
     assert got.terms == expected.terms
@@ -246,7 +246,13 @@ def test_truncated_product_and_power_match_truncating_after(kind, data):
         e: type(c) for e, c in expected.terms.items()
     }
     assert q.mul_truncated(p, bound) == expected
-    assert p.pow_truncated(k, bound).terms == (p ** k).truncate_total(bound).terms
+    try:
+        power = (p ** k).truncate_total(bound)
+    except DivisionByNonUnit:
+        with pytest.raises(DivisionByNonUnit):
+            p.pow_truncated(k, bound)
+    else:
+        assert p.pow_truncated(k, bound).terms == power.terms
 
 
 def test_truncated_product_accepts_scalars():
@@ -256,8 +262,11 @@ def test_truncated_product_accepts_scalars():
     assert p.mul_truncated(Fraction(1, 2), 3) == p / 2
     with pytest.raises(TypeError):
         p.mul_truncated("x", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DivisionByNonUnit):
         p.pow_truncated(-1, 2)
+    two = MultiPoly.const(("x", "y"), 2)
+    assert two.pow_truncated(-2, 0) == (two ** -2).truncate_total(0)
+    assert two.pow_truncated(-2, 0) == Fraction(1, 4)
 
 
 @fast
