@@ -17,7 +17,6 @@ import argparse
 import csv
 import inspect
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -31,21 +30,12 @@ from .scalars import format_rational, parse_rational
 from .series import PowerSeries
 
 DEFAULT_ORDER = 30
-DEFAULT_MAX_ORDER = 200
+MAX_ORDER = 200
 SERIES_PRESETS = ("exp", "geom", "one-plus-t-squared")
 
 
 class _UsageError(Exception):
     pass
-
-
-def _max_order() -> int:
-    raw = os.environ.get("LAGRANGE_KIT_MAX_ORDER", "")
-    try:
-        cap = int(raw) if raw else DEFAULT_MAX_ORDER
-    except ValueError:
-        raise _UsageError("LAGRANGE_KIT_MAX_ORDER must be an integer, got %r" % raw)
-    return cap
 
 
 def _order(args) -> int:
@@ -135,6 +125,17 @@ def _poly_text(ints) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _emit_coefficients(args, series, meta, started, out) -> int:
+    """The n,value table of ``series`` below ``meta["order"]``."""
+    rows = [
+        (n, format_rational(Fraction(series.coeff(n))))
+        for n in range(meta["order"])
+    ]
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    _emit_table(args.format, ("n", "value"), rows, meta, elapsed_ms, out)
+    return 0
+
+
 def cmd_coeffs(args, out) -> int:
     started = time.perf_counter()
     if args.k < 1:
@@ -143,42 +144,17 @@ def cmd_coeffs(args, out) -> int:
     r_series = _series_from_literal(args.series, order)
     if not r_series.constant_term:
         raise _UsageError("R must have a nonzero constant term")
-    f = solve_xR(r_series)
-    fk = f ** args.k
-    rows = [(n, format_rational(Fraction(fk.coeff(n)))) for n in range(order)]
-    meta = {
-        "command": "coeffs",
-        "R": args.series,
-        "k": args.k,
-        "order": order,
-    }
-    _emit_table(
-        args.format,
-        ("n", "value"),
-        rows,
-        meta,
-        (time.perf_counter() - started) * 1000.0,
-        out,
-    )
-    return 0
+    fk = solve_xR(r_series) ** args.k
+    meta = {"command": "coeffs", "R": args.series, "k": args.k, "order": order}
+    return _emit_coefficients(args, fk, meta, started, out)
 
 
 def cmd_invert(args, out) -> int:
     started = time.perf_counter()
     order = _order(args)
-    f = _series_from_literal(args.series, order)
-    g = f.reversion()
-    rows = [(n, format_rational(Fraction(g.coeff(n)))) for n in range(order)]
+    g = _series_from_literal(args.series, order).reversion()
     meta = {"command": "invert", "f": args.series, "order": order}
-    _emit_table(
-        args.format,
-        ("n", "value"),
-        rows,
-        meta,
-        (time.perf_counter() - started) * 1000.0,
-        out,
-    )
-    return 0
+    return _emit_coefficients(args, g, meta, started, out)
 
 
 # subcommands that read no order reject --order instead of ignoring it
@@ -372,14 +348,10 @@ def main(argv=None, out=None) -> int:
     try:
         if args.order is not None and args.command in _ORDERLESS:
             raise _UsageError("%s does not take --order" % args.command)
-        cap = _max_order()
-        if not 1 <= _order(args) <= cap:
-            raise _UsageError("order must lie in 1..%d" % cap)
+        if not 1 <= _order(args) <= MAX_ORDER:
+            raise _UsageError("order must lie in 1..%d" % MAX_ORDER)
         return args.func(args, out)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except LagrangeKitError as exc:
+    except (_UsageError, LagrangeKitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -147,6 +147,14 @@ SIZE_LIMITS = {
 IDENTITY_CATALOG: dict = {}
 
 
+def _require_positive_k(k_values) -> None:
+    """SizeLimit, before any work, for a k below 1 in the suites whose
+    formulas divide by k: p-l, narayana, fuss-narayana and raney."""
+    for k in k_values:
+        if k < 1:
+            raise SizeLimit("k_values entry %d is below 1" % k)
+
+
 def identity(name: str, min_order: int = 1):
     """Register the suite body ``body(rec, ...)`` under ``name``; see the
     module docstring for what each call checks and reports."""
@@ -222,13 +230,6 @@ def _alternate(s: PowerSeries) -> PowerSeries:
     return PowerSeries(
         [c if i % 2 == 0 else -c for i, c in enumerate(s.coeffs)], s.order
     )
-
-
-def _poly_series(coeffs, order: int) -> PowerSeries:
-    coeffs = list(coeffs)
-    if len(coeffs) > order:
-        raise ValueError("polynomial degree beyond the truncation order")
-    return PowerSeries(coeffs, order)
 
 
 def _vectors(length: int, total_max: int):
@@ -884,6 +885,7 @@ def check_p_l(
 ) -> None:
     """p_l tables for l <= 3 and the generating function identity
     sum_n (n+k)^(n-l) x^n/n! = e^(kT) p_l(T) at positive integer k."""
+    _require_positive_k(k_values)
     ring = PolyRing("u", "k")
     table = _p_table(ring)
     t = tree_function(order)
@@ -897,7 +899,7 @@ def check_p_l(
                 len(coeffs) == l and coeffs[-1] != 0,
                 "degree exactly l-1 at l=%d k=%d" % (l, k0),
             )
-            rhs = compose(_poly_series(coeffs, order), t) * (k0 * t).exp()
+            rhs = compose(PowerSeries(coeffs, order), t) * (k0 * t).exp()
             lhs = PowerSeries(
                 [
                     Fraction(n + k0) ** (n - l) / factorial(n)
@@ -924,7 +926,7 @@ def check_q_l(rec, l_max: int = 3, order: int = 30) -> None:
         if l in table:
             rec.expect(ql, table[l], "printed table at l=%d" % l)
         coeffs = [ql.coefficient((d,)) for d in range(ql.degree_in("u") + 1)]
-        rhs = compose(_poly_series(coeffs, order), t) * t
+        rhs = compose(PowerSeries(coeffs, order), t) * t
         lhs = PowerSeries(
             [0] + [Fraction(n) ** (n - l) / factorial(n) for n in range(1, order)],
             order,
@@ -986,7 +988,7 @@ def check_r_m(
             for k0 in k_values:
                 coeffs = _u_coefficients(rm, k0)
                 rhs = (
-                    compose(_poly_series(coeffs, order), t)
+                    compose(PowerSeries(coeffs, order), t)
                     * (k0 * t).exp()
                     / (one - t) ** (2 * m + 1)
                 )
@@ -1102,7 +1104,7 @@ def check_fc_polynomiality(
         one = PowerSeries([1], order)
         rec.expect(
             wsum,
-            compose(_poly_series(coeffs, order), c - one) * c ** (i + 1),
+            compose(PowerSeries(coeffs, order), c - one) * c ** (i + 1),
             "re-substitution through the generating series",
         )
         if (p, i, j) == (3, 0, 2):
@@ -1143,6 +1145,7 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
     f^k, the Narayana-number reading of f itself with its symmetry, the
     defining quadratic, the square-root display (cross-multiplied), and
     the three-variable quadratic variant."""
+    _require_positive_k(k_values)
     rec.order = degree_bound
     ring = PolyRing("x", "y")
     xp = ring.var("x")
@@ -1252,6 +1255,7 @@ def check_fuss_narayana(
 ) -> None:
     """Coefficient formulas for f = prod (1+x_t f)^(r_t) and for the
     reciprocal-power variant, on small integer exponent profiles."""
+    _require_positive_k(k_values)
     rec.order = degree_bound
     for profile in r_profiles:
         _mnar_check(rec, tuple(profile), True, k_values, degree_bound)
@@ -1377,6 +1381,9 @@ def check_ffd_lemma(rec, d_max: int = 6, seed: int = 5, trials: int = 3) -> None
 def check_raney(rec, i_total_max: int = 5, k_values=(1, 2)) -> None:
     """Coefficients of f^k for f = A1 e^(B1 f) + A2 e^(B2 f) against the
     closed product formula, plus the single-term reduction."""
+    if not k_values:
+        raise SizeLimit("k_values is empty")
+    _require_positive_k(k_values)
     bound = rec.order = 2 * i_total_max - min(k_values)
     if bound < 0:
         raise SizeLimit(

@@ -46,6 +46,7 @@ from .errors import (
     FormAUndefined,
     NotReversible,
     OutOfPrecision,
+    SizeLimit,
     UnguardedCoefficient,
 )
 from .scalars import MultiPoly, scalar_div_int, scalar_inverse
@@ -58,7 +59,7 @@ from .series import (
 )
 
 
-def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
+def solve_xR(R: PowerSeries) -> PowerSeries:
     """The unique power series f with f = x * R(f), by form A with phi = t:
     [x^k] f = (1/k) [t^(k-1)] R^k.
 
@@ -67,16 +68,9 @@ def solve_xR(R: PowerSeries, order: int | None = None) -> PowerSeries:
     one denominator with its content divided out after every step, so each
     coefficient of f is one Fraction.  An integer R gives int coefficients,
     and MultiPoly R runs the same walk with denominator 1.  The result is
-    verified by direct substitution before returning.  An explicit
-    ``order`` may request a shorter answer, never a longer one.
+    verified by direct substitution before returning.  f has the order of
+    R; for a shorter f, truncate R.
     """
-    if order is not None:
-        if order > R.order:
-            raise OutOfPrecision(
-                "cannot solve to order %d from data of order %d"
-                % (order, R.order)
-            )
-        R = R.truncated(order)
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
@@ -105,7 +99,8 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
 
     Every coefficient of t^n with n > 0 must carry a parameter factor in each
     of its terms; otherwise the fixed point is not determined degree by
-    degree and ``UnguardedCoefficient`` is raised.
+    degree and ``UnguardedCoefficient`` is raised; a negative
+    ``degree_bound`` raises ``SizeLimit``.
 
     So the degree-j part of R(f) reads only the parts of f below degree j,
     and round j (j = 0 .. degree_bound) evaluates R(f) by Horner's rule
@@ -115,7 +110,7 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
     its terms above the bound are kept in the result.
     """
     if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+        raise SizeLimit("degree bound must be nonnegative")
     sample = None
     for c in R.coeffs:
         if isinstance(c, MultiPoly):

@@ -61,21 +61,6 @@ def int_binomial(a: int, k: int) -> int:
     return (-1) ** k * comb(k - a - 1, k)
 
 
-def binomial(a, k: int):
-    """Generalized binomial a(a-1)...(a-k+1)/k!; zero for k < 0.
-
-    Works for any element of a Q-algebra: int, Fraction, or MultiPoly.
-    """
-    if k < 0:
-        return 0
-    if isinstance(a, int):
-        return int_binomial(a, k)
-    prod = 1
-    for i in range(k):
-        prod = prod * (a - i)
-    return prod / factorial(k)
-
-
 def multinomial(n: int, parts) -> int:
     """n! / (p_1! ... p_r!); the parts must sum to at most n, the remainder
     is treated as one more part."""
@@ -106,33 +91,6 @@ def scalar_div_int(c, n: int):
     if isinstance(c, int):
         return Fraction(c, n)
     return c / n
-
-
-def polynomial_from_points(points):
-    """Coefficients (ascending) of the unique polynomial through the given
-    (x, y) pairs, by Lagrange interpolation over exact rationals."""
-    points = [(Fraction(x), Fraction(y)) for x, y in points]
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-        scale = yi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def poly_eval(coeffs, x):

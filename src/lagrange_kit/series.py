@@ -631,14 +631,12 @@ def _render(coeffs, min_exponent, order) -> str:
     return text + " + O(x^%d)" % order
 
 
-def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
+def compose(outer, inner: PowerSeries):
     """Substitute ``inner`` into ``outer``.
 
-    Admissible when the inner series has zero constant term, or when the
-    caller declares the outer series to be a polynomial (its stored
-    coefficients are the whole truth).  A Laurent outer series requires an
-    inner series of valuation exactly 1; its negative powers are summed
-    one power of 1/inner at a time.
+    Admissible when the inner series has zero constant term.  A Laurent
+    outer series requires an inner series of valuation exactly 1; its
+    negative powers are summed one power of 1/inner at a time.
 
     A power series outer of degree d (its last nonzero coefficient) is
     evaluated by baby steps and giant steps (Paterson and Stockmeyer): with
@@ -678,10 +676,8 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
     if not isinstance(outer, PowerSeries):
         raise InadmissibleComposition("outer operand must be a series")
     _same_order(outer, inner)
-    if inner.coeffs[0] != 0 and not outer_polynomial:
-        raise InadmissibleComposition(
-            "inner constant term must vanish unless outer is declared polynomial"
-        )
+    if inner.coeffs[0] != 0:
+        raise InadmissibleComposition("inner constant term must vanish")
     n = outer.order
     top = max((i for i, c in enumerate(outer.coeffs) if c), default=0)
     s = isqrt(top) + 1
@@ -713,49 +709,6 @@ def compose(outer, inner: PowerSeries, outer_polynomial: bool = False):
     result = PowerSeries(acc, n)
     c0 = outer.coeffs[0]
     return result + c0 if c0 else result
-
-
-class TruncationContext:
-    """A shared truncation order together with series factories."""
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be at least 1")
-        self.order = order
-
-    def series(self, coeffs) -> PowerSeries:
-        return PowerSeries(coeffs, self.order)
-
-    def laurent(self, coeffs, min_exponent: int = 0) -> LaurentSeries:
-        return LaurentSeries(coeffs, min_exponent, self.order)
-
-    def zero(self) -> PowerSeries:
-        return PowerSeries([0], self.order)
-
-    def one(self) -> PowerSeries:
-        return PowerSeries([1], self.order)
-
-    def constant(self, c) -> PowerSeries:
-        return PowerSeries([c], self.order)
-
-    def x(self) -> PowerSeries:
-        return PowerSeries([0, 1], self.order)
-
-    def monomial(self, k: int, c=1) -> PowerSeries:
-        if not 0 <= k < self.order:
-            raise ValueError("monomial degree outside [0, order)")
-        return PowerSeries([0] * k + [c], self.order)
-
-    def geometric(self) -> PowerSeries:
-        """1/(1-x)."""
-        return PowerSeries([1] * self.order, self.order)
-
-    def exponential(self) -> PowerSeries:
-        """exp(x)."""
-        coeffs = [Fraction(1)]
-        for n in range(1, self.order):
-            coeffs.append(coeffs[-1] / n)
-        return PowerSeries(coeffs, self.order)
 
 
 def series_to_json(s) -> dict:

@@ -151,13 +151,22 @@ class TestEntryChecks:
             # 2 * 0 - min(k_values) leaves a negative degree bound
             ("raney", {"i_total_max": 0}),
             ("raney", {"i_total_max": 1, "k_values": (3,)}),
+            # these suites divide by k: a k below 1 is rejected up front
+            ("narayana", {"k_values": (0,)}),
+            ("narayana", {"k_values": (1, -2)}),
+            ("fuss-narayana", {"k_values": (0,)}),
+            ("p-l", {"k_values": (0,)}),
+            ("raney", {"k_values": ()}),
+            ("raney", {"k_values": (0,)}),
+            ("raney", {"k_values": (2, 0)}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
         def no_work(*args):
-            raise AssertionError("solve_indeterminate ran")
+            raise AssertionError("the suite started its work")
 
         monkeypatch.setattr(identities, "solve_indeterminate", no_work)
+        monkeypatch.setattr(identities, "tree_function", no_work)
         with pytest.raises(SizeLimit):
             run_identity(name, **params)
 

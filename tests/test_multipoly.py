@@ -12,13 +12,10 @@ from lagrange_kit.errors import DivisionByNonUnit, ParseError
 from lagrange_kit.scalars import (
     MultiPoly,
     PolyRing,
-    binomial,
     format_rational,
     int_binomial,
     multinomial,
     parse_rational,
-    poly_eval,
-    polynomial_from_points,
 )
 
 fast = settings(derandomize=True, max_examples=60)
@@ -64,7 +61,6 @@ class TestBinomials:
 
     def test_negative_bottom_is_zero(self):
         assert int_binomial(5, -1) == 0
-        assert binomial(Fraction(1, 2), -2) == 0
 
     @fast
     @given(a=st.integers(-12, 12), k=st.integers(0, 8))
@@ -73,55 +69,12 @@ class TestBinomials:
             a - 1, k - 1
         )
 
-    def test_generalized_binomial(self):
-        assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-        assert binomial(Fraction(-1, 2), 3) == Fraction(-5, 16)
-
-    def test_generalized_matches_int_on_integers(self):
-        for a in range(-5, 6):
-            for k in range(6):
-                assert binomial(Fraction(a), k) == int_binomial(a, k)
-
-    def test_polynomial_binomial(self):
-        ring = PolyRing("n")
-        n = ring.var("n")
-        b2 = binomial(n, 2)
-        for v in range(-3, 7):
-            assert b2.evaluate({"n": v}) == int_binomial(v, 2)
-
     def test_multinomial(self):
         assert multinomial(5, (2, 3)) == 10
         assert multinomial(5, (2,)) == 10  # remainder 3 is a part
         assert multinomial(6, (1, 2, 3)) == 60
         assert multinomial(3, (4,)) == 0
         assert multinomial(0, ()) == 1
-
-
-class TestInterpolation:
-    def test_exact_fit(self):
-        pts = [(0, 1), (1, 2), (2, 5), (3, 10)]
-        coeffs = polynomial_from_points(pts)
-        assert coeffs == [1, 0, 1]
-        for x, y in pts:
-            assert poly_eval(coeffs, x) == y
-
-    def test_rational_data(self):
-        pts = [(Fraction(1, 2), Fraction(1, 4)), (1, 1), (2, 4)]
-        assert polynomial_from_points(pts) == [0, 0, 1]
-
-    @fast
-    @given(
-        coeffs=st.lists(
-            st.fractions(min_value=-5, max_value=5, max_denominator=4),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_round_trip(self, coeffs):
-        pts = [(x, poly_eval(coeffs, x)) for x in range(len(coeffs))]
-        got = polynomial_from_points(pts)
-        for x in range(-3, len(coeffs) + 3):
-            assert poly_eval(got, x) == poly_eval(coeffs, x)
 
 
 def _ring():

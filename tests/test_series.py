@@ -24,7 +24,6 @@ from lagrange_kit.scalars import PolyRing, scalar_inverse
 from lagrange_kit.series import (
     LaurentSeries,
     PowerSeries,
-    TruncationContext,
     _divide,
     compose,
     series_from_json,
@@ -283,7 +282,7 @@ class TestCalculus:
             PowerSeries([2, 1], 4).log()
 
     def test_exponential_series_values(self):
-        e = TruncationContext(8).x().exp()
+        e = PowerSeries([0, 1], 8).exp()
         assert e.coeffs == tuple(Fraction(1, factorial(n)) for n in range(8))
 
 
@@ -438,7 +437,6 @@ class TestKernels:
         t = PowerSeries([0, 1], n)
         e = t.exp()
         assert e == _series_from_literal("exp", n)
-        assert e == TruncationContext(n).exponential()
         assert 1 / e == (-t).exp()
         assert e.log() == t
 
@@ -472,7 +470,7 @@ class TestReversion:
     def test_tree_function_pair(self):
         # the inverse of x e^(-x) is the rooted-tree series
         order = 10
-        x = TruncationContext(order).x()
+        x = PowerSeries([0, 1], order)
         g = (x * (-x).exp()).reversion()
         want = [0] + [Fraction(n ** (n - 1), factorial(n)) for n in range(1, order)]
         assert g == PowerSeries(want, order)
@@ -669,17 +667,6 @@ class TestCompose:
             # rational coefficients keep Horner's types, too
             _same_entries(got.coeffs, expected.coeffs)
 
-    @kernel_kinds
-    @fast
-    @given(data=st.data())
-    def test_polynomial_outer_with_unit_inner(self, kind, data):
-        scalars = KERNEL_SCALARS[kind]
-        outer = PowerSeries(data.draw(_outer_coeffs(scalars)), ORDER)
-        inner = PowerSeries(data.draw(st.lists(scalars, max_size=ORDER)), ORDER)
-        assert compose(outer, inner, outer_polynomial=True) == _reference_compose(
-            outer, inner
-        )
-
     @fast
     @given(
         outer=laurent_series,
@@ -716,13 +703,6 @@ class TestCompose:
         with pytest.raises(InadmissibleComposition):
             compose(outer, inner)
 
-    def test_polynomial_outer_allows_unit_inner(self):
-        outer = PowerSeries([1, 2, 1], 4)  # (1+t)^2 as a polynomial
-        inner = PowerSeries([1, 1], 4)
-        assert compose(outer, inner, outer_polynomial=True) == PowerSeries(
-            [4, 4, 1], 4
-        )
-
     def test_laurent_outer_needs_valuation_one(self):
         outer = LaurentSeries([1], -1, 5)
         with pytest.raises(InadmissibleComposition):
@@ -740,7 +720,7 @@ class TestCompose:
 
     def test_associativity_with_solve(self):
         order = 8
-        x = TruncationContext(order).x()
+        x = PowerSeries([0, 1], order)
         f = (x * x.exp()).truncated(order)
         g = x * PowerSeries([1, 1], order)
         lhs = compose(compose(f, g), g)
@@ -774,13 +754,3 @@ class TestSerialization:
         s = LaurentSeries([1, Fraction(1, 3)], -1, 3)
         text = json.dumps(series_to_json(s), sort_keys=True)
         assert "1/3" in text
-
-
-class TestTruncationContext:
-    def test_builders(self):
-        ctx = TruncationContext(5)
-        assert ctx.one() == PowerSeries([1], 5)
-        assert ctx.x() == PowerSeries([0, 1], 5)
-        assert ctx.monomial(3, 7).coeff(3) == 7
-        assert ctx.geometric() == PowerSeries([1] * 5, 5)
-        assert ctx.exponential().coeff(3) == Fraction(1, 6)
