@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import sys
@@ -24,13 +25,12 @@ from math import factorial
 
 from . import trees
 from .errors import LagrangeKitError
-from .identities import IDENTITY_CATALOG, identity_names, run_identity
+from .identities import IDENTITY_CATALOG, MAX_ORDER, identity_names, run_identity
 from .lagrange import solve_xR
 from .scalars import format_rational, parse_rational
 from .series import PowerSeries
 
 DEFAULT_ORDER = 30
-MAX_ORDER = 200
 SERIES_PRESETS = ("exp", "geom", "one-plus-t-squared")
 
 
@@ -281,7 +281,9 @@ def cmd_list(args, out) -> int:
 # -- argument wiring ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only reads it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--order", type=int, default=None,
@@ -343,8 +345,7 @@ def main(argv=None, out=None) -> int:
             skip = True
         else:
             merged.append(token)
-    parser = build_parser()
-    args = parser.parse_args(merged)
+    args = build_parser().parse_args(merged)
     try:
         if args.order is not None and args.command in _ORDERLESS:
             raise _UsageError("%s does not take --order" % args.command)

@@ -9,9 +9,10 @@ A suite is a body ``body(rec, ...)`` declared with ``@identity(name,
 min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
 for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
-``conv_n_max``, ``degree_bound``, ``i_total_max``) or an ``order`` below
-``min_order``.  The report's ``params`` are the bound arguments
-minus ``order`` and its ``checks`` count every ``rec.expect`` and
+``conv_n_max``, ``degree_bound``, ``i_total_max``) or an ``order`` outside
+``min_order`` up to ``MAX_ORDER``, the cap that the CLI's ``--order``
+shares.  The report's ``params`` are the bound arguments minus ``order``
+and its ``checks`` count every ``rec.expect`` and
 ``rec.require``; a run with no check fails.  A body overwrites
 ``rec.order``, ``rec.params`` or ``rec.details`` where its report differs.
 
@@ -137,6 +138,9 @@ DEGREE_BOUND_LIMIT = 15
 # the largest i_total_max: at 12 raney takes 0.8-0.9 s on a 2-core host
 # (1.4-1.5 s at 13)
 I_TOTAL_MAX_LIMIT = 12
+# the largest order a suite accepts, through the API and the CLI alike: at
+# 200 the slowest suite, r-m, takes 8-23 s on a 2-core host
+MAX_ORDER = 200
 SIZE_LIMITS = {
     "n_max": N_MAX_LIMIT,
     "conv_n_max": N_MAX_LIMIT,
@@ -153,6 +157,14 @@ def _require_positive_k(k_values) -> None:
     for k in k_values:
         if k < 1:
             raise SizeLimit("k_values entry %d is below 1" % k)
+
+
+def _require_l_max_within(l_max: int, order: int) -> None:
+    """SizeLimit, before any work, for an l_max above the order in p-l and
+    q-l: p_l and q_l have l coefficients, which a series of that order
+    must hold."""
+    if l_max > order:
+        raise SizeLimit("l_max = %d exceeds the order %d" % (l_max, order))
 
 
 def identity(name: str, min_order: int = 1):
@@ -183,6 +195,10 @@ def identity(name: str, min_order: int = 1):
             if order is not None and order < min_order:
                 raise SizeLimit(
                     "identity %r needs order >= %d, got %d" % (name, min_order, order)
+                )
+            if order is not None and order > MAX_ORDER:
+                raise SizeLimit(
+                    "order = %d exceeds the limit %d" % (order, MAX_ORDER)
                 )
             rec = _Recorder(params, order)
             started = time.perf_counter()
@@ -886,6 +902,7 @@ def check_p_l(
     """p_l tables for l <= 3 and the generating function identity
     sum_n (n+k)^(n-l) x^n/n! = e^(kT) p_l(T) at positive integer k."""
     _require_positive_k(k_values)
+    _require_l_max_within(l_max, order)
     ring = PolyRing("u", "k")
     table = _p_table(ring)
     t = tree_function(order)
@@ -913,6 +930,7 @@ def check_p_l(
 @identity("q-l", min_order=3)
 def check_q_l(rec, l_max: int = 3, order: int = 30) -> None:
     """q_l tables for l <= 3 and sum_{n>=1} n^(n-l) x^n/n! = T q_l(T)."""
+    _require_l_max_within(l_max, order)
     ring = PolyRing("u")
     u = ring.var("u")
     table = {
@@ -1297,10 +1315,11 @@ def check_rational_expansion(rec, r: int = 1, s: int = 2, n_max: int = 12) -> No
 
 def finite_difference(values, k: int):
     """k-th forward difference at the left end of a contiguous window of
-    sequence values; needs at least k+1 of them."""
+    sequence values; needs at least k+1 of them.  A negative k raises
+    SizeLimit."""
     values = list(values)
     if k < 0:
-        raise ValueError("difference order must be nonnegative")
+        raise SizeLimit("difference order must be nonnegative")
     if len(values) < k + 1:
         raise InsufficientRange(
             "need %d values for the %d-th difference, got %d"
@@ -1542,7 +1561,8 @@ def run_identity(name: str, order: int = 30, **params) -> IdentityReport:
     any overrides, passing ``order`` to the checks that take one; raises
     UnknownIdentity for a name not in the catalog, and SizeLimit before
     any work for a size argument outside 0 up to its limit in
-    ``SIZE_LIMITS`` or an ``order`` below the suite's minimum."""
+    ``SIZE_LIMITS`` or an ``order`` outside the suite's minimum up to
+    ``MAX_ORDER``."""
     try:
         func = IDENTITY_CATALOG[name]
     except KeyError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import DivisionByNonUnit, ParseError
@@ -36,11 +36,8 @@ def parse_rational(text: str, position: int | None = None) -> Fraction:
 
 
 def _power(base, k: int, one, times=mul):
-    """base ** k for an integer k by binary powering from the unit ``one``
-    with the product ``times``; a negative k powers one / base."""
-    if k < 0:
-        base = one / base
-        k = -k
+    """base ** k for an integer k >= 0 by binary powering from the unit
+    ``one`` with the product ``times``."""
     result = one
     while k:
         if k & 1:
@@ -108,6 +105,28 @@ def _integer_terms(terms):
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
 
 
+def _integer_product(a, b, max_degree=None) -> dict:
+    """The integer sums per exponent tuple of the product of the integer
+    term lists ``a`` and ``b``, zero sums included.  With ``max_degree``
+    the terms of b are walked in order of total degree and each walk stops
+    before the degree sum passes the bound, so no term above it is formed."""
+    if max_degree is not None:
+        b = sorted(b, key=lambda term: sum(term[0]))
+        degrees = [sum(e) for e, _ in b]
+    sums: dict[tuple, int] = {}
+    for ea, ca in a:
+        walk = b
+        if max_degree is not None:
+            room = max_degree - sum(ea)
+            if room < 0:
+                continue
+            walk = islice(b, bisect_right(degrees, room))
+        for eb, cb in walk:
+            e = tuple(map(add, ea, eb))
+            sums[e] = sums.get(e, 0) + ca * cb
+    return sums
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Fraction.
 
@@ -115,11 +134,14 @@ class MultiPoly:
     Fraction coefficients.  The variable tuple is fixed; mixing polynomials
     over different variable tuples is an error.  A product scales each
     operand's coefficients to integers by the lcm of their denominators,
-    sums the integer products per exponent tuple, and builds one Fraction
-    per surviving term.  The degree-bounded product ``mul_truncated``
-    does the same but walks the second operand's terms in order of total
-    degree and stops each walk at the bound, so it never forms a term it
-    would drop; ``pow_truncated`` powers with it.
+    sums the integer products per exponent tuple (``_integer_product``),
+    and builds one Fraction per surviving term.  The degree-bounded product
+    ``mul_truncated`` does the same but walks the second operand's terms in
+    order of total degree and stops each walk at the bound, so it never
+    forms a term it would drop.  ``**`` and ``pow_truncated`` scale the
+    base once and power integer term lists over one denominator with the
+    same product, dividing out the content gcd(den, *coefficients) after
+    each step, and build the Fractions once.
     """
 
     __slots__ = ("vars", "terms")
@@ -246,26 +268,45 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, da = _integer_terms(self.terms)
-        b, db = _integer_terms(other.terms)
-        sums: dict[tuple, int] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = tuple(map(add, ea, eb))
-                sums[e] = sums.get(e, 0) + ca * cb
-        scale = da * db
-        out = MultiPoly(self.vars)
-        out.terms = {e: Fraction(c, scale) for e, c in sums.items() if c}
-        return out
+        return self._times(other, None)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        return self._pow(k, None)
+
+    def _times(self, other: "MultiPoly", max_degree) -> "MultiPoly":
+        """self * other, with no term above ``max_degree`` unless it is None."""
+        a, da = _integer_terms(self.terms)
+        b, db = _integer_terms(other.terms)
+        return self._over(_integer_product(a, b, max_degree).items(), da * db)
+
+    def _pow(self, k: int, max_degree) -> "MultiPoly":
+        """self ** k, with no term above ``max_degree`` unless it is None; a
+        negative k powers the inverse."""
         if k < 0:
-            return scalar_inverse(self) ** (-k)
-        return _power(self, k, MultiPoly.const(self.vars, 1))
+            return scalar_inverse(self)._pow(-k, max_degree)
+
+        def times(x, y):
+            sums = _integer_product(x[0], y[0], max_degree)
+            terms = [(e, c) for e, c in sums.items() if c]
+            den = x[1] * y[1]
+            g = gcd(den, *(c for _, c in terms))
+            return [(e, c // g) for e, c in terms], den // g
+
+        unit = (0,) * len(self.vars)
+        one = [] if max_degree is not None and max_degree < 0 else [(unit, 1)]
+        terms, den = _power(_integer_terms(self.terms), k, (one, 1), times)
+        return self._over(terms, den)
+
+    def _over(self, terms, den: int) -> "MultiPoly":
+        """The MultiPoly of the (exponents, integer) pairs ``terms`` over
+        ``den``, zero integers dropped."""
+        out = MultiPoly(self.vars)
+        out.terms = {e: Fraction(c, den) for e, c in terms if c}
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):
@@ -311,34 +352,13 @@ class MultiPoly:
         poly = self._coerce(other)
         if poly is None:
             raise TypeError("cannot multiply a MultiPoly by %r" % (other,))
-        a, da = _integer_terms(self.terms)
-        b, db = _integer_terms(poly.terms)
-        b.sort(key=lambda term: sum(term[0]))
-        degrees = [sum(e) for e, _ in b]
-        # reach[r]: how many terms of b have total degree at most r
-        reach = [bisect_right(degrees, r) for r in range(max_degree + 1)]
-        sums: dict[tuple, int] = {}
-        for ea, ca in a:
-            room = max_degree - sum(ea)
-            if room < 0:
-                continue
-            for eb, cb in islice(b, reach[room]):
-                e = tuple(map(add, ea, eb))
-                sums[e] = sums.get(e, 0) + ca * cb
-        scale = da * db
-        out = MultiPoly(self.vars)
-        out.terms = {e: Fraction(c, scale) for e, c in sums.items() if c}
-        return out
+        return self._times(poly, max_degree)
 
     def pow_truncated(self, k: int, max_degree: int) -> "MultiPoly":
         """(self ** k).truncate_total(max_degree), by binary powering with
-        ``mul_truncated``; a negative k powers the inverse, as ``**`` does."""
-        if k < 0:
-            return scalar_inverse(self).pow_truncated(-k, max_degree)
-        one = MultiPoly.const(self.vars, 1).truncate_total(max_degree)
-        return _power(
-            self, k, one, lambda p, q: p.mul_truncated(q, max_degree)
-        )
+        the product of ``mul_truncated``; a negative k powers the inverse,
+        as ``**`` does."""
+        return self._pow(k, max_degree)
 
     def subs(self, mapping) -> "MultiPoly":
         """Substitute numbers for some variables; the variable tuple is kept."""

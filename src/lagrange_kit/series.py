@@ -32,9 +32,13 @@ denominators, works on integers, and builds one reduced Fraction per
 result coefficient.  ``_divide`` holds the outputs found so far over one
 running denominator, their lcm, and never clears denominators by powers of
 the scaled divisor's constant term (199! for an exp-like divisor at order
-200); ``_powers`` divides out each power's content, so its denominator
-stays the lcm of the power's instead of growing like (order - 1)!^k for
-exp.  MultiPoly coefficients take the same loops with denominator 1.  A
+200).  A chain of products converts once: ``_powers``, the integer ``**``
+and ``compose``'s giant step hold each intermediate result as an integer
+vector over one denominator and multiply with the product step
+``_times``, which divides out the content gcd(den, *nums), so the
+denominator stays the lcm of the entries' instead of growing like
+(order - 1)!^k for exp; the Fractions are built once, from the last
+result.  MultiPoly coefficients take the same loops with denominator 1.  A
 series is false exactly when every stored coefficient is zero, so
 ``_convolve`` and ``_divide`` also skip the zero entries of sequences of
 series, such as the z-expansions in ``lagrange``.
@@ -47,7 +51,8 @@ checked against, so the two must not share a walk.
 by baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
 1973; Brent and Kung, J. ACM 1978): about 2 sqrt(d) series products
 instead of Horner's d, with each block of outer coefficients summed
-against the baby steps as integer dot products over one denominator.
+against the baby steps as integer dot products over one denominator, and
+Horner's rule in the giant step run on integer vectors.
 ``LaurentSeries.product_coeff`` reads one coefficient of a product as one
 dot product, without forming the rest.
 
@@ -126,6 +131,50 @@ def _from_integers(nums, den) -> list:
     return [Fraction(c, den) if c else 0 for c in nums]
 
 
+def _nonzero_terms(seq) -> list:
+    """The (index, entry) pairs of the nonzero entries of ``seq``."""
+    return [(j, y) for j, y in enumerate(seq) if y]
+
+
+def _product(a, b_terms, length: int) -> list:
+    """The first ``length`` coefficients of a * b, where ``b_terms`` are the
+    nonzero pairs of b (``_nonzero_terms``); zero entries of a are skipped.
+    The entries are multiplied as they are, with no scaling."""
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        if not x:
+            continue
+        room = length - i
+        for j, y in b_terms:
+            if j >= room:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def _reduced(nums, den):
+    """The integer vector ``nums`` over ``den`` with the content
+    gcd(den, *nums) divided out, as (nums, den)."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return nums, den
+
+
+def _times(x, y, length: int):
+    """The product step of integer vectors over one denominator: x is
+    (nums, den) and y is (terms, den), with terms the nonzero pairs of y's
+    numerators.  Returns x * y cut to ``length`` entries as (nums, den),
+    with the content divided out (``_reduced``).  A den of None marks
+    native entries, ints or MultiPoly, which are multiplied unscaled."""
+    (a, da), (b_terms, db) = x, y
+    nums = _product(a, b_terms, length)
+    if da is None:
+        return nums, None
+    return _reduced(nums, da * db)
+
+
 def _convolve(a, b, length: int) -> list:
     """The first ``length`` coefficients of the product of the coefficient
     sequences ``a`` and ``b``: entry k is the sum of a[i] * b[k - i].
@@ -140,38 +189,22 @@ def _convolve(a, b, length: int) -> list:
         (a,), da = _to_integers(a)
         (b,), db = _to_integers(b)
         scale = da * db
-    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-    out = [0] * length
-    for i, x in enumerate(a[:length]):
-        if not x:
-            continue
-        room = length - i
-        for j, y in nonzero_b:
-            if j >= room:
-                break
-            out[i + j] += x * y
-    return _from_integers(out, scale)
+    return _from_integers(_product(a, _nonzero_terms(b), length), scale)
 
 
 def _powers(seq, count: int, length: int):
     """Yield seq^1 .. seq^count as pairs (power, den), each product cut to
-    ``length`` entries.  On the fraction path seq is scaled to integers
-    once, each power is an integer vector over den, and the content
-    gcd(den, *power) is divided out after every product.  Otherwise the
-    powers hold their native entries, ints or MultiPoly, and den is None."""
+    ``length`` entries by the product step ``_times``.  On the fraction
+    path seq is scaled to integers once and each power is an integer
+    vector over den with its content divided out.  Otherwise the powers
+    hold their native entries, ints or MultiPoly, and den is None."""
     power, den = seq, None
     if _fraction_path(seq):
         (power,), den = _to_integers(seq)
-    base, scale = power, den
+    base = _nonzero_terms(power), den
     for k in range(count):
         if k:
-            power = _convolve(power, base, length)
-            if den is not None:
-                den *= scale
-                g = gcd(den, *power)
-                if g != 1:
-                    power = [c // g for c in power]
-                    den //= g
+            power, den = _times((power, den), base, length)
         yield power, den
 
 
@@ -346,7 +379,27 @@ class _Series:
             raise TypeError(
                 "** takes integer exponents; use PowerSeries.pow for rational ones"
             )
-        return _power(self, k, self._make([1], 0))
+        one = self._make([1], 0)
+        base = one / self if k < 0 else self
+        k = abs(k)
+        if not k or not _fraction_path(base.coeffs):
+            return _power(base, k, one)
+        # scale once, then power (min_exponent, nums, den) triples with the
+        # integer product step: each product has the window and length of
+        # the series product, so the entries filled as if the operands were
+        # polynomials are the same; the Fractions are built once
+        n = self.order
+
+        def times(x, y):
+            (ma, a, da), (mb, b, db) = x, y
+            m = ma + mb
+            if m >= n:
+                return 0, [0] * n, 1
+            return (m, *_times((a, da), (_nonzero_terms(b), db), n - m))
+
+        (nums,), den = _to_integers(base.coeffs)
+        m, nums, den = _power((base.min_exponent, nums, den), k, (0, [1], 1), times)
+        return self._make(_from_integers(nums, den), m)
 
     # -- comparison and display --------------------------------------------
 
@@ -645,9 +698,12 @@ def compose(outer, inner: PowerSeries):
     rule in the giant step inner^s combines the blocks.  That is about
     2 sqrt(d) series products where Horner's rule in inner takes d: none
     for a linear outer, two for a quadratic one.  The baby steps and the
-    giant step come from one power walk, ``_powers``; on the fraction path
+    giant step come from one power walk, ``_powers``.  On the fraction path
     the baby steps are integer vectors over one denominator, so each block
-    sum is an integer dot product.  The constant
+    sum is an integer dot product, and Horner's rule keeps the running sum
+    as one integer vector over one denominator: each step is the product
+    step ``_times`` by the giant step plus the next block, and the Fractions
+    are built once, at the end.  The constant
     coefficient is added last, as a scalar, so the values, and for rational
     data and an inner series of valuation 1 the coefficient types, are
     those of Horner's rule.
@@ -684,16 +740,18 @@ def compose(outer, inner: PowerSeries):
     terms = [0] + list(outer.coeffs[1 : top + 1])  # c_0 is added last
     # the baby steps inner^0 .. inner^(s-1), then inner^s if top >= s
     powers = [([1], None), *_powers(inner.coeffs, min(s, top), n)]
-    giant = _from_integers(*powers[s]) if top >= s else None
-    den = None
     if _fraction_path([c for c in terms if c], inner.coeffs):
-        d = lcm(*(p_den or 1 for _, p_den in powers[:s]))
-        baby = [[c * (d // (p_den or 1)) for c in p] for p, p_den in powers[:s]]
+        # every power over its denominator, 1 for an integer inner series
+        powers = [(p, p_den or 1) for p, p_den in powers]
+        d = lcm(*(p_den for _, p_den in powers[:s]))
+        baby = [[c * (d // p_den) for c in p] for p, p_den in powers[:s]]
         (terms,), e = _to_integers(terms)
         den = d * e
     else:
-        baby = [_from_integers(p, p_den) for p, p_den in powers[:s]]
-    baby = [[(m, y) for m, y in enumerate(p) if y] for p in baby]
+        powers = [(_from_integers(p, p_den), None) for p, p_den in powers]
+        baby = [p for p, _ in powers[:s]]
+        den = None
+    baby = [_nonzero_terms(p) for p in baby]
     blocks = []
     for start in range(0, top + 1, s):
         block = [0] * n
@@ -701,12 +759,28 @@ def compose(outer, inner: PowerSeries):
             if c:
                 for m, y in baby[i]:
                     block[m] += c * y
-        blocks.append(_from_integers(block, den))
-    acc = blocks.pop()
+        blocks.append(block)
+    acc, acc_den = blocks.pop(), den
+    if blocks:
+        giant, giant_den = powers[s]
+        giant = _nonzero_terms(giant), giant_den
     while blocks:
-        # a zero sum is the int 0, as in a series product
-        acc = [(x + y) or 0 for x, y in zip(_convolve(acc, giant, n), blocks.pop())]
-    result = PowerSeries(acc, n)
+        # Horner's rule in the giant step; on the fraction path acc is one
+        # integer vector over acc_den
+        (acc, acc_den), block = _times((acc, acc_den), giant, n), blocks.pop()
+        if den is None:
+            # a zero sum is the int 0, as on the fraction path
+            acc = [(x + y) or 0 for x, y in zip(acc, block)]
+        else:
+            common = lcm(acc_den, den)
+            acc, acc_den = _reduced(
+                [
+                    x * (common // acc_den) + y * (common // den)
+                    for x, y in zip(acc, block)
+                ],
+                common,
+            )
+    result = PowerSeries(_from_integers(acc, acc_den), n)
     c0 = outer.coeffs[0]
     return result + c0 if c0 else result
 

@@ -515,6 +515,34 @@ class TestOrderCap:
 
 
 class TestDeterminism:
+    def test_subcommands_back_to_back_in_one_process(self, monkeypatch):
+        # main builds its parser once per process; no run may see the flags
+        # or defaults of the run before it
+        runs = [
+            ("coeffs", "--R", "1,1/2", "--k", "2", "--order", "8", "--format", "csv"),
+            ("oracle", "prufer", "--m", "4", "--format", "json"),
+            ("coeffs", "--order", "201"),
+            ("identity", "rothe-hagen", "--format", "json"),
+            ("oracle", "prufer", "--format", "csv"),
+            ("invert", "--R", "0,1,1", "--order", "6", "--format", "csv"),
+            ("list", "--format", "json"),
+            ("coeffs", "--format", "csv"),
+        ]
+        cli.build_parser.cache_clear()
+        shared = [run_cli(*argv) for argv in runs]
+        assert cli.build_parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(*argv) for argv in runs]
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
+        # the flags left out fall back to their defaults: geom and k = 1
+        # give the Catalan numbers, and prufer runs at m = 5
+        assert csv_rows(shared[-1][1])[1:6] == [
+            ["0", "0"], ["1", "1"], ["2", "1"], ["3", "2"], ["4", "5"]
+        ]
+        assert json.loads(shared[1][1])["m"] == 4
+        assert csv_rows(shared[4][1])[1][0] == "trees on [5]"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_identity_output_is_stable(self, fmt):
         argv = ("identity", "rothe-hagen", "--format", fmt)

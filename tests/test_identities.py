@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrange_kit import identities
+from lagrange_kit import cli, identities
 from lagrange_kit.errors import InsufficientRange, SizeLimit, UnknownIdentity
 from lagrange_kit.identities import (
     DEGREE_BOUND_LIMIT,
     I_TOTAL_MAX_LIMIT,
     IDENTITY_CATALOG,
+    MAX_ORDER,
     N_MAX_LIMIT,
     IdentityReport,
     _binomial_convolutions,
@@ -159,6 +160,12 @@ class TestEntryChecks:
             ("raney", {"k_values": ()}),
             ("raney", {"k_values": (0,)}),
             ("raney", {"k_values": (2, 0)}),
+            # p_l and q_l have l coefficients, more than an order-l_max - 1
+            # series holds
+            ("p-l", {"order": 4, "l_max": 5}),
+            ("q-l", {"order": 3, "l_max": 5}),
+            ("tree-function", {"order": MAX_ORDER + 1}),
+            ("p-l", {"order": MAX_ORDER + 1}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
@@ -191,6 +198,13 @@ class TestEntryChecks:
         with pytest.raises(SizeLimit, match="needs order >= 3"):
             check_catalan_suite(order=2)
         assert check_catalan_suite(order=3).passed
+
+    def test_order_cap_is_the_clis_and_inclusive(self):
+        # one constant caps the API and the CLI's --order
+        assert cli.MAX_ORDER is MAX_ORDER == 200
+        with pytest.raises(SizeLimit, match="order = 201 exceeds the limit 200"):
+            run_identity("catalan", order=MAX_ORDER + 1)
+        assert run_identity("fc-polynomial", order=MAX_ORDER).passed
 
 
 class TestGeneratingSeries:
@@ -407,7 +421,9 @@ class TestFiniteDifference:
     def test_window_too_short(self):
         with pytest.raises(InsufficientRange):
             finite_difference([1, 2], 3)
-        with pytest.raises(ValueError):
+
+    def test_negative_order_is_a_size_limit(self):
+        with pytest.raises(SizeLimit, match="nonnegative"):
             finite_difference([1, 2], -1)
 
 

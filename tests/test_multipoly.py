@@ -208,6 +208,30 @@ def test_truncated_product_and_power_match_truncating_after(kind, data):
         assert p.pow_truncated(k, bound).terms == power.terms
 
 
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+@fast
+@given(data=st.data())
+def test_power_matches_chained_product(kind, data):
+    # ** powers integer term lists over one denominator; the reference is
+    # a chain of k products, of the inverse for k < 0
+    p = data.draw(_polys_or_constants(COEFFICIENT_KINDS[kind]))
+    k = data.draw(st.integers(-3, 5))
+    base = p
+    if k < 0:
+        try:
+            base = 1 / p
+        except DivisionByNonUnit:
+            with pytest.raises(DivisionByNonUnit):
+                p ** k
+            return
+    expected = MultiPoly.const(("x", "y"), 1)
+    for _ in range(abs(k)):
+        expected = expected * base
+    got = p ** k
+    assert got.terms == expected.terms
+    assert {type(c) for c in got.terms.values()} <= {Fraction}
+
+
 def test_truncated_product_accepts_scalars():
     x, y = _ring().gens()
     p = x + y ** 3

@@ -69,6 +69,61 @@ quotient_operands = st.one_of(
 _ring = PolyRing("a", "b")
 _a, _b = _ring.gens()
 
+_ints = st.integers(min_value=-6, max_value=6)
+_wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+# each kind of entry, with plenty of zeros
+KERNEL_SCALARS = {
+    "int-only": st.one_of(st.just(0), _ints),
+    "fractions": st.one_of(st.just(Fraction(0)), rationals, _wide_fractions),
+    "mixed": st.one_of(st.just(0), _ints, rationals, _wide_fractions),
+    "multipoly": st.one_of(
+        st.just(0),
+        _ints,
+        rationals,
+        st.tuples(rationals, rationals, rationals).map(
+            lambda t: t[0] * _a + t[1] * _b * _b + t[2]
+        ),
+    ),
+}
+kernel_kinds = pytest.mark.parametrize("kind", sorted(KERNEL_SCALARS))
+
+
+@st.composite
+def _windows(draw, scalars):
+    """A PowerSeries or LaurentSeries of order ORDER whose window starts at
+    x^m for m in -3 .. 3 (a power series for m >= 0 half of the time)."""
+    m = draw(st.integers(min_value=-3, max_value=3))
+    entries = draw(st.lists(scalars, max_size=ORDER - m))
+    if m >= 0 and draw(st.booleans()):
+        return PowerSeries([0] * m + entries, ORDER)
+    return LaurentSeries(entries, m, ORDER)
+
+
+def _repeated_product(s, k):
+    """s ** k by series products alone, one / s first for k < 0: a chain
+    of k products.  On a window with negative exponents the top entries
+    are filled as if the operands were polynomials, so the order of the
+    products matters; there the chain squares and multiplies as ``**``
+    does."""
+    if isinstance(s, PowerSeries):
+        one = PowerSeries([1], ORDER)
+    else:
+        one = LaurentSeries([1], 0, ORDER)
+    if k < 0:
+        s, k = one / s, -k
+    result = one
+    if s.min_exponent >= 0:
+        for _ in range(k):
+            result = result * s
+        return result
+    while k:
+        if k & 1:
+            result = result * s
+        k >>= 1
+        if k:
+            s = s * s
+    return result
+
 
 class TestPowerSeriesBasics:
     def test_padding_and_coeff(self):
@@ -234,13 +289,24 @@ class TestRingAxioms:
         low = getattr(a, "min_exponent", 0)
         assert bool(a) == any(a.coeff(n) != 0 for n in range(low, ORDER))
 
-    @fast
-    @given(a=power_series, k=st.integers(min_value=0, max_value=5))
-    def test_integer_powers_match_repeated_product(self, a, k):
-        expected = PowerSeries([1], ORDER)
-        for _ in range(k):
-            expected = expected * a
-        assert a ** k == expected
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["int-only", "fractions", "mixed"]),
+        k=st.integers(min_value=-5, max_value=9),
+    )
+    def test_integer_powers_match_repeated_product(self, data, kind, k):
+        a = data.draw(_windows(KERNEL_SCALARS[kind]))
+        try:
+            expected = _repeated_product(a, k)
+        except (DivisionByNonUnit, DivisionByZeroSeries) as exc:
+            with pytest.raises(type(exc)):
+                a ** k
+            return
+        got = a ** k
+        assert type(got) is type(expected)
+        assert got.min_exponent == expected.min_exponent
+        _same_entries(got.coeffs, expected.coeffs)
 
 
 class TestCalculus:
@@ -336,25 +402,6 @@ def _reference_exp(a):
 def _same_entries(got, expected):
     assert list(got) == list(expected)
     assert [type(c) for c in got] == [type(c) for c in expected]
-
-
-_ints = st.integers(min_value=-6, max_value=6)
-_wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
-# each kind of entry, with plenty of zeros
-KERNEL_SCALARS = {
-    "int-only": st.one_of(st.just(0), _ints),
-    "fractions": st.one_of(st.just(Fraction(0)), rationals, _wide_fractions),
-    "mixed": st.one_of(st.just(0), _ints, rationals, _wide_fractions),
-    "multipoly": st.one_of(
-        st.just(0),
-        _ints,
-        rationals,
-        st.tuples(rationals, rationals, rationals).map(
-            lambda t: t[0] * _a + t[1] * _b * _b + t[2]
-        ),
-    ),
-}
-kernel_kinds = pytest.mark.parametrize("kind", sorted(KERNEL_SCALARS))
 
 
 class TestKernels:
@@ -679,14 +726,15 @@ class TestCompose:
 
     @pytest.mark.parametrize("order", [9, 200])
     def test_never_more_products_than_horner(self, order, monkeypatch):
+        # every series product in compose runs the kernel loop ``_product``
         calls = []
-        convolve = series._convolve
+        product = series._product
 
-        def counted(a, b, length):
+        def counted(a, b_terms, length):
             calls.append(length)
-            return convolve(a, b, length)
+            return product(a, b_terms, length)
 
-        monkeypatch.setattr(series, "_convolve", counted)
+        monkeypatch.setattr(series, "_product", counted)
         inner = PowerSeries([0, 1, 1], order)
         for degree in range(order):
             calls.clear()
