@@ -9,7 +9,8 @@ A suite is a body ``body(rec, ...)`` declared with ``@identity(name,
 min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
 for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
-``conv_n_max``, ``degree_bound``, ``i_total_max``) or an ``order`` outside
+``conv_n_max``, ``degree_bound``, ``i_total_max``, ``trials``,
+``pair_trials``) or an ``order`` outside
 ``min_order`` up to ``MAX_ORDER``, the cap that the CLI's ``--order``
 shares.  The report's ``params`` are the bound arguments minus ``order``
 and its ``checks`` count every ``rec.expect`` and
@@ -29,12 +30,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import DegreeViolation, InsufficientRange, SizeLimit, UnknownIdentity
 from .lagrange import (
-    _duality_sides,
     raney_coefficient,
     schur_jabotinsky_check,
     schur_jabotinsky_window,
@@ -129,8 +130,9 @@ class _Recorder:
             self.first_failure = label
 
 
-# the largest n_max or conv_n_max a suite accepts: at 50 the slowest check
-# (hirzebruch-residue) takes 0.9-1.3 s on a 2-core host, rothe-hagen 0.6 s
+# the largest n_max or conv_n_max a suite accepts: at 50 the slowest checks,
+# abel and rothe-hagen, take 0.24-0.27 s through the CLI on a 2-core host,
+# hirzebruch-residue 0.16 s
 N_MAX_LIMIT = 50
 # the largest degree_bound: at 15 narayana takes 1.0 s on a 2-core host
 # (1.4 s at 16), fuss-narayana 0.6 s
@@ -141,11 +143,20 @@ I_TOTAL_MAX_LIMIT = 12
 # the largest order a suite accepts, through the API and the CLI alike: at
 # 200 the slowest suite, r-m, takes 8-23 s on a 2-core host
 MAX_ORDER = 200
+# the largest trials: at 3000 schur-jabotinsky takes 0.8-0.9 s on a 2-core
+# host at its default order 20 (14 s at order 200), finite-difference-lemma
+# 0.4-0.5 s
+TRIALS_LIMIT = 3000
+# the largest pair_trials: at 1200 hirzebruch-residue takes 0.9 s on a
+# 2-core host at its default pair_order 15 (17 s at pair_order 200)
+PAIR_TRIALS_LIMIT = 1200
 SIZE_LIMITS = {
     "n_max": N_MAX_LIMIT,
     "conv_n_max": N_MAX_LIMIT,
     "degree_bound": DEGREE_BOUND_LIMIT,
     "i_total_max": I_TOTAL_MAX_LIMIT,
+    "trials": TRIALS_LIMIT,
+    "pair_trials": PAIR_TRIALS_LIMIT,
 }
 
 IDENTITY_CATALOG: dict = {}
@@ -447,8 +458,10 @@ def check_fuss_catalan(
         quotient = one - p * x * c ** (p - 1)
         inner1 = x * PowerSeries([1, 1], order) ** (-p)
         inner2 = x * PowerSeries([1, -1], order) ** (p - 1)
+        # c^e once per exponent that the k loop reads, k and k + 1
+        c_powers = {e: c ** e for e in {*k_range, *(k + 1 for k in k_range)}}
         for k in k_range:
-            ck = c ** k
+            ck = c_powers[k]
             for n in range(order):
                 if p * n + k != 0:
                     rec.expect(
@@ -464,7 +477,7 @@ def check_fuss_catalan(
             )
             rec.expect(
                 binsum,
-                c ** (k + 1) / (one - (p - 1) * (c - one)),
+                c_powers[k + 1] / (one - (p - 1) * (c - one)),
                 "binomial sum second quotient at p=%d k=%d" % (p, k),
             )
             rec.expect(
@@ -968,6 +981,14 @@ def check_r_m(
     """r_m tables for m <= 2, degree bounds for m <= m_max, the
     generating function identity at integer k, the derivative ladder, and
     the positivity of the k = 1 rows."""
+    # the series identity at m builds an order-`order` series from the
+    # m + 1 u-coefficients of r_m
+    m_top = min(m_max, series_m_max)
+    if m_top + 1 > order:
+        raise SizeLimit(
+            "the series identity at m = %d needs %d coefficients, more than "
+            "the order %d holds" % (m_top, m_top + 1, order)
+        )
     ring = PolyRing("u", "k")
     u = ring.var("u")
     k = ring.var("k")
@@ -1457,12 +1478,21 @@ def check_schur_jabotinsky(
         PowerSeries([0, 1, -1], order),
         "reversion of x c(x) is x - x^2",
     )
-    for n in range(-4, 7):
-        for k in range(-4, 6):
-            if not schur_jabotinsky_window(order, n, k):
-                continue
-            lhs, rhs = _duality_sides(f0, g0, n, k)
-            rec.require(lhs == rhs, "worked pair at n=%d k=%d" % (n, k))
+    pairs = [
+        (n, k)
+        for n in range(-4, 7)
+        for k in range(-4, 6)
+        if schur_jabotinsky_window(order, n, k)
+    ]
+    # f0^k and g0^(-n) once per exponent, for every (n, k) that reads them
+    f0l, g0l = f0.to_laurent(), g0.to_laurent()
+    f0_powers = {k: f0l ** k for k in {k for _, k in pairs}}
+    g0_powers = {n: g0l ** (-n) for n in {n for n, _ in pairs}}
+    for n, k in pairs:
+        rec.require(
+            f0_powers[k].coeff(n) == Fraction(k, n) * g0_powers[n].coeff(-k),
+            "worked pair at n=%d k=%d" % (n, k),
+        )
     rng = random.Random(seed)
     candidates = [
         (n, k)
@@ -1487,14 +1517,18 @@ def check_schur_jabotinsky(
 
 
 def _residue_after(a: LaurentSeries, g: PowerSeries) -> Fraction:
-    """res a(g(x)) g'(x) computed termwise, exponent by exponent."""
+    """res a(g(x)) g'(x) computed termwise: the sum of a_n res g^n g' over
+    the exponents n of a.  One walk forms g^n from a's least exponent to
+    its greatest nonzero one, one product per exponent, and each residue
+    is read as one dot product of g^n with g'."""
+    top = max((i for i, c in enumerate(a.coeffs) if c), default=-1)
     gl = g.to_laurent()
-    gp = g.derivative().to_laurent()
+    powers = accumulate(repeat(gl, top), mul, initial=gl ** a.min_exponent)
+    gp = g.derivative()
     total = Fraction(0)
-    for n in range(a.min_exponent, a.order):
-        cn = a.coeff(n)
+    for cn, power in zip(a.coeffs, powers):
         if cn:
-            total += cn * ((gl ** n) * gp).residue()
+            total += cn * power.product_coeff(gp, -1)
     return total
 
 
@@ -1521,6 +1555,11 @@ def check_hirzebruch(
     powers and by direct coefficient extraction; plus the change of
     variables formula res a = res a(g) g' for valuation-1 g and its
     m res a = res a(g) g' generalization for valuation-m g."""
+    # a random substitution of valuation 3 has 8 coefficients
+    if not 8 <= pair_order <= MAX_ORDER:
+        raise SizeLimit(
+            "pair_order = %d is outside 8 to %d" % (pair_order, MAX_ORDER)
+        )
     del rec.params["pair_order"]
     order = rec.order = n_max + 4
     u = PowerSeries(
@@ -1528,9 +1567,14 @@ def check_hirzebruch(
     )
     f = PowerSeries([1], order) / u
     fl = f.shift(-1)
-    for n in range(1, n_max + 1):
-        rec.expect((fl ** n).residue(), 1, "residue value at n=%d" % n)
-        rec.expect((f ** n).coeff(n - 1), 1, "coefficient route at n=%d" % n)
+    # fl^(n-1) and f^(n-1) for n = 1 .. n_max, one product per exponent;
+    # the nth powers' coefficients are read as dot products
+    one = LaurentSeries([1], 0, order)
+    fl_powers = accumulate(repeat(fl, n_max - 1), mul, initial=one)
+    f_powers = accumulate(repeat(f, n_max - 1), mul, initial=one)
+    for n, flp, fp in zip(range(1, n_max + 1), fl_powers, f_powers):
+        rec.expect(flp.product_coeff(fl, -1), 1, "residue value at n=%d" % n)
+        rec.expect(fp.product_coeff(f, n - 1), 1, "coefficient route at n=%d" % n)
     rng = random.Random(seed)
     for trial in range(pair_trials):
         a = _random_laurent(rng, pair_order)

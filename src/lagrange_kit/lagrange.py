@@ -31,6 +31,10 @@ one walk of H^0 .. H^z.  The direct route reads neither: it solves for f
 one z order per round, extending the powers of f - x by one z entry per
 round, and substitutes f into H, phi, psi and H' in one Taylor pass over
 those powers.
+
+``schur_jabotinsky_pair`` reads one coefficient on each side of the
+duality, so it reverts f at the least order whose window reads that
+(n, k), not at f's full order.
 """
 
 from __future__ import annotations
@@ -309,7 +313,14 @@ def schur_jabotinsky_window(order: int, n: int, k: int) -> bool:
 
 def schur_jabotinsky_pair(f: PowerSeries, n: int, k: int):
     """Both sides of the power-coefficient duality between f and its
-    compositional inverse g: ([x^n] f^k, (k/n) [x^(-k)] g^(-n))."""
+    compositional inverse g: ([x^n] f^k, (k/n) [x^(-k)] g^(-n)).
+
+    Both sides read f and g only through x^(n-k+1), and the first N
+    coefficients of g depend only on the first N of f, so g is the
+    reversion of f truncated to the least order N >= 2 whose window reads
+    (n, k), not of the full f.  The left side reads the full f: a
+    truncation can drop every Fraction of f, and [x^n] f^k would then be
+    an int where the full f gives a Fraction."""
     if n == 0:
         raise FormAUndefined("the duality is stated for n != 0")
     if f.valuation() != 1:
@@ -319,15 +330,13 @@ def schur_jabotinsky_pair(f: PowerSeries, n: int, k: int):
             "n = %d, k = %d unreadable from f^%d and g^%d at order %d"
             % (n, k, k, -n, f.order)
         )
-    return _duality_sides(f, f.reversion(), n, k)
-
-
-def _duality_sides(f: PowerSeries, g: PowerSeries, n: int, k: int):
-    """``schur_jabotinsky_pair`` for a g already computed as f.reversion(),
-    so that a caller reading many (n, k) reverts f once."""
+    # the window only widens with the order, and f.order itself reads (n, k)
+    least = next(
+        N for N in range(2, f.order + 1) if schur_jabotinsky_window(N, n, k)
+    )
+    g = f.truncated(least).reversion()
     lhs = (f.to_laurent() ** k).coeff(n)
-    rhs_coeff = (g.to_laurent() ** (-n)).coeff(-k)
-    return lhs, Fraction(k, n) * rhs_coeff
+    return lhs, Fraction(k, n) * (g.to_laurent() ** (-n)).coeff(-k)
 
 
 def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:

@@ -17,9 +17,12 @@ from lagrange_kit.identities import (
     IDENTITY_CATALOG,
     MAX_ORDER,
     N_MAX_LIMIT,
+    PAIR_TRIALS_LIMIT,
+    TRIALS_LIMIT,
     IdentityReport,
     _binomial_convolutions,
     _Recorder,
+    _residue_after,
     catalan_series,
     check_catalan_suite,
     check_fc_polynomiality,
@@ -38,7 +41,7 @@ from lagrange_kit.identities import (
     weighted_stirling,
 )
 from lagrange_kit.scalars import PolyRing, int_binomial
-from lagrange_kit.series import PowerSeries
+from lagrange_kit.series import LaurentSeries, PowerSeries, _Series
 
 
 class TestCatalogSurface:
@@ -128,12 +131,42 @@ class TestEntryChecks:
             calls.append(f)
             return reversion(f)
 
+        trial_series = []
+        check = identities.schur_jabotinsky_check
+
+        def recorded(f, n, k):
+            trial_series.append(f)
+            return check(f, n, k)
+
         monkeypatch.setattr(PowerSeries, "reversion", counted)
+        monkeypatch.setattr(identities, "schur_jabotinsky_check", recorded)
         report = check_schur_jabotinsky(trials=20, order=20)
         assert report.passed and report.checks == 122
-        # x c(x) once, and each of the 20 random series once
-        assert len(calls) == 21
-        assert len(set(calls)) == 21
+        # x c(x) once, at the full order, then each of the 20 random series
+        # once, truncated to the order its (n, k) reads; two truncated
+        # series can be equal, so each call is matched to its own series
+        assert len(calls) == 21 and len(trial_series) == 20
+        x = PowerSeries([0, 1], 20)
+        assert calls[0] == x * catalan_series(20) and calls[0].order == 20
+        for reverted, f in zip(calls[1:], trial_series):
+            assert reverted == f.truncated(reverted.order)
+
+    def test_schur_jabotinsky_worked_pair_forms_each_power_once(
+        self, monkeypatch
+    ):
+        laurent_powers = []
+        power = _Series.__pow__
+
+        def counted(s, k):
+            if isinstance(s, LaurentSeries):
+                laurent_powers.append(k)
+            return power(s, k)
+
+        monkeypatch.setattr(_Series, "__pow__", counted)
+        report = check_schur_jabotinsky(trials=0, order=20)
+        assert report.passed and report.checks == 102
+        # f0^k for 10 values of k and g0^(-n) for 10 values of n
+        assert len(laurent_powers) <= 20
 
     @pytest.mark.parametrize(
         "name, params",
@@ -166,6 +199,19 @@ class TestEntryChecks:
             ("q-l", {"order": 3, "l_max": 5}),
             ("tree-function", {"order": MAX_ORDER + 1}),
             ("p-l", {"order": MAX_ORDER + 1}),
+            ("schur-jabotinsky", {"trials": -1}),
+            ("schur-jabotinsky", {"trials": TRIALS_LIMIT + 1}),
+            ("finite-difference-lemma", {"trials": -1}),
+            ("finite-difference-lemma", {"trials": TRIALS_LIMIT + 1}),
+            ("hirzebruch-residue", {"pair_trials": -1}),
+            ("hirzebruch-residue", {"pair_trials": PAIR_TRIALS_LIMIT + 1}),
+            # a valuation-3 random substitution has 8 coefficients
+            ("hirzebruch-residue", {"pair_order": 7}),
+            ("hirzebruch-residue", {"pair_order": 5}),
+            ("hirzebruch-residue", {"pair_order": MAX_ORDER + 1}),
+            # r_4 has 5 u-coefficients, more than an order-4 series holds
+            ("r-m", {"order": 4, "series_m_max": 6}),
+            ("r-m", {"order": 5, "m_max": 5, "series_m_max": 5}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
@@ -188,6 +234,25 @@ class TestEntryChecks:
         report = run_identity(name, **{key: limit})
         assert report.passed
         assert report.params[key] == limit
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("schur-jabotinsky", {"trials": TRIALS_LIMIT}),
+            ("finite-difference-lemma", {"trials": TRIALS_LIMIT}),
+            ("hirzebruch-residue", {"pair_trials": PAIR_TRIALS_LIMIT}),
+            ("hirzebruch-residue", {"pair_order": 8}),
+            ("hirzebruch-residue", {"pair_order": MAX_ORDER, "pair_trials": 2}),
+            ("r-m", {"order": 4, "series_m_max": 3}),
+            ("r-m", {"order": 4, "m_max": 3, "series_m_max": 6}),
+        ],
+    )
+    def test_trial_and_pair_limits_are_inclusive(self, name, params):
+        report = run_identity(name, **params)
+        assert report.passed
+        for key in ("trials", "pair_trials", "series_m_max"):
+            if key in params:
+                assert report.params[key] == params[key]
 
     def test_conv_n_max_limit_is_inclusive(self):
         report = run_identity("catalan", order=3, conv_n_max=N_MAX_LIMIT)
@@ -384,6 +449,42 @@ class TestPrintedTables:
                 rm.coefficient((d, 0)) for d in range(m + 1)
             )
             assert total == want
+
+
+def _termwise_residue(a, g):
+    """res a(g) g' as the sum of a_n ((g^n) g').residue(), with one ** per
+    exponent n."""
+    gl = g.to_laurent()
+    gp = g.derivative().to_laurent()
+    total = Fraction(0)
+    for n in range(a.min_exponent, a.order):
+        if a.coeff(n):
+            total += a.coeff(n) * ((gl ** n) * gp).residue()
+    return total
+
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+class TestResidueAfter:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        order=st.integers(min_value=8, max_value=16),
+        min_exponent=st.integers(min_value=-3, max_value=0),
+        a_coeffs=st.lists(_small_fractions, max_size=10),
+        valuation=st.integers(min_value=1, max_value=3),
+        lead=st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+        g_tail=st.lists(_small_fractions, max_size=12),
+    )
+    def test_power_walk_matches_one_power_per_exponent(
+        self, order, min_exponent, a_coeffs, valuation, lead, g_tail
+    ):
+        a = LaurentSeries(a_coeffs[: order - min_exponent], min_exponent, order)
+        g = PowerSeries(([0] * valuation + [lead] + g_tail)[:order], order)
+        got = _residue_after(a, g)
+        want = _termwise_residue(a, g)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestPolynomialityDetails:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagrange_kit import identities, scalars
@@ -661,6 +661,67 @@ class TestSchurJabotinsky:
             schur_jabotinsky_pair(f, 9, 0)
         with pytest.raises(OutOfPrecision):
             schur_jabotinsky_pair(f, 1, -8)
+
+    @staticmethod
+    def _duality_sides(f, g, n, k):
+        """The reference route: both sides read with g = f.reversion() at
+        f's full order."""
+        lhs = (f.to_laurent() ** k).coeff(n)
+        rhs_coeff = (g.to_laurent() ** (-n)).coeff(-k)
+        return lhs, Fraction(k, n) * rhs_coeff
+
+    @staticmethod
+    def _window_pairs(order):
+        return [
+            (n, k)
+            for n in range(-6, 7)
+            for k in range(-6, 7)
+            if schur_jabotinsky_window(order, n, k)
+        ]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    # truncated to the least window order of (1, 1), x + x^6/2 has no
+    # Fraction left, and the left side must still be Fraction(1)
+    @example(order=12, lead=1, tail=[0, 0, 0, 0, Fraction(1, 2)])
+    @given(
+        order=st.integers(min_value=7, max_value=30),
+        lead=st.sampled_from([1, -1, 2, -3]),
+        tail=st.lists(
+            st.one_of(
+                st.just(0),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            ),
+            max_size=28,
+        ),
+    )
+    def test_pair_matches_full_order_reversion(self, order, lead, tail):
+        # int zeros in the tail let a truncation drop every Fraction of f
+        f = PowerSeries([0, lead] + tail[: order - 2], order)
+        g = f.reversion()
+        for n, k in self._window_pairs(order):
+            want = self._duality_sides(f, g, n, k)
+            got = schur_jabotinsky_pair(f, n, k)
+            assert got == want, (n, k)
+            assert [type(v) for v in got] == [type(v) for v in want], (n, k)
+
+    def test_pair_reverts_at_the_least_window_order(self, monkeypatch):
+        orders = []
+        reversion = PowerSeries.reversion
+
+        def recorded(f):
+            orders.append(f.order)
+            return reversion(f)
+
+        monkeypatch.setattr(PowerSeries, "reversion", recorded)
+        order = 20
+        f = PowerSeries([0, 1, Fraction(1, 2), -1, Fraction(2, 3)], order)
+        for n, k in self._window_pairs(order):
+            least = min(
+                N for N in range(2, order + 1) if schur_jabotinsky_window(N, n, k)
+            )
+            orders.clear()
+            schur_jabotinsky_pair(f, n, k)
+            assert len(orders) == 1 and orders[0] <= least, (n, k, orders)
 
     def test_window_predicate_mirrors_guards(self):
         f = PowerSeries([0, 1, 1], 10)
