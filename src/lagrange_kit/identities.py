@@ -10,7 +10,7 @@ min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
 for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
 ``conv_n_max``, ``degree_bound``, ``i_total_max``, ``trials``,
-``pair_trials``) or an ``order`` outside
+``pair_trials``, ``m_max``, ``series_m_max``) or an ``order`` outside
 ``min_order`` up to ``MAX_ORDER``, the cap that the CLI's ``--order``
 shares.  The report's ``params`` are the bound arguments minus ``order``
 and its ``checks`` count every ``rec.expect`` and
@@ -150,6 +150,11 @@ TRIALS_LIMIT = 3000
 # the largest pair_trials: at 1200 hirzebruch-residue takes 0.9 s on a
 # 2-core host at its default pair_order 15 (17 s at pair_order 200)
 PAIR_TRIALS_LIMIT = 1200
+# the largest m_max and series_m_max: at its default order 26, r-m takes
+# 0.3 s at m_max 8 on a 2-core host (0.65 s at 10), 0.2 s at series_m_max
+# 200 (0.43 s at 400)
+M_MAX_LIMIT = 8
+SERIES_M_MAX_LIMIT = 200
 SIZE_LIMITS = {
     "n_max": N_MAX_LIMIT,
     "conv_n_max": N_MAX_LIMIT,
@@ -157,6 +162,8 @@ SIZE_LIMITS = {
     "i_total_max": I_TOTAL_MAX_LIMIT,
     "trials": TRIALS_LIMIT,
     "pair_trials": PAIR_TRIALS_LIMIT,
+    "m_max": M_MAX_LIMIT,
+    "series_m_max": SERIES_M_MAX_LIMIT,
 }
 
 IDENTITY_CATALOG: dict = {}

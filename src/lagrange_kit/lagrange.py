@@ -49,6 +49,7 @@ from .errors import (
     BadConstantTerm,
     FormAUndefined,
     NotReversible,
+    OrderMismatch,
     OutOfPrecision,
     SizeLimit,
     UnguardedCoefficient,
@@ -58,6 +59,7 @@ from .series import (
     LaurentSeries,
     PowerSeries,
     _divide,
+    _over_lcm,
     _powers,
     compose,
 )
@@ -67,32 +69,33 @@ def solve_xR(R: PowerSeries) -> PowerSeries:
     """The unique power series f with f = x * R(f), by form A with phi = t:
     [x^k] f = (1/k) [t^(k-1)] R^k.
 
-    The powers R, R^2, ... come from the series engine's power walk, one
-    at a time.  On the fraction path each power is one integer vector over
-    one denominator with its content divided out after every step, so each
-    coefficient of f is one Fraction.  An integer R gives int coefficients,
-    and MultiPoly R runs the same walk with denominator 1.  The result is
-    verified by direct substitution before returning.  f has the order of
-    R; for a shorter f, truncate R.
+    The powers R, R^2, ... come from the series engine's power walk on R's
+    stored form.  For a rational R each power is one integer vector over one
+    denominator, and f is one such vector over the lcm of the k * den.  An
+    integer R gives int coefficients, and MultiPoly R runs the same walk
+    natively.  The result is verified by direct substitution before
+    returning.  f has the order of R; for a shorter f, truncate R.
     """
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
-    known = [0, R.coeffs[0]]
-    powers = _powers(R.coeffs, n - 1, n - 1)
-    next(powers)  # R itself: [x^1] f is R(0)
-    for k, (power, den) in enumerate(powers, 2):
-        c = power[k - 1]
-        if den is not None:
-            known.append(Fraction(c, k * den) if c else 0)
-        elif isinstance(c, int) and not c % k:
+    powers = _powers(R._form, n - 1, n - 1)
+    nums, den = next(powers)  # R itself: [x^1] f is R(0)
+    if den is None:
+        known = [0, nums[0]]
+        for k, (power, _) in enumerate(powers, 2):
+            c = power[k - 1]
             # an integer R gives an integer f: keep its coefficients ints
-            known.append(c // k)
-        else:
-            known.append(scalar_div_int(c, k))
-    f = PowerSeries(known, n)
-    again = PowerSeries([0, 1], n) * compose(R, f)
-    if not all(a == b for a, b in zip(again.coeffs, f.coeffs)):
+            ok = isinstance(c, int) and not c % k
+            known.append(c // k if ok else scalar_div_int(c, k))
+        f = PowerSeries(known, n)
+    else:
+        tops, dens = [0, nums[0]], [1, den]
+        for k, (power, p_den) in enumerate(powers, 2):
+            tops.append(power[k - 1])
+            dens.append(k * p_den)
+        f = PowerSeries._from(*_over_lcm(tops, dens), 0, n)
+    if PowerSeries([0, 1], n) * compose(R, f) != f:
         raise AssertionError("fixed point failed the substitution check")
     return f
 
@@ -121,7 +124,7 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
             sample = c
             break
     for i in range(1, R.order):
-        c = R.coeffs[i]
+        c = R.coeff(i)
         if isinstance(c, MultiPoly):
             if not c.is_zero() and c.min_total_degree() == 0:
                 raise UnguardedCoefficient(
@@ -190,7 +193,7 @@ def _as_laurent(phi, order: int) -> LaurentSeries:
     if isinstance(phi, PowerSeries):
         phi = phi.to_laurent()
     if phi.order != order:
-        raise ValueError("phi and R must share the truncation order")
+        raise OrderMismatch("phi and R must share the truncation order")
     return phi
 
 
@@ -291,7 +294,7 @@ def constant_term_supplement(phi, R: PowerSeries):
 def log_f_over_x(R: PowerSeries, m: int):
     """[x^m] log(f/x) = (1/m) [t^m] R^m, for R with constant term 1."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise FormAUndefined("the 1/m extraction is undefined for m < 1")
     if R.coeffs[0] != 1:
         raise BadConstantTerm("this extraction requires R(0) = 1")
     return scalar_div_int((R ** m).coeff(m), m)
@@ -354,9 +357,7 @@ def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:
 
 def _divided_derivative(s: PowerSeries, m: int) -> PowerSeries:
     """D^m(s)/m!: coefficient n is C(n + m, m) s_(n+m)."""
-    return PowerSeries(
-        [comb(n + m, m) * c for n, c in enumerate(s.coeffs[m:])], s.order
-    )
+    return s._make([comb(n + m, m) * c for n, c in enumerate(s._nums[m:])], s._den)
 
 
 def _shift_terms(g: PowerSeries, powers, ms) -> list:
@@ -446,7 +447,7 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
         psi = phi
     order = phi.order
     if psi.order != order or H.order != order:
-        raise ValueError("phi, psi, H must share the truncation order")
+        raise OrderMismatch("phi, psi, H must share the truncation order")
     if z_order < 0:
         raise ValueError("z_order must be nonnegative")
     x_order = order - z_order

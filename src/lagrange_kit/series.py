@@ -12,40 +12,40 @@ Both types share one ring arithmetic, written once in the private base
 (``min_exponent`` is 0 on the class).  A binary operation returns a
 ``LaurentSeries`` exactly when an operand is one, and then promotes a
 ``PowerSeries`` operand by ``to_laurent``.  Only the canonical forms
-differ (a Laurent series drops leading zeros), and so do ``derivative``
-and ``integral``, which stay per class because their zero entries differ
-in type: ``PowerSeries.integral`` divides every entry, giving Fraction(0),
-where the Laurent version leaves the int 0.
+differ: a Laurent series drops leading zeros.
 
 Coefficients may be ints, Fractions, or MultiPoly values; ints embed into
 both rings, so 0 and 1 are used as universal padding constants.
 
-Three kernels do the coefficient work, and each skips zero entries:
-``_convolve`` every series product (power series, Laurent series, and the
-powers inside ``reversion``); ``_divide`` every series quotient and
-``PowerSeries.exp``, as one triangular recurrence; and ``_powers`` the walk
-seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.  Only this
-module turns rational data into integers over one denominator: when all
-coefficients are ints and Fractions, at least one a Fraction
-(``_fraction_path``), a kernel scales its input by the lcm of its
-denominators, works on integers, and builds one reduced Fraction per
-result coefficient.  ``_divide`` holds the outputs found so far over one
-running denominator, their lcm, and never clears denominators by powers of
-the scaled divisor's constant term (199! for an exp-like divisor at order
-200).  A chain of products converts once: ``_powers``, the integer ``**``
-and ``compose``'s giant step hold each intermediate result as an integer
-vector over one denominator and multiply with the product step
-``_times``, which divides out the content gcd(den, *nums), so the
-denominator stays the lcm of the entries' instead of growing like
-(order - 1)!^k for exp; the Fractions are built once, from the last
-result.  MultiPoly coefficients take the same loops with denominator 1.  A
-series is false exactly when every stored coefficient is zero, so
-``_convolve`` and ``_divide`` also skip the zero entries of sequences of
-series, such as the z-expansions in ``lagrange``.
+A series holds one exact form, (nums, den).  Rational data (ints and
+Fractions, one of them a nonzero Fraction) is held as FLINT's ``fmpq_poly``
+holds it: integer numerators over one positive denominator, with the content
+gcd(den, *nums) divided out, so that den is the lcm of the entries' own
+denominators and equal series hold equal forms.  The constructor converts a
+list once; every operation works on the integers and returns this form, so
+sums and equality checks are integer comparisons.  The Fractions are built
+only when ``coeffs``, ``coeff``, ``str`` or JSON read them: a reduced
+Fraction for each nonzero entry and the int 0 for each zero one (``exp``
+reads as its recurrence builds it, the int 1 and then Fractions, zeros
+included).  Ints alone, MultiPoly values and the zero series keep their
+native entries with den None and run the same loops unscaled; an int-only
+operand meets a rational one over den 1 (``_one_path``), and rational data
+meets MultiPoly data as Fractions.
 
-``reversion`` keeps its own walk of Fraction powers, one at a time, and its
-own triangular solve: it is the independent route that ``solve_xR`` is
-checked against, so the two must not share a walk.
+Three kernels do the coefficient work, and each skips zero entries:
+``_times`` every series product (``_product``, then the content);
+``_quotient`` every series quotient and ``PowerSeries.exp``, as one
+triangular recurrence whose entries found so far are held over one
+running denominator, their lcm, never over powers of the divisor's
+constant term (199! for an exp-like divisor at order 200); and ``_powers``
+the walk seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.
+A series is false exactly when every stored coefficient is zero, so
+``_product`` and ``_divide`` also skip the zero entries of lists of series,
+such as the z-expansions in ``lagrange``.
+
+``reversion`` keeps its own walk of Fraction powers, one at a time, each
+product through ``_convolve``: it is the independent route that
+``solve_xR`` is checked against, so the two must not share a walk.
 
 ``compose`` evaluates an outer polynomial of degree d in the inner series
 by baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, itemgetter
 
 from .errors import (
     BadConstantTerm,
@@ -108,27 +109,58 @@ def _same_order(a, b) -> None:
         )
 
 
-def _fraction_path(*seqs) -> bool:
-    """True when the entries of the sequences are ints and Fractions, at
-    least one of them a Fraction: the rational kernels then work on integers
-    over one denominator and return Fractions, with the int 0 for zero."""
-    kinds = {type(c) for seq in seqs for c in seq}
-    return Fraction in kinds and kinds <= {int, Fraction}
-
-
-def _to_integers(*seqs):
-    """The rational sequences scaled to integer lists by one lcm s of all
-    their denominators, and s."""
-    s = lcm(*(c.denominator for seq in seqs for c in seq))
-    return [[c.numerator * (s // c.denominator) for c in seq] for seq in seqs], s
-
-
-def _from_integers(nums, den) -> list:
-    """The integers ``nums`` over ``den`` as reduced Fractions, with the int
-    0 for zero; a ``den`` of None leaves native entries as they are."""
+def _reduced(nums, den):
+    """The form ``nums`` over ``den`` with the content gcd(den, *nums)
+    divided out; a den of None marks native entries."""
     if den is None:
-        return nums
-    return [Fraction(c, den) if c else 0 for c in nums]
+        return nums, None
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return nums, den
+
+
+def _over_lcm(nums, dens):
+    """The fractions nums[i] / dens[i] as one form over the lcm of the
+    dens, reduced when each fraction is."""
+    d = lcm(*dens)
+    return [c * (d // e) for c, e in zip(nums, dens)], d
+
+
+def _integer_form(entries):
+    """The form of a list: over one denominator when its entries are ints
+    and Fractions, one of them a Fraction; otherwise native, den None."""
+    kinds = set(map(type, entries))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return entries, None
+    return _over_lcm([c.numerator for c in entries], [c.denominator for c in entries])
+
+
+def _scalar_form(c):
+    """The scalar c as a one-entry form."""
+    return ([c.numerator], c.denominator) if isinstance(c, Fraction) else ([c], None)
+
+
+def _entries(nums, den) -> tuple:
+    """The entries of a form as ``coeffs`` reads them: native ones as they
+    are, else a reduced Fraction per nonzero entry and the int 0 per zero."""
+    if den is None:
+        return tuple(nums)
+    return tuple(Fraction(c, den) if c else 0 for c in nums)
+
+
+def _one_path(*forms):
+    """The forms on one path: unchanged when all are native; over integer
+    denominators when each is rational or int-only (den 1); otherwise all
+    native, the rational ones read as ``_entries``."""
+    if not any(map(itemgetter(1), forms)):
+        return forms
+    ints = {int}.issuperset
+    lifted = [(n, 1 if d is None and ints(map(type, n)) else d) for n, d in forms]
+    if all(d is not None for _, d in lifted):
+        return lifted
+    return [(_entries(n, d), None) for n, d in forms]
 
 
 def _nonzero_terms(seq) -> list:
@@ -152,55 +184,35 @@ def _product(a, b_terms, length: int) -> list:
     return out
 
 
-def _reduced(nums, den):
-    """The integer vector ``nums`` over ``den`` with the content
-    gcd(den, *nums) divided out, as (nums, den)."""
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
-    return nums, den
-
-
 def _times(x, y, length: int):
-    """The product step of integer vectors over one denominator: x is
-    (nums, den) and y is (terms, den), with terms the nonzero pairs of y's
-    numerators.  Returns x * y cut to ``length`` entries as (nums, den),
-    with the content divided out (``_reduced``).  A den of None marks
-    native entries, ints or MultiPoly, which are multiplied unscaled."""
+    """The product step of forms on one path, x (nums, den) and y (terms,
+    den) with terms y's nonzero pairs: x * y cut to ``length``, reduced."""
     (a, da), (b_terms, db) = x, y
-    nums = _product(a, b_terms, length)
+    return _reduced(_product(a, b_terms, length), da and da * db)
+
+
+def _add(x, y):
+    """The entrywise sum of two forms of one length on one path, reduced."""
+    (a, da), (b, db) = x, y
     if da is None:
-        return nums, None
-    return _reduced(nums, da * db)
+        return list(map(add, a, b)), None
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    return _reduced([p * sa + q * sb for p, q in zip(a, b)], d)
 
 
-def _convolve(a, b, length: int) -> list:
+def _convolve(a, b, length: int) -> tuple:
     """The first ``length`` coefficients of the product of the coefficient
-    sequences ``a`` and ``b``: entry k is the sum of a[i] * b[k - i].
-
-    Zero entries are skipped.  On the fraction path (``_fraction_path``)
-    each operand is scaled to integers by the lcm of its denominators and
-    every result is divided once by the product of the two scales: nonzero
-    results are reduced Fractions, zero results the int 0.  Ints alone, and
-    MultiPoly coefficients, take the same loop unscaled."""
-    scale = None
-    if _fraction_path(a, b):
-        (a,), da = _to_integers(a)
-        (b,), db = _to_integers(b)
-        scale = da * db
-    return _from_integers(_product(a, _nonzero_terms(b), length), scale)
+    lists ``a`` and ``b``, for ``reversion``'s walk: both are converted to
+    their forms, and the product is read back as ``_entries``."""
+    (a, da), (b, db) = _one_path(_integer_form(a), _integer_form(b))
+    return _entries(_product(a, _nonzero_terms(b), length), da and da * db)
 
 
-def _powers(seq, count: int, length: int):
-    """Yield seq^1 .. seq^count as pairs (power, den), each product cut to
-    ``length`` entries by the product step ``_times``.  On the fraction
-    path seq is scaled to integers once and each power is an integer
-    vector over den with its content divided out.  Otherwise the powers
-    hold their native entries, ints or MultiPoly, and den is None."""
-    power, den = seq, None
-    if _fraction_path(seq):
-        (power,), den = _to_integers(seq)
+def _powers(form, count: int, length: int):
+    """Yield form^1 .. form^count as forms (power, den), each product cut
+    to ``length`` entries by the product step ``_times``."""
+    power, den = form
     base = _nonzero_terms(power), den
     for k in range(count):
         if k:
@@ -208,28 +220,26 @@ def _powers(seq, count: int, length: int):
         yield power, den
 
 
-def _divide(a, b, inv0, length: int, by_index: bool = False) -> list:
-    """The first ``length`` coefficients of the quotient of the coefficient
-    sequences ``a`` and ``b``, where ``inv0`` is the inverse of b[0]: entry
-    m is (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.  With
+def _quotient(x, y, inv0, length: int, by_index: bool = False):
+    """The first ``length`` entries of the quotient of the forms x and y,
+    where ``inv0`` is the inverse of y's first entry, as a form: entry m is
+    (a[m] - sum of q[m - j] * b[j] over 0 < j <= m) * inv0.  With
     ``by_index``, b[j] counts as -j b[j] and entry m > 0 is divided by m
     too, its leading term: for a = [1] and inv0 = 1 that is the recurrence
     m q_m = sum of j b[j] q[m - j] of exp(b).
 
-    Entries past the end of ``a`` or ``b`` read as zero.  On the fraction
-    path of ``a``, ``b`` and ``inv0`` the quotient entries found so far are
-    held as integer numerators over one running denominator, so each sum is
-    an integer dot product.  Otherwise the same loop runs unscaled."""
-    a = a[:length]
-    b = b[:length]
-    rational = _fraction_path(a, b, (inv0,))
-    if rational:
-        (a, b), s = _to_integers(a, b)
-        # entry m is (acc / den) * inv0 / s for the integer sum acc below
-        num, den_scale = inv0.numerator, inv0.denominator * s
+    Entries past the end of a or b read as zero.  On the rational path of
+    x, y and ``inv0`` the entries found so far are held as integers over
+    one running denominator, their lcm, so each sum is an integer dot
+    product; the result is that form, a zero one included.  Otherwise the
+    same loop runs unscaled."""
+    (a, da), (b, db), ((num,), di) = _one_path(x, y, _scalar_form(inv0))
+    a, b = a[:length], b[:length]
+    if da is not None and da != db:
+        s = lcm(da, db)
+        a, b, da = [c * (s // da) for c in a], [c * (s // db) for c in b], s
     nonzero_b = [(j, -j * y if by_index else y) for j, y in enumerate(b[1:], 1) if y]
-    q = []  # the quotient so far; over den when rational
-    out = [] if rational else q
+    q = []  # the quotient so far, over den on the rational path
     den = 1
     for m in range(length):
         acc = a[m] if m < len(a) else 0
@@ -238,32 +248,71 @@ def _divide(a, b, inv0, length: int, by_index: bool = False) -> list:
         for j, y in nonzero_b:
             if j > m:
                 break
-            x = q[m - j]
-            if x:
-                acc = acc - x * y
+            v = q[m - j]
+            if v:
+                acc = acc - v * y
         w = m if by_index and m else 1
-        if not rational:
-            q.append(acc * inv0 if w == 1 else scalar_div_int(acc * inv0, w))
+        if da is None:
+            q.append(acc * num if w == 1 else scalar_div_int(acc * num, w))
             continue
-        c = Fraction(acc * num, w * den * den_scale)
-        out.append(c)
-        # hold c over den too, rescaling the held entries if den must grow
-        d = c.denominator
+        # entry m is top / bottom in lowest terms, d its denominator; hold
+        # it over den too, rescaling the held entries if den must grow
+        top, bottom = acc * num, w * den * da * di
+        g = gcd(top, bottom)
+        d = bottom // g
         grow = d // gcd(den, d)
         if grow != 1:
-            q = [x * grow for x in q]
+            q = [v * grow for v in q]
             den *= grow
-        q.append(c.numerator * (den // d))
-    return out
+        q.append(top // g * (den // d))
+    return q, None if da is None else den
+
+
+def _divide(a, b, inv0, length: int) -> list:
+    """``_quotient`` of the coefficient lists ``a`` and ``b`` as a list; on
+    the rational path every entry is a Fraction, the zero ones too."""
+    q, den = _quotient(_integer_form(a), _integer_form(b), inv0, length)
+    return q if den is None else [Fraction(c, den) for c in q]
 
 
 class _Series:
     """The ring operations of both series types, on the stored window
     [min_exponent, order); a ``PowerSeries`` is the window from 0.  A
     binary operation returns a ``LaurentSeries`` exactly when an operand is
-    one, with a ``PowerSeries`` operand promoted by ``to_laurent``."""
+    one, with a ``PowerSeries`` operand promoted by ``to_laurent``.  The
+    window holds the form (nums, den) of the module docstring; ``_typed``
+    is None, or the entries ``coeffs`` reads where they differ from
+    ``_entries`` (``exp``)."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_nums", "_den", "_typed", "order")
+
+    @classmethod
+    def _from(cls, nums, den, min_exponent: int, order: int):
+        """The series of the form nums over den, reduced, from x^min_exponent."""
+        s = cls.__new__(cls)
+        if den is not None:
+            nums, den = _reduced(nums, den)
+        s._store(nums, den, min_exponent, order)
+        return s
+
+    def _make(self, nums, den=None, min_exponent: int = 0):
+        return self._from(nums, den, min_exponent, self.order)
+
+    @property
+    def _form(self):
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients, built from the form when read."""
+        return self._typed or _entries(self._nums, self._den)
+
+    def _entry(self, i: int):
+        """Stored coefficient i, as ``coeffs`` reads it, built alone."""
+        if self._typed:
+            return self._typed[i]
+        c = self._nums[i]
+        return Fraction(c, self._den) if self._den and c else c
 
     def _pair(self, other):
         """self and the series ``other`` as two series of the result's type."""
@@ -273,9 +322,9 @@ class _Series:
         return _as_laurent(self), _as_laurent(other)
 
     def _window(self, m: int):
-        """The coefficients of x^m .. x^(order-1), for m <= min_exponent."""
+        """The numerators of x^m .. x^(order-1), for any m < order."""
         pad = self.min_exponent - m
-        return (0,) * pad + self.coeffs if pad else self.coeffs
+        return (0,) * pad + self._nums if pad >= 0 else self._nums[-pad:]
 
     # -- structure ---------------------------------------------------------
 
@@ -286,17 +335,17 @@ class _Series:
             )
         if n < self.min_exponent:
             return 0
-        return self.coeffs[n - self.min_exponent]
+        return self._entry(n - self.min_exponent)
 
     def valuation(self):
         """Exponent of the first nonzero stored coefficient, or None if all zero."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._nums):
             if c:
                 return self.min_exponent + i
         return None
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._nums)
 
     def is_zero(self) -> bool:
         return not self
@@ -304,74 +353,70 @@ class _Series:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _Series):
-            a, b = self._pair(other)
-            m = min(a.min_exponent, b.min_exponent)
-            return a._make([x + y for x, y in zip(a._window(m), b._window(m))], m)
-        if _is_scalar(other):
-            m = min(self.min_exponent, 0)
-            out = list(self._window(m))
-            out[0 - m] = out[0 - m] + other
-            return self._make(out, m)
-        return NotImplemented
+        if not isinstance(other, _Series):
+            if not _is_scalar(other):
+                return NotImplemented
+            other = self._make(*_scalar_form(other))
+        a, b = self._pair(other)
+        m = min(a.min_exponent, b.min_exponent)
+        x, y = a._window(m), b._window(m)
+        if a._den or b._den:
+            return a._make(*_add(*_one_path((x, a._den), (y, b._den))), m)
+        return a._make(tuple(map(add, x, y)), None, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make([-c for c in self.coeffs], self.min_exponent)
+        return self._make([-c for c in self._nums], self._den, self.min_exponent)
 
     def __sub__(self, other):
-        if isinstance(other, _Series):
+        if isinstance(other, _Series) or _is_scalar(other):
             return self + (-other)
-        if _is_scalar(other):
-            return self + (-1 * other)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Series):
-            a, b = self._pair(other)
-            m = a.min_exponent + b.min_exponent
-            if m >= a.order:
-                return a._make([], 0)
-            return a._make(_convolve(a.coeffs, b.coeffs, a.order - m), m)
         if _is_scalar(other):
-            return self._make([c * other for c in self.coeffs], self.min_exponent)
-        return NotImplemented
+            (a, da), ((c,), dc) = _one_path(self._form, _scalar_form(other))
+            return self._make([x * c for x in a], da and da * dc, self.min_exponent)
+        if not isinstance(other, _Series):
+            return NotImplemented
+        a, b = self._pair(other)
+        m = a.min_exponent + b.min_exponent
+        if m >= a.order:
+            return a._make([])
+        x, (y, dy) = _one_path(a._form, b._form)
+        return a._make(*_times(x, (_nonzero_terms(y), dy), a.order - m), m)
 
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return self._make([other * c for c in self.coeffs], self.min_exponent)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _Series):
-            a, b = self._pair(other)
-            if isinstance(a, LaurentSeries):
-                if not b:
-                    raise DivisionByZeroSeries("division by the zero series")
-                if not a:
-                    return a._make([], 0)
-            elif not b.coeffs[0]:
-                raise DivisionByNonUnit(
-                    "divisor has zero constant term; divide as Laurent series instead"
-                )
-            # a Laurent divisor's first stored coefficient is its leading one
-            inv0 = scalar_inverse(b.coeffs[0])
-            m = a.min_exponent - b.min_exponent
-            if m >= a.order:
-                return a._make([], 0)
-            return a._make(_divide(a.coeffs, b.coeffs, inv0, a.order - m), m)
         if _is_scalar(other):
-            inv = scalar_inverse(other)
-            return self._make([c * inv for c in self.coeffs], self.min_exponent)
-        return NotImplemented
+            return self * scalar_inverse(other)
+        if not isinstance(other, _Series):
+            return NotImplemented
+        a, b = self._pair(other)
+        if isinstance(a, LaurentSeries):
+            if not b:
+                raise DivisionByZeroSeries("division by the zero series")
+            if not a:
+                return a._make([])
+        elif not b._nums[0]:
+            raise DivisionByNonUnit(
+                "divisor has zero constant term; divide as Laurent series instead"
+            )
+        # a Laurent divisor's first stored coefficient is its leading one
+        inv0 = scalar_inverse(b._entry(0))
+        m = a.min_exponent - b.min_exponent
+        if m >= a.order:
+            return a._make([])
+        return a._make(*_quotient(a._form, b._form, inv0, a.order - m), m)
 
     def __rtruediv__(self, other):
         if _is_scalar(other):
-            return self._make([other], 0) / self
+            return self._make(*_scalar_form(other)) / self
         return NotImplemented
 
     def __pow__(self, k):
@@ -379,27 +424,34 @@ class _Series:
             raise TypeError(
                 "** takes integer exponents; use PowerSeries.pow for rational ones"
             )
-        one = self._make([1], 0)
-        base = one / self if k < 0 else self
-        k = abs(k)
-        if not k or not _fraction_path(base.coeffs):
-            return _power(base, k, one)
-        # scale once, then power (min_exponent, nums, den) triples with the
-        # integer product step: each product has the window and length of
-        # the series product, so the entries filled as if the operands were
-        # polynomials are the same; the Fractions are built once
-        n = self.order
+        # binary powering by series products: each product has the window
+        # and length of the series product, so the entries filled as if
+        # the operands were polynomials are those of the same chain
+        one = self._make([1])
+        return _power(one / self if k < 0 else self, abs(k), one)
 
-        def times(x, y):
-            (ma, a, da), (mb, b, db) = x, y
-            m = ma + mb
-            if m >= n:
-                return 0, [0] * n, 1
-            return (m, *_times((a, da), (_nonzero_terms(b), db), n - m))
+    # -- calculus ------------------------------------------------------------
 
-        (nums,), den = _to_integers(base.coeffs)
-        m, nums, den = _power((base.min_exponent, nums, den), k, (0, [1], 1), times)
-        return self._make(_from_integers(nums, den), m)
+    def derivative(self):
+        """Term by term; the x^(order-1) entry, which reads x^order, is 0."""
+        m = self.min_exponent
+        nums = [(m + i) * c if m + i else 0 for i, c in enumerate(self._nums)]
+        return self._make(nums + [0], self._den, m - 1)
+
+    def integral(self):
+        """Term by term; the x^(order-1) entry moves past the window."""
+        if self.coeff(-1) != 0:
+            raise NonIntegrableResidue("nonzero residue has no Laurent antiderivative")
+        m = self.min_exponent
+        # the rational path unless an entry is a MultiPoly value
+        (nums, den), _ = _one_path((self._nums[:-1], self._den), ((), 1))
+        divisors = [m + i + 1 or 1 for i in range(len(nums))]
+        if den is None:
+            nums = [scalar_div_int(c, e) for c, e in zip(nums, divisors)]
+        else:
+            s = lcm(*divisors)
+            nums, den = [c * (s // e) for c, e in zip(nums, divisors)], den * s
+        return self._make(nums, den, m + 1)
 
     # -- comparison and display --------------------------------------------
 
@@ -408,12 +460,13 @@ class _Series:
             return NotImplemented
         a, b = self._pair(other)
         m = min(a.min_exponent, b.min_exponent)
-        return a._window(m) == b._window(m)
+        (x, dx), (y, dy) = _one_path((a._window(m), a._den), (b._window(m), b._den))
+        return dx == dy and x == y
 
     def __hash__(self):
         # over the canonical window, so that equal series of either type agree
         v = self.valuation()
-        start = len(self.coeffs) if v is None else v - self.min_exponent
+        start = len(self._nums) if v is None else v - self.min_exponent
         return hash((self.order, v, self.coeffs[start:]))
 
     def __str__(self):
@@ -441,27 +494,32 @@ class PowerSeries(_Series):
             raise ValueError("order must be at least 1")
         if len(coeffs) > order:
             raise ValueError("more coefficients than the truncation order admits")
-        coeffs.extend([0] * (order - len(coeffs)))
-        self.coeffs = tuple(coeffs)
-        self.order = order
+        self._store(*_integer_form(coeffs), 0, order)
 
-    def _make(self, coeffs, min_exponent: int) -> "PowerSeries":
-        # the window of a power series result starts at x^0
-        return PowerSeries(coeffs, self.order)
+    def _store(self, nums, den, min_exponent: int, order: int) -> None:
+        nums = tuple(nums)
+        if min_exponent:  # derivative and integral move the window by one
+            nums = (0,) * min_exponent + nums[max(-min_exponent, 0) :]
+        if len(nums) < order:
+            nums += (0,) * (order - len(nums))
+        self._nums = nums
+        # the zero series reads natively
+        self._den = den if den and any(nums) else None
+        self._typed, self.order = None, order
 
     # -- simple structure ----------------------------------------------
 
     @property
     def constant_term(self):
-        return self.coeffs[0]
+        return self._entry(0)
 
     def truncated(self, order: int) -> "PowerSeries":
         if not 1 <= order <= self.order:
             raise ValueError("can only truncate to a smaller positive order")
-        return PowerSeries(self.coeffs[:order], order)
+        return PowerSeries._from(self._nums[:order], self._den, 0, order)
 
     def to_laurent(self) -> "LaurentSeries":
-        return LaurentSeries(self.coeffs, 0, self.order)
+        return LaurentSeries._from(self._nums, self._den, 0, self.order)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by x^k (any integer k); the result is a Laurent series."""
@@ -473,35 +531,27 @@ class PowerSeries(_Series):
         e = Fraction(e)
         if e.denominator == 1:
             return self ** int(e)
-        if not (self.coeffs[0] == 1):
+        if not (self._entry(0) == 1):
             raise BadConstantTerm("fractional power needs constant term 1")
         return (e * self.log()).exp()
 
     # -- calculus --------------------------------------------------------
 
-    def derivative(self) -> "PowerSeries":
-        out = [(i + 1) * c for i, c in enumerate(self.coeffs[1:])]
-        out.append(0)
-        return PowerSeries(out, self.order)
-
-    def integral(self) -> "PowerSeries":
-        out = [0]
-        out.extend(
-            scalar_div_int(c, i + 1) for i, c in enumerate(self.coeffs[: self.order - 1])
-        )
-        return PowerSeries(out, self.order)
-
     def exp(self) -> "PowerSeries":
         """exp(self) by the recurrence m y_m = sum of k a_k y_(m-k) over
-        0 < k <= m, run by ``_divide``'s loop."""
-        if self.coeffs[0] != 0:
+        0 < k <= m, run by ``_quotient``'s loop."""
+        if self._nums[0]:
             raise BadConstantTerm("exp needs zero constant term")
-        y = _divide([1], self.coeffs, Fraction(1), self.order, by_index=True)
-        y[0] = 1  # the int 1, not the loop's Fraction(1)
-        return PowerSeries(y, self.order)
+        nums, den = _quotient(([1], None), self._form, Fraction(1), self.order, True)
+        if den is None:
+            return self._make([1, *nums[1:]])
+        y = self._make(nums, den)
+        # read as the recurrence builds it: the int 1, then Fractions
+        y._typed = (1, *(Fraction(c, den) for c in nums[1:]))
+        return y
 
     def log(self) -> "PowerSeries":
-        if self.coeffs[0] != 1:
+        if self._entry(0) != 1:
             raise BadConstantTerm("log needs constant term 1")
         return (self.derivative() / self).integral()
 
@@ -512,17 +562,18 @@ class PowerSeries(_Series):
         n = self.order
         if n < 2:
             raise NotReversible("order too small to determine the linear coefficient")
-        if self.coeffs[0] != 0:
+        coeffs = self.coeffs
+        if coeffs[0] != 0:
             raise NotReversible("constant term must vanish")
         try:
-            inv_c1 = scalar_inverse(self.coeffs[1])
+            inv_c1 = scalar_inverse(coeffs[1])
         except DivisionByNonUnit as exc:
             raise NotReversible("linear coefficient is not invertible") from exc
         # acc[m] sums g_j [x^m] self^j over the j solved so far
         g = [0] * n
         g[1] = inv_c1
         acc = [0] * n
-        power = self.coeffs
+        power = coeffs
         c1pow = inv_c1
         for j in range(1, n):
             if j > 1:
@@ -535,7 +586,7 @@ class PowerSeries(_Series):
                     if a:
                         acc[m] = acc[m] + gj * a
             if j < n - 2:
-                power = _convolve(power, self.coeffs, n)
+                power = _convolve(power, coeffs, n)
         return PowerSeries(g, n)
 
 
@@ -554,26 +605,22 @@ class LaurentSeries(_Series):
             raise ValueError("order must be at least 1")
         if min_exponent + len(coeffs) > order:
             raise ValueError("coefficients extend beyond the truncation order")
-        coeffs.extend([0] * (order - min_exponent - len(coeffs)))
-        start = 0
-        while start < len(coeffs) and not coeffs[start]:
-            start += 1
-        if start == len(coeffs):
-            min_exponent = 0
-            coeffs = [0] * order
-        elif start:
+        self._store(*_integer_form(coeffs), min_exponent, order)
+
+    def _store(self, nums, den, min_exponent: int, order: int) -> None:
+        start = next((i for i, c in enumerate(nums) if c), None)
+        if start is None:
+            nums, den, min_exponent = (), None, 0
+        else:
+            nums = tuple(nums[start:])
             min_exponent += start
-            coeffs = coeffs[start:]
-        self.coeffs = tuple(coeffs)
+        self._nums = nums + (0,) * (order - min_exponent - len(nums))
+        self._den, self._typed, self.order = den, None, order
         self.min_exponent = min_exponent
-        self.order = order
 
     @classmethod
     def zero(cls, order: int) -> "LaurentSeries":
         return cls([], 0, order)
-
-    def _make(self, coeffs, min_exponent: int) -> "LaurentSeries":
-        return LaurentSeries(coeffs, min_exponent, self.order)
 
     # -- structure ---------------------------------------------------------
 
@@ -588,19 +635,13 @@ class LaurentSeries(_Series):
             return self
         if self.min_exponent + k >= self.order:
             return LaurentSeries.zero(self.order)
-        vals = list(self.coeffs)
-        if k > 0:
-            vals = vals[: max(0, len(vals) - k)]
-        else:
-            vals = vals + [0] * (-k)
-        return LaurentSeries(vals, self.min_exponent + k, self.order)
+        nums = self._nums[: max(0, len(self._nums) - k)] if k > 0 else self._nums
+        return self._make(nums, self._den, self.min_exponent + k)
 
     def to_power_series(self) -> PowerSeries:
         if self.min_exponent < 0:
             raise ValueError("series has negative exponents")
-        return PowerSeries(
-            [0] * self.min_exponent + list(self.coeffs), self.order
-        )
+        return PowerSeries._from(self._window(0), self._den, 0, self.order)
 
     def product_coeff(self, other, n: int):
         """[x^n] (self * other) for a series ``other``, read as one dot
@@ -617,42 +658,13 @@ class LaurentSeries(_Series):
         k = n - self.min_exponent - o.min_exponent
         if k < 0 or self.is_zero() or o.is_zero():
             return 0
-        a, b = self.coeffs, o.coeffs
+        (a, da), (b, db) = _one_path(self._form, o._form)
         total = 0
         for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
             x, y = a[i], b[k - i]
             if x and y:
                 total = total + x * y
-        # entry k of _convolve(a, b, k + 1), typed as there
-        if _fraction_path(a, b):
-            return Fraction(total) if total else 0
-        return total
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self) -> "LaurentSeries":
-        if self.is_zero():
-            return LaurentSeries.zero(self.order)
-        m = self.min_exponent
-        out = [0] * (self.order - (m - 1))
-        for i, c in enumerate(self.coeffs):
-            e = m + i
-            if e == 0 or not c:
-                continue
-            out[e - 1 - (m - 1)] = e * c
-        return LaurentSeries(out, m - 1, self.order)
-
-    def integral(self) -> "LaurentSeries":
-        if self.residue() != 0:
-            raise NonIntegrableResidue("nonzero residue has no Laurent antiderivative")
-        m = self.min_exponent
-        out = [0] * (self.order - (m + 1))
-        for i, c in enumerate(self.coeffs):
-            e = m + i
-            if e == -1 or not c or e + 1 >= self.order:
-                continue
-            out[e + 1 - (m + 1)] = scalar_div_int(c, e + 1)
-        return LaurentSeries(out, m + 1, self.order)
+        return Fraction(total, da * db) if da and total else total
 
 
 def _render(coeffs, min_exponent, order) -> str:
@@ -698,15 +710,12 @@ def compose(outer, inner: PowerSeries):
     rule in the giant step inner^s combines the blocks.  That is about
     2 sqrt(d) series products where Horner's rule in inner takes d: none
     for a linear outer, two for a quadratic one.  The baby steps and the
-    giant step come from one power walk, ``_powers``.  On the fraction path
-    the baby steps are integer vectors over one denominator, so each block
-    sum is an integer dot product, and Horner's rule keeps the running sum
-    as one integer vector over one denominator: each step is the product
-    step ``_times`` by the giant step plus the next block, and the Fractions
-    are built once, at the end.  The constant
-    coefficient is added last, as a scalar, so the values, and for rational
-    data and an inner series of valuation 1 the coefficient types, are
-    those of Horner's rule.
+    giant step come from one power walk, ``_powers``.  On the rational path
+    the baby steps are brought over one denominator, so each block sum is
+    an integer dot product, and Horner's rule keeps the running sum as one
+    form: each step is the product step ``_times`` by the giant step plus
+    the next block.  The constant coefficient is added last, as a scalar,
+    so the values and the coefficient types are those of Horner's rule.
     """
     if isinstance(inner, LaurentSeries):
         raise InadmissibleComposition("inner operand must be a power series")
@@ -717,7 +726,7 @@ def compose(outer, inner: PowerSeries):
                 "a Laurent outer series needs an inner series of valuation 1"
             )
         n = outer.order
-        pos = PowerSeries([outer.coeff(k) for k in range(n)], n)
+        pos = PowerSeries._from(outer._window(0), outer._den, 0, n)
         result = compose(pos, inner).to_laurent()
         if outer.min_exponent < 0:
             inv_inner = LaurentSeries([1], 0, n) / inner.to_laurent()
@@ -732,25 +741,22 @@ def compose(outer, inner: PowerSeries):
     if not isinstance(outer, PowerSeries):
         raise InadmissibleComposition("outer operand must be a series")
     _same_order(outer, inner)
-    if inner.coeffs[0] != 0:
+    if inner._nums[0]:
         raise InadmissibleComposition("inner constant term must vanish")
     n = outer.order
-    top = max((i for i, c in enumerate(outer.coeffs) if c), default=0)
+    top = max((i for i, c in enumerate(outer._nums) if c), default=0)
     s = isqrt(top) + 1
-    terms = [0] + list(outer.coeffs[1 : top + 1])  # c_0 is added last
+    # c_0 is added last
+    (terms, e), inner_form = _one_path(
+        ([0, *outer._nums[1 : top + 1]], outer._den), inner._form
+    )
     # the baby steps inner^0 .. inner^(s-1), then inner^s if top >= s
-    powers = [([1], None), *_powers(inner.coeffs, min(s, top), n)]
-    if _fraction_path([c for c in terms if c], inner.coeffs):
-        # every power over its denominator, 1 for an integer inner series
-        powers = [(p, p_den or 1) for p, p_den in powers]
+    powers = [([1], e and 1), *_powers(inner_form, min(s, top), n)]
+    baby, den = [p for p, _ in powers[:s]], None
+    if e is not None:
         d = lcm(*(p_den for _, p_den in powers[:s]))
         baby = [[c * (d // p_den) for c in p] for p, p_den in powers[:s]]
-        (terms,), e = _to_integers(terms)
         den = d * e
-    else:
-        powers = [(_from_integers(p, p_den), None) for p, p_den in powers]
-        baby = [p for p, _ in powers[:s]]
-        den = None
     baby = [_nonzero_terms(p) for p in baby]
     blocks = []
     for start in range(0, top + 1, s):
@@ -760,28 +766,14 @@ def compose(outer, inner: PowerSeries):
                 for m, y in baby[i]:
                     block[m] += c * y
         blocks.append(block)
-    acc, acc_den = blocks.pop(), den
+    acc = blocks.pop(), den
     if blocks:
-        giant, giant_den = powers[s]
-        giant = _nonzero_terms(giant), giant_den
+        giant = _nonzero_terms(powers[s][0]), powers[s][1]
     while blocks:
-        # Horner's rule in the giant step; on the fraction path acc is one
-        # integer vector over acc_den
-        (acc, acc_den), block = _times((acc, acc_den), giant, n), blocks.pop()
-        if den is None:
-            # a zero sum is the int 0, as on the fraction path
-            acc = [(x + y) or 0 for x, y in zip(acc, block)]
-        else:
-            common = lcm(acc_den, den)
-            acc, acc_den = _reduced(
-                [
-                    x * (common // acc_den) + y * (common // den)
-                    for x, y in zip(acc, block)
-                ],
-                common,
-            )
-    result = PowerSeries(_from_integers(acc, acc_den), n)
-    c0 = outer.coeffs[0]
+        # Horner's rule in the giant step
+        acc = _add(_times(acc, giant, n), (blocks.pop(), den))
+    result = PowerSeries._from(*acc, 0, n)
+    c0 = outer._entry(0)
     return result + c0 if c0 else result
 
 

@@ -15,9 +15,11 @@ from lagrange_kit.identities import (
     DEGREE_BOUND_LIMIT,
     I_TOTAL_MAX_LIMIT,
     IDENTITY_CATALOG,
+    M_MAX_LIMIT,
     MAX_ORDER,
     N_MAX_LIMIT,
     PAIR_TRIALS_LIMIT,
+    SERIES_M_MAX_LIMIT,
     TRIALS_LIMIT,
     IdentityReport,
     _binomial_convolutions,
@@ -212,6 +214,10 @@ class TestEntryChecks:
             # r_4 has 5 u-coefficients, more than an order-4 series holds
             ("r-m", {"order": 4, "series_m_max": 6}),
             ("r-m", {"order": 5, "m_max": 5, "series_m_max": 5}),
+            ("r-m", {"m_max": -1}),
+            ("r-m", {"m_max": M_MAX_LIMIT + 1}),
+            ("r-m", {"series_m_max": -1}),
+            ("r-m", {"series_m_max": SERIES_M_MAX_LIMIT + 1}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
@@ -245,12 +251,14 @@ class TestEntryChecks:
             ("hirzebruch-residue", {"pair_order": MAX_ORDER, "pair_trials": 2}),
             ("r-m", {"order": 4, "series_m_max": 3}),
             ("r-m", {"order": 4, "m_max": 3, "series_m_max": 6}),
+            ("r-m", {"m_max": M_MAX_LIMIT}),
+            ("r-m", {"series_m_max": SERIES_M_MAX_LIMIT}),
         ],
     )
     def test_trial_and_pair_limits_are_inclusive(self, name, params):
         report = run_identity(name, **params)
         assert report.passed
-        for key in ("trials", "pair_trials", "series_m_max"):
+        for key in ("trials", "pair_trials", "m_max", "series_m_max"):
             if key in params:
                 assert report.params[key] == params[key]
 

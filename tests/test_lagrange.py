@@ -13,6 +13,7 @@ from lagrange_kit.errors import (
     BadConstantTerm,
     FormAUndefined,
     NotReversible,
+    OrderMismatch,
     OutOfPrecision,
     SizeLimit,
     UnguardedCoefficient,
@@ -532,7 +533,7 @@ class TestPolynomiality:
     def test_log_route_requires_unit_one(self):
         with pytest.raises(BadConstantTerm):
             log_f_over_x(PowerSeries([2, 1], 6), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormAUndefined):
             log_f_over_x(PowerSeries([1, 1], 6), 0)
 
     def test_constant_term_supplement(self):
@@ -775,6 +776,13 @@ class TestShiftedEquation:
         phi = PowerSeries([1], 4)
         with pytest.raises(ValueError):
             derivative_form(phi, phi, 4)
+
+    def test_mixed_orders_raise_order_mismatch(self):
+        phi = PowerSeries([1, 2, 3], 6)
+        with pytest.raises(OrderMismatch):
+            derivative_form(phi, PowerSeries([1, 1], 7), 2)
+        with pytest.raises(OrderMismatch):
+            inversion_form_sweep(phi, PowerSeries([1, 1], 7), [1])
 
     def test_negative_z_order_rejected_up_front(self):
         phi = PowerSeries([1, 2, 3], 6)

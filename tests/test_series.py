@@ -20,7 +20,7 @@ from lagrange_kit.errors import (
     OutOfPrecision,
 )
 from lagrange_kit.cli import _series_from_literal
-from lagrange_kit.scalars import PolyRing, scalar_inverse
+from lagrange_kit.scalars import MultiPoly, PolyRing, scalar_inverse
 from lagrange_kit.series import (
     LaurentSeries,
     PowerSeries,
@@ -802,3 +802,276 @@ class TestSerialization:
         s = LaurentSeries([1, Fraction(1, 3)], -1, 3)
         text = json.dumps(series_to_json(s), sort_keys=True)
         assert "1/3" in text
+
+
+# -- the type rule, against a naive Fraction reference ---------------------------
+#
+# A naive series is (low, values): its window [low, ORDER) as Fractions or
+# MultiPoly values, with every operation done one scalar at a time.  The type
+# rule says which type each coefficient reads as: a "poly" result (a MultiPoly
+# operand) keeps native arithmetic, so only its values are compared; a
+# "rational" result (a Fraction operand, or a quotient) reads a Fraction for
+# every nonzero entry and the int 0 for every zero one; an "int" result, and
+# a result that is zero throughout, reads ints.
+
+_KIND_ORDER = ("int", "rational", "poly")
+
+
+def _kind(entries):
+    """The kind of a list of entries: "poly" with a MultiPoly among them,
+    "rational" with a Fraction and a nonzero entry, otherwise "int"."""
+    if any(isinstance(c, MultiPoly) for c in entries):
+        return "poly"
+    if any(type(c) is Fraction for c in entries) and any(entries):
+        return "rational"
+    return "int"
+
+
+def _join(*kinds):
+    return max(kinds, key=_KIND_ORDER.index)
+
+
+def _naive(s):
+    return s.min_exponent, [
+        c if isinstance(c, MultiPoly) else Fraction(c) for c in s.coeffs
+    ]
+
+
+def _value(x, n):
+    low, values = x
+    return values[n - low] if 0 <= n - low < len(values) else 0
+
+
+def _naive_add(x, y):
+    low = min(x[0], y[0])
+    return low, [_value(x, n) + _value(y, n) for n in range(low, ORDER)]
+
+
+def _naive_mul(x, y):
+    (la, a), (lb, b) = x, y
+    out = [0] * max(ORDER - la - lb, 0)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            if i + j < len(out) and p and q:
+                out[i + j] += p * q
+    return la + lb, out
+
+
+def _naive_div(x, y):
+    """The quotient recurrence on y's leading entry; entries past either
+    window read as zero, and zero over a series is zero."""
+    if not any(x[1]):
+        return 0, []
+    lb = next(n for n in range(y[0], ORDER) if _value(y, n))
+    low = x[0] - lb
+    q = []
+    for t in range(ORDER - low):
+        acc = _value(x, x[0] + t)
+        for i in range(t):
+            acc -= q[i] * _value(y, lb + t - i)
+        q.append(acc / _value(y, lb))
+    return low, q
+
+
+def _naive_pow(x, k):
+    one = (0, [Fraction(1)])
+    if k < 0:
+        x, k = _naive_div(one, x), -k
+    result = one
+    while k:
+        if k & 1:
+            result = _naive_mul(result, x)
+        k >>= 1
+        if k:
+            x = _naive_mul(x, x)
+    return result
+
+
+def _naive_compose(outer, inner):
+    values = outer[1]
+    top = max((i for i, c in enumerate(values) if c), default=0)
+    acc = (0, [values[top]])
+    for k in range(top - 1, -1, -1):
+        acc = _naive_mul(acc, inner)
+        if values[k]:
+            acc = _naive_add(acc, (0, [values[k]]))
+    return acc
+
+
+def _naive_exp(a):
+    y = [Fraction(1)]
+    for m in range(1, ORDER):
+        y.append(sum((k * a[k] * y[m - k] for k in range(1, m + 1)), Fraction(0)) / m)
+    return 0, y
+
+
+def _naive_log(a):
+    derivative = (0, [(i + 1) * c for i, c in enumerate(a[1][1:])] + [0])
+    q = _naive_div(derivative, a)
+    return 0, [Fraction(0)] + [_value(q, i) / Fraction(i + 1) for i in range(ORDER - 1)]
+
+
+def _naive_reversion(f):
+    """g with f(g) = x, one coefficient at a time: [x^n] f(g) is f_1 g_n
+    plus terms in g_1 .. g_(n-1)."""
+    g = [Fraction(0), 1 / f[1][1]] + [Fraction(0)] * (ORDER - 2)
+    for n in range(2, ORDER):
+        g[n] = -_value(_naive_compose(f, (0, g)), n) / f[1][1]
+    return 0, g
+
+
+def _rebuilt(s):
+    if isinstance(s, PowerSeries):
+        return PowerSeries(s.coeffs, ORDER)
+    return LaurentSeries(s.coeffs, s.min_exponent, ORDER)
+
+
+def _obeys_type_rule(got, expected, kind):
+    """got reads the values of the naive series ``expected`` with the types
+    of ``kind``, and equals and hashes as the series rebuilt from its
+    coefficients."""
+    exponents = range(-2 * ORDER, ORDER)
+    have = [got.coeff(n) for n in exponents]
+    want = [_value(expected, n) for n in exponents]
+    assert have == want
+    if kind == "rational" and not any(want):
+        kind = "int"
+    if kind == "int":
+        assert all(type(c) is int for c in have)
+    elif kind == "rational":
+        assert [type(c) for c in have] == [Fraction if v else int for v in want]
+    # the whole window reads as each coefficient alone
+    stored = [got.coeff(n) for n in range(got.min_exponent, ORDER)]
+    assert [(c, type(c)) for c in got.coeffs] == [(c, type(c)) for c in stored]
+    again = _rebuilt(got)
+    assert again == got
+    assert hash(again) == hash(got)
+
+
+@st.composite
+def _operand(draw, scalars):
+    """(series, kind) for a window drawn by ``_windows``."""
+    s = draw(_windows(scalars))
+    return s, _kind(s.coeffs)
+
+
+_OPERATIONS = {
+    "+": (operator.add, _naive_add),
+    "-": (operator.sub, lambda x, y: _naive_add(x, (y[0], [-c for c in y[1]]))),
+    "*": (operator.mul, _naive_mul),
+    "/": (operator.truediv, _naive_div),
+}
+_UNDEFINED = (DivisionByNonUnit, DivisionByZeroSeries, ZeroDivisionError)
+
+
+class TestTypeRule:
+    """Every kernel result reads the values of a naive Fraction
+    computation with the types of the type rule (the comment above)."""
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data(), op=st.sampled_from(sorted(_OPERATIONS)))
+    def test_series_arithmetic(self, kind, data, op):
+        (a, ka), (b, kb) = (data.draw(_operand(KERNEL_SCALARS[kind])) for _ in "ab")
+        engine, naive = _OPERATIONS[op]
+        try:
+            got = engine(a, b)
+        except _UNDEFINED:
+            return
+        # a quotient is rational unless a MultiPoly takes part
+        extra = ("rational",) if op == "/" else ()
+        _obeys_type_rule(got, naive(_naive(a), _naive(b)), _join(ka, kb, *extra))
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data(), op=st.sampled_from(sorted(_OPERATIONS)), swap=st.booleans())
+    def test_scalar_arithmetic(self, kind, data, op, swap):
+        a, ka = data.draw(_operand(KERNEL_SCALARS[kind]))
+        c = data.draw(KERNEL_SCALARS[kind])
+        engine, naive = _OPERATIONS[op]
+        lift = (0, [c if isinstance(c, MultiPoly) else Fraction(c)])
+        try:
+            got = engine(c, a) if swap else engine(a, c)
+        except _UNDEFINED:
+            return
+        expected = naive(lift, _naive(a)) if swap else naive(_naive(a), lift)
+        extra = ("rational",) if op == "/" else ()
+        _obeys_type_rule(got, expected, _join(ka, _kind([c]), *extra))
+
+    @pytest.mark.parametrize("kind", ["int-only", "fractions", "mixed"])
+    @fast
+    @given(data=st.data(), k=st.integers(min_value=-4, max_value=6))
+    def test_powers(self, kind, data, k):
+        a, ka = data.draw(_operand(KERNEL_SCALARS[kind]))
+        try:
+            got = a ** k
+        except _UNDEFINED:
+            return
+        kinds = ("int",) if k == 0 else (ka, "rational") if k < 0 else (ka,)
+        _obeys_type_rule(got, _naive_pow(_naive(a), k), _join(*kinds))
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data(), k=st.integers(min_value=-4, max_value=4))
+    def test_shift_and_product_coeff(self, kind, data, k):
+        (a, ka), (b, kb) = (data.draw(_operand(KERNEL_SCALARS[kind])) for _ in "ab")
+        shifted = a.shift(k)
+        _obeys_type_rule(shifted, (a.min_exponent + k, _naive(a)[1]), ka)
+        product = _naive_mul(_naive(a), _naive(b))
+        for n in range(-6, ORDER):
+            got = a.to_laurent().product_coeff(b, n) if isinstance(
+                a, PowerSeries
+            ) else a.product_coeff(b, n)
+            assert got == _value(product, n)
+            if _join(ka, kb) != "poly":
+                rational = _join(ka, kb) == "rational" and got
+                assert type(got) is (Fraction if rational else int)
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data())
+    def test_compose(self, kind, data):
+        scalars = KERNEL_SCALARS[kind]
+        outer_entries = data.draw(_outer_coeffs(scalars))
+        inner_entries = [0, data.draw(_nonzero(scalars))] + data.draw(
+            st.lists(scalars, max_size=ORDER - 2)
+        )
+        outer = PowerSeries(outer_entries, ORDER)
+        inner = PowerSeries(inner_entries, ORDER)
+        expected = _naive_compose(_naive(outer), _naive(inner))
+        # Horner's rule forms no product for a constant outer series
+        constant = not any(outer.coeffs[1:])
+        kinds = (_kind(outer_entries),) + (() if constant else (_kind(inner_entries),))
+        _obeys_type_rule(compose(outer, inner), expected, _join(*kinds))
+
+    @kernel_kinds
+    @fast
+    @given(data=st.data())
+    def test_exp_and_log(self, kind, data):
+        tail = data.draw(st.lists(KERNEL_SCALARS[kind], max_size=ORDER - 1))
+        a = PowerSeries([0] + tail, ORDER)
+        ka = _kind(tail)
+        e = a.exp()
+        expected = _naive_exp(_naive(a)[1])
+        assert list(e.coeffs) == expected[1]
+        if ka != "poly":
+            # exp reads as its recurrence builds it: the int 1, then Fractions
+            assert [type(c) for c in e.coeffs] == [int] + [Fraction] * (ORDER - 1)
+        again = _rebuilt(e)
+        assert again == e and hash(again) == hash(e)
+        one_plus = a + 1
+        _obeys_type_rule(
+            one_plus.log(), _naive_log(_naive(one_plus)), _join(ka, "rational")
+        )
+
+    @pytest.mark.parametrize("kind", ["int-only", "fractions", "mixed"])
+    @fast
+    @given(data=st.data())
+    def test_reversion(self, kind, data):
+        scalars = KERNEL_SCALARS[kind]
+        f = PowerSeries(
+            [0, data.draw(_nonzero(scalars))]
+            + data.draw(st.lists(scalars, max_size=ORDER - 2)),
+            ORDER,
+        )
+        _obeys_type_rule(f.reversion(), _naive_reversion(_naive(f)), "rational")
