@@ -47,19 +47,18 @@ def _series_from_literal(literal: str, order: int) -> PowerSeries:
     """Comma-separated rationals, or one of the named presets."""
     text = literal.strip()
     if text == "exp":
-        return PowerSeries([Fraction(1, factorial(n)) for n in range(order)], order)
-    if text == "geom":
-        return PowerSeries([1] * order, order)
-    if text == "one-plus-t-squared":
-        return PowerSeries([1, 0, 1], order)
-    coeffs = []
-    position = 0
-    for token in text.split(","):
-        coeffs.append(parse_rational(token, position))
-        position += len(token) + 1
-    if len(coeffs) > order:
-        coeffs = coeffs[:order]
-    return PowerSeries(coeffs, order)
+        coeffs = [Fraction(1, factorial(n)) for n in range(order)]
+    elif text == "geom":
+        coeffs = [1] * order
+    elif text == "one-plus-t-squared":
+        coeffs = [1, 0, 1]
+    else:
+        coeffs = []
+        position = 0
+        for token in text.split(","):
+            coeffs.append(parse_rational(token, position))
+            position += len(token) + 1
+    return PowerSeries(coeffs[:order], order)
 
 
 def _parse_int_list(literal: str) -> list:

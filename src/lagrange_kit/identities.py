@@ -37,7 +37,7 @@ from operator import mul
 from .errors import DegreeViolation, InsufficientRange, SizeLimit, UnknownIdentity
 from .lagrange import (
     raney_coefficient,
-    schur_jabotinsky_check,
+    schur_jabotinsky_pair,
     schur_jabotinsky_window,
     solve_indeterminate,
     solve_xR,
@@ -90,7 +90,7 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "identity": self.name,
             "params": _json_value(self.params),
@@ -100,8 +100,6 @@ class IdentityReport:
         }
         if self.details is not None:
             out["details"] = _json_value(self.details)
-        if include_elapsed:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
 
 
@@ -1514,8 +1512,8 @@ def check_schur_jabotinsky(
             coeffs.append(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
         fr = PowerSeries(coeffs, order)
         n, k = rng.choice(candidates)
-        rec.require(
-            schur_jabotinsky_check(fr, n, k),
+        rec.expect(
+            *schur_jabotinsky_pair(fr, n, k),
             "random trial %d at n=%d k=%d" % (trial, n, k),
         )
 

@@ -58,9 +58,9 @@ from .scalars import MultiPoly, scalar_div_int, scalar_inverse
 from .series import (
     LaurentSeries,
     PowerSeries,
-    _divide,
     _over_lcm,
     _powers,
+    _quotient,
     compose,
 )
 
@@ -267,19 +267,6 @@ def inversion_form_sweep(phi, R: PowerSeries, n_values) -> list[FormValues]:
     return out
 
 
-def coeff_all_forms(phi, R: PowerSeries, n: int) -> FormValues:
-    """All extraction forms at a single index n."""
-    return inversion_form_sweep(phi, R, [n])[0]
-
-
-def coefficient_form_a(phi, R: PowerSeries, n: int):
-    """(1/n) [t^(n-1)] phi' R^n; undefined at n = 0."""
-    if n == 0:
-        raise FormAUndefined("the 1/n extraction form is undefined at n = 0")
-    phi = _as_laurent(phi, R.order)
-    return scalar_div_int((phi.derivative() * R ** n).coeff(n - 1), n)
-
-
 def constant_term_supplement(phi, R: PowerSeries):
     """[x^0] phi(f) for f = x R(f): [t^0] phi + residue(phi' log(R/r0))."""
     r0 = R.constant_term
@@ -342,17 +329,12 @@ def schur_jabotinsky_pair(f: PowerSeries, n: int, k: int):
     return lhs, Fraction(k, n) * (g.to_laurent() ** (-n)).coeff(-k)
 
 
-def schur_jabotinsky_check(f: PowerSeries, n: int, k: int) -> bool:
-    lhs, rhs = schur_jabotinsky_pair(f, n, k)
-    return lhs == rhs
-
-
 # -- expansions for f = x + z H(f) -------------------------------------------
 #
 # Values of "series in z with power-series-in-x entries" are plain lists
 # indexed by the z exponent; every entry shares one x truncation order.
 # The powers of f - x are formed entry by entry (``_shifted_powers``);
-# quotients of such lists go through the series kernel ``_divide``.
+# quotients of such lists go through the series kernel ``_quotient``.
 
 
 def _divided_derivative(s: PowerSeries, m: int) -> PowerSeries:
@@ -449,10 +431,11 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     if psi.order != order or H.order != order:
         raise OrderMismatch("phi, psi, H must share the truncation order")
     if z_order < 0:
-        raise ValueError("z_order must be nonnegative")
+        raise SizeLimit("z_order must be nonnegative")
     x_order = order - z_order
     if x_order < 1:
-        raise ValueError("z_order too large for this truncation order")
+        raise OutOfPrecision("z_order %d leaves no x window at order %d"
+                             % (z_order, order))
 
     one = PowerSeries([1], order)
     powers = list(accumulate([H] * z_order, mul, initial=one))
@@ -473,7 +456,7 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     if h_f[: z_order] != delta[1:]:
         raise AssertionError("shifted fixed point failed the substitution check")
     denom = [one] + [-e for e in hp_f[: z_order]]
-    ratio_direct = _divide(psi_f, denom, 1, z_order + 1)
+    ratio_direct, _ = _quotient((psi_f, None), (denom, None), 1, z_order + 1)
 
     cut = lambda entries: [e.truncated(x_order) for e in entries]
     return ShiftExpansion(
@@ -496,8 +479,10 @@ def cauchy_convolution_check(phi: PowerSeries, psi: PowerSeries,
     shift(psi) against shift(phi psi), compared through the exact x window.
     """
     order = phi.order
-    if n < 0 or order - n < 2:
-        raise ValueError("n out of range for this truncation order")
+    if n < 0:
+        raise SizeLimit("n must be nonnegative")
+    if order - n < 2:
+        raise OutOfPrecision("n = %d leaves no x window at order %d" % (n, order))
     x_order = order - n
     powers = list(accumulate([H] * n, mul, initial=PowerSeries([1], order)))
     ms = range(n + 1)

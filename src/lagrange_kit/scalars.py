@@ -427,20 +427,6 @@ class MultiPoly:
     def __repr__(self):
         return "MultiPoly(%r, %s)" % (list(self.vars), str(self))
 
-    def to_json(self) -> dict:
-        return {
-            ",".join(str(v) for v in e): format_rational(c)
-            for e, c in self._sorted_terms()
-        }
-
-    @classmethod
-    def from_json(cls, vars, obj) -> "MultiPoly":
-        terms = {}
-        for key, val in obj.items():
-            e = tuple(int(part) for part in key.split(",")) if key else ()
-            terms[e] = parse_rational(val)
-        return cls(vars, terms)
-
 
 class PolyRing:
     """Factory for MultiPoly values over one fixed variable tuple."""

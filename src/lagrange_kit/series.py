@@ -24,7 +24,7 @@ gcd(den, *nums) divided out, so that den is the lcm of the entries' own
 denominators and equal series hold equal forms.  The constructor converts a
 list once; every operation works on the integers and returns this form, so
 sums and equality checks are integer comparisons.  The Fractions are built
-only when ``coeffs``, ``coeff``, ``str`` or JSON read them: a reduced
+only when ``coeffs``, ``coeff`` or ``str`` read them: a reduced
 Fraction for each nonzero entry and the int 0 for each zero one (``exp``
 reads as its recurrence builds it, the int 1 and then Fractions, zeros
 included).  Ints alone, MultiPoly values and the zero series keep their
@@ -40,7 +40,7 @@ running denominator, their lcm, never over powers of the divisor's
 constant term (199! for an exp-like divisor at order 200); and ``_powers``
 the walk seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.
 A series is false exactly when every stored coefficient is zero, so
-``_product`` and ``_divide`` also skip the zero entries of lists of series,
+``_product`` and ``_quotient`` also skip the zero entries of lists of series,
 such as the z-expansions in ``lagrange``.
 
 ``reversion`` keeps its own walk of Fraction powers, one at a time, each
@@ -90,8 +90,6 @@ from .errors import (
 from .scalars import (
     MultiPoly,
     _power,
-    format_rational,
-    parse_rational,
     scalar_div_int,
     scalar_inverse,
 )
@@ -266,13 +264,6 @@ def _quotient(x, y, inv0, length: int, by_index: bool = False):
             den *= grow
         q.append(top // g * (den // d))
     return q, None if da is None else den
-
-
-def _divide(a, b, inv0, length: int) -> list:
-    """``_quotient`` of the coefficient lists ``a`` and ``b`` as a list; on
-    the rational path every entry is a Fraction, the zero ones too."""
-    q, den = _quotient(_integer_form(a), _integer_form(b), inv0, length)
-    return q if den is None else [Fraction(c, den) for c in q]
 
 
 class _Series:
@@ -775,41 +766,3 @@ def compose(outer, inner: PowerSeries):
     result = PowerSeries._from(*acc, 0, n)
     c0 = outer._entry(0)
     return result + c0 if c0 else result
-
-
-def series_to_json(s) -> dict:
-    """Serialize a series to the canonical JSON shape."""
-    if not isinstance(s, _Series):
-        raise TypeError("not a series: %r" % (s,))
-    m, coeffs = s.min_exponent, s.coeffs
-    variables = None
-    enc = []
-    for c in coeffs:
-        if isinstance(c, MultiPoly):
-            variables = list(c.vars)
-            enc.append(c.to_json())
-        else:
-            enc.append(format_rational(c))
-    out = {"min_exponent": m, "order": s.order, "coefficients": enc}
-    if variables is not None:
-        out["variables"] = variables
-    return out
-
-
-def series_from_json(obj: dict):
-    """Inverse of series_to_json; returns a PowerSeries when no negative
-    exponents are present, otherwise a LaurentSeries."""
-    m = int(obj.get("min_exponent", 0))
-    order = int(obj["order"])
-    variables = tuple(obj["variables"]) if "variables" in obj else None
-    coeffs = []
-    for item in obj["coefficients"]:
-        if isinstance(item, dict):
-            if variables is None:
-                raise ValueError("polynomial coefficients need a variables list")
-            coeffs.append(MultiPoly.from_json(variables, item))
-        else:
-            coeffs.append(parse_rational(str(item)))
-    if m >= 0:
-        return PowerSeries([0] * m + coeffs, order)
-    return LaurentSeries(coeffs, m, order)

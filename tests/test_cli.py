@@ -85,6 +85,17 @@ class TestCoeffs:
             "0", "0", "1", "2", "4", "25/3",
         ]
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_preset_longer_than_the_order_is_cut(self, order):
+        code, text = run_cli(
+            "coeffs", "--R", "one-plus-t-squared", "--order", order,
+            "--format", "csv",
+        )
+        assert code == 0
+        assert (code, text) == run_cli(
+            "coeffs", "--R", "1,0,1", "--order", order, "--format", "csv"
+        )
+
     def test_json_payload(self):
         code, text = run_cli(
             "coeffs", "--R", "geom", "--order", "4", "--format", "json"

@@ -80,7 +80,6 @@ class TestCatalogSurface:
         obj = report.to_dict()
         assert obj["status"] == "pass"
         assert "elapsed_ms" not in obj
-        assert report.to_dict(include_elapsed=True)["elapsed_ms"] >= 0
 
     def test_recorder_keeps_first_failure(self):
         rec = _Recorder()
@@ -134,14 +133,14 @@ class TestEntryChecks:
             return reversion(f)
 
         trial_series = []
-        check = identities.schur_jabotinsky_check
+        pair = identities.schur_jabotinsky_pair
 
         def recorded(f, n, k):
             trial_series.append(f)
-            return check(f, n, k)
+            return pair(f, n, k)
 
         monkeypatch.setattr(PowerSeries, "reversion", counted)
-        monkeypatch.setattr(identities, "schur_jabotinsky_check", recorded)
+        monkeypatch.setattr(identities, "schur_jabotinsky_pair", recorded)
         report = check_schur_jabotinsky(trials=20, order=20)
         assert report.passed and report.checks == 122
         # x c(x) once, at the full order, then each of the 20 random series

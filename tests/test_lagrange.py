@@ -24,8 +24,6 @@ from lagrange_kit.lagrange import (
     _ratio_terms,
     _shift_terms,
     cauchy_convolution_check,
-    coeff_all_forms,
-    coefficient_form_a,
     constant_term_supplement,
     derivative_form,
     explicit_coefficient,
@@ -33,7 +31,6 @@ from lagrange_kit.lagrange import (
     inversion_form_sweep,
     log_f_over_x,
     raney_coefficient,
-    schur_jabotinsky_check,
     schur_jabotinsky_pair,
     schur_jabotinsky_window,
     solve_indeterminate,
@@ -482,9 +479,9 @@ class TestFormAgreement:
                 PowerSeries([1], 6), PowerSeries([0, 1], 6), [2]
             )
 
-    def test_coeff_all_forms_and_agree_flag(self):
+    def test_agree_flag(self):
         R = PowerSeries([1, 1], 10)
-        fv = coeff_all_forms(PowerSeries([0, 1], 10), R, 4)
+        (fv,) = inversion_form_sweep(PowerSeries([0, 1], 10), R, [4])
         assert isinstance(fv, FormValues)
         assert fv.agree
         broken = FormValues(
@@ -492,16 +489,6 @@ class TestFormAgreement:
             direct=1, ratio_x=1, ratio_f=1,
         )
         assert not broken.agree
-
-    def test_form_a_standalone(self):
-        order = 12
-        R = PowerSeries([1] * order, order)
-        phi = PowerSeries([0, 1], order)
-        f = solve_xR(R)
-        for n in range(1, 9):
-            assert coefficient_form_a(phi, R, n) == f.coeff(n)
-        with pytest.raises(FormAUndefined):
-            coefficient_form_a(phi, R, 0)
 
 
 class TestPolynomiality:
@@ -632,7 +619,8 @@ class TestSchurJabotinsky:
             for k in range(-4, 6):
                 if n >= order - 8 or -k >= order - 8:
                     continue
-                assert schur_jabotinsky_check(f, n, k), (n, k)
+                lhs, rhs = schur_jabotinsky_pair(f, n, k)
+                assert lhs == rhs, (n, k)
 
     def test_pair_values(self):
         order = 16
@@ -650,7 +638,8 @@ class TestSchurJabotinsky:
             ]
             f = PowerSeries(coeffs, order)
             for n, k in [(3, 4), (-2, 3), (4, -2), (-3, -3), (6, 1)]:
-                assert schur_jabotinsky_check(f, n, k), (n, k)
+                lhs, rhs = schur_jabotinsky_pair(f, n, k)
+                assert lhs == rhs, (n, k)
 
     def test_guards(self):
         f = PowerSeries([0, 1, 1], 10)
@@ -774,7 +763,7 @@ class TestShiftedEquation:
 
     def test_z_order_bound(self):
         phi = PowerSeries([1], 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfPrecision):
             derivative_form(phi, phi, 4)
 
     def test_mixed_orders_raise_order_mismatch(self):
@@ -786,7 +775,7 @@ class TestShiftedEquation:
 
     def test_negative_z_order_rejected_up_front(self):
         phi = PowerSeries([1, 2, 3], 6)
-        with pytest.raises(ValueError, match="z_order must be nonnegative"):
+        with pytest.raises(SizeLimit, match="z_order must be nonnegative"):
             derivative_form(phi, phi, -1)
 
     def test_cauchy_convolutions(self):
@@ -803,8 +792,10 @@ class TestShiftedEquation:
 
     def test_cauchy_range_guard(self):
         phi = PowerSeries([1], 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfPrecision):
             cauchy_convolution_check(phi, phi, phi, 4)
+        with pytest.raises(SizeLimit):
+            cauchy_convolution_check(phi, phi, phi, -1)
 
 
 # -- the shift expansions as first written: m repeated derivatives, H ** m

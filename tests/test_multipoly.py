@@ -322,13 +322,6 @@ class TestMultiPolyStructure:
         text = str(x ** 2 - y + 1)
         assert "x" in text and "y" in text
 
-    def test_json_round_trip(self):
-        x, y = _ring().gens()
-        p = Fraction(2, 3) * x ** 2 * y - y + 5
-        obj = p.to_json()
-        back = MultiPoly.from_json(("x", "y"), obj)
-        assert back == p
-
 
 @fast
 @given(
