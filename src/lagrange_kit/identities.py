@@ -132,11 +132,11 @@ class _Recorder:
 # abel and rothe-hagen, take 0.24-0.27 s through the CLI on a 2-core host,
 # hirzebruch-residue 0.16 s
 N_MAX_LIMIT = 50
-# the largest degree_bound: at 15 narayana takes 1.0 s on a 2-core host
-# (1.4 s at 16), fuss-narayana 0.6 s
+# the largest degree_bound: at 15 narayana takes 0.27 s in process on a
+# 2-core host (0.39 s at 16), fuss-narayana 0.15 s (0.19 s at 16)
 DEGREE_BOUND_LIMIT = 15
-# the largest i_total_max: at 12 raney takes 0.8-0.9 s on a 2-core host
-# (1.4-1.5 s at 13)
+# the largest i_total_max: at 12 raney takes 0.25 s in process on a 2-core
+# host (0.42 s at 13)
 I_TOTAL_MAX_LIMIT = 12
 # the largest order a suite accepts, through the API and the CLI alike: at
 # 200 the slowest suite, r-m, takes 8-23 s on a 2-core host
@@ -149,8 +149,8 @@ TRIALS_LIMIT = 3000
 # 2-core host at its default pair_order 15 (17 s at pair_order 200)
 PAIR_TRIALS_LIMIT = 1200
 # the largest m_max and series_m_max: at its default order 26, r-m takes
-# 0.3 s at m_max 8 on a 2-core host (0.65 s at 10), 0.2 s at series_m_max
-# 200 (0.43 s at 400)
+# 0.17 s in process at m_max 8 on a 2-core host (0.39 s at 10), 0.18 s at
+# series_m_max 200 (0.40 s at 400)
 M_MAX_LIMIT = 8
 SERIES_M_MAX_LIMIT = 200
 SIZE_LIMITS = {

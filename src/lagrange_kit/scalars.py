@@ -2,9 +2,10 @@
 
 Exact rationals are plain ``fractions.Fraction`` (already normalized: reduced,
 positive denominator, structural equality).  The other supported coefficient
-ring is ``MultiPoly``: a sparse polynomial in a fixed tuple of named
-indeterminates with Fraction coefficients.  Everything here interoperates with
-plain ints so that 0 and 1 work as universal ring constants.
+ring is ``MultiPoly``: a sparse polynomial with rational coefficients in a
+fixed tuple of named indeterminates, held as int numerators per exponent tuple
+over one positive int denominator, in lowest terms.  Everything here
+interoperates with plain ints so that 0 and 1 work as universal ring constants.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def scalar_inverse(c):
     if isinstance(c, MultiPoly):
         if not c.is_constant():
             raise DivisionByNonUnit("polynomial scalar %s is not invertible" % c)
-        return c._like_const(scalar_inverse(c.constant_value()))
+        if not c:
+            raise DivisionByNonUnit("zero scalar has no inverse")
+        return MultiPoly.const(c.vars, 1) / c
     c = Fraction(c)
     if c == 0:
         raise DivisionByNonUnit("zero scalar has no inverse")
@@ -98,11 +101,24 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _integer_terms(terms):
-    """The (exponents, integer) pairs of a term dict scaled by the lcm d of
-    its denominators, and d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+def _ratio(value):
+    """(numerator, denominator > 0) of an int, a Fraction or what Fraction reads."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _poly(vars, nums: dict, den: int = 1) -> "MultiPoly":
+    """The MultiPoly over ``vars`` of the nonzero integers ``nums`` over
+    den > 0, with the content gcd(den, *nums) divided out."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    out = MultiPoly.__new__(MultiPoly)
+    out.vars, out._nums, out._den = vars, nums, den
+    return out
 
 
 def _integer_product(a, b, max_degree=None) -> dict:
@@ -128,94 +144,97 @@ def _integer_product(a, b, max_degree=None) -> dict:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Fraction.
+    """Sparse multivariate polynomial with rational coefficients.
 
-    Terms map exponent tuples (one entry per variable, all >= 0) to nonzero
-    Fraction coefficients.  The variable tuple is fixed; mixing polynomials
-    over different variable tuples is an error.  A product scales each
-    operand's coefficients to integers by the lcm of their denominators,
-    sums the integer products per exponent tuple (``_integer_product``),
-    and builds one Fraction per surviving term.  The degree-bounded product
-    ``mul_truncated`` does the same but walks the second operand's terms in
-    order of total degree and stops each walk at the bound, so it never
-    forms a term it would drop.  ``**`` and ``pow_truncated`` scale the
-    base once and power integer term lists over one denominator with the
-    same product, dividing out the content gcd(den, *coefficients) after
-    each step, and build the Fractions once.
+    The variable tuple is fixed; mixing polynomials over different
+    variable tuples is an error.  A polynomial holds one form, as a
+    rational series does: nonzero int numerators per exponent tuple (one
+    entry per variable, all >= 0) over one positive int denominator, with
+    the content gcd(den, *nums) divided out, so that equal polynomials
+    hold equal forms.  Every ring operation works on those integers and
+    returns that form: a sum scales both operands to the lcm of their
+    denominators, a product sums the integer products per exponent tuple
+    (``_integer_product``) over the product of the denominators, and a
+    scalar factor or divisor scales numerators and denominator.  Fractions
+    are built only when ``terms``, ``coefficient``, ``constant_value`` or
+    ``str`` read them.  The degree-bounded product ``mul_truncated`` walks
+    the second operand's terms in order of total degree and stops each
+    walk at the bound, so it never forms a term it would drop; ``**`` and
+    ``pow_truncated`` power by the same products.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_nums", "_den")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        width = len(self.vars)
         clean: dict[tuple, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
+        for exps, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
                 e = tuple(int(v) for v in exps)
-                if len(e) != width or any(v < 0 for v in e):
+                if len(e) != len(self.vars) or any(v < 0 for v in e):
                     raise ValueError("bad exponent vector %r" % (exps,))
-                prev = clean.get(e)
-                tot = c if prev is None else prev + c
-                if tot:
-                    clean[e] = tot
-                elif prev is not None:
-                    del clean[e]
-        self.terms = clean
+                clean[e] = clean.get(e, 0) + c
+        clean = {e: c for e, c in clean.items() if c}
+        # over the lcm of the reduced coefficients' denominators the
+        # content is 1
+        self._den = lcm(*(c.denominator for c in clean.values()))
+        self._nums = {e: c.numerator * (self._den // c.denominator)
+                      for e, c in clean.items()}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, vars, value):
-        value = Fraction(value)
+        p, q = _ratio(value)
         vars = tuple(vars)
-        if not value:
-            return cls(vars)
-        return cls(vars, {(0,) * len(vars): value})
+        return _poly(vars, {(0,) * len(vars): p} if p else {}, q)
 
     @classmethod
     def variable(cls, vars, name):
         vars = tuple(vars)
         e = [0] * len(vars)
         e[vars.index(name)] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return _poly(vars, {tuple(e): 1})
 
-    def _like_const(self, value):
-        return MultiPoly.const(self.vars, value)
+    # -- reading ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The exponent tuples and Fraction coefficients of the nonzero
+        terms, built from the form when read."""
+        return {e: Fraction(c, self._den) for e, c in self._nums.items()}
+
+    def _constant_numerator(self) -> int:
+        return self._nums.get((0,) * len(self.vars), 0)
+
+    def constant_value(self) -> Fraction:
+        return Fraction(self._constant_numerator(), self._den)
+
+    def coefficient(self, exps) -> Fraction:
+        return Fraction(self._nums.get(tuple(int(v) for v in exps), 0), self._den)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return all(sum(e) == 0 for e in self._nums)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._nums), default=0)
 
     def min_total_degree(self):
         """Smallest total degree among the terms; None for the zero poly."""
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self._nums), default=None)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self._nums), default=0)
 
     # -- coercion ------------------------------------------------------
 
@@ -234,37 +253,33 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            tot = terms.get(e, 0) + c
+        d = lcm(self._den, other._den)
+        sa, sb = d // self._den, d // other._den
+        nums = {e: c * sa for e, c in self._nums.items()}
+        for e, c in other._nums.items():
+            tot = nums.get(e, 0) + c * sb
             if tot:
-                terms[e] = tot
-            elif e in terms:
-                del terms[e]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+                nums[e] = tot
+            else:
+                del nums[e]
+        return _poly(self.vars, nums, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.vars, {e: -c for e, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -277,73 +292,65 @@ class MultiPoly:
             return NotImplemented
         return self._pow(k, None)
 
+    def _scaled(self, p: int, q: int) -> "MultiPoly":
+        """self * p / q for integers p and q, q nonzero."""
+        if q < 0:
+            p, q = -p, -q
+        nums = {e: c * p for e, c in self._nums.items()} if p else {}
+        return _poly(self.vars, nums, self._den * q)
+
     def _times(self, other: "MultiPoly", max_degree) -> "MultiPoly":
         """self * other, with no term above ``max_degree`` unless it is None."""
-        a, da = _integer_terms(self.terms)
-        b, db = _integer_terms(other.terms)
-        return self._over(_integer_product(a, b, max_degree).items(), da * db)
+        sums = _integer_product(self._nums.items(), other._nums.items(), max_degree)
+        return _poly(self.vars, {e: c for e, c in sums.items() if c},
+                     self._den * other._den)
 
     def _pow(self, k: int, max_degree) -> "MultiPoly":
         """self ** k, with no term above ``max_degree`` unless it is None; a
         negative k powers the inverse."""
         if k < 0:
             return scalar_inverse(self)._pow(-k, max_degree)
-
-        def times(x, y):
-            sums = _integer_product(x[0], y[0], max_degree)
-            terms = [(e, c) for e, c in sums.items() if c]
-            den = x[1] * y[1]
-            g = gcd(den, *(c for _, c in terms))
-            return [(e, c // g) for e, c in terms], den // g
-
-        unit = (0,) * len(self.vars)
-        one = [] if max_degree is not None and max_degree < 0 else [(unit, 1)]
-        terms, den = _power(_integer_terms(self.terms), k, (one, 1), times)
-        return self._over(terms, den)
-
-    def _over(self, terms, den: int) -> "MultiPoly":
-        """The MultiPoly of the (exponents, integer) pairs ``terms`` over
-        ``den``, zero integers dropped."""
-        out = MultiPoly(self.vars)
-        out.terms = {e: Fraction(c, den) for e, c in terms if c}
-        return out
+        empty = max_degree is not None and max_degree < 0
+        one = _poly(self.vars, {} if empty else {(0,) * len(self.vars): 1})
+        return _power(self, k, one, lambda x, y: x._times(y, max_degree))
 
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):
             if not other.is_constant():
                 raise DivisionByNonUnit("cannot divide by non-constant polynomial")
-            other = other.constant_value()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise DivisionByNonUnit("division by zero")
-            inv = Fraction(1) / Fraction(other)
-            out = MultiPoly(self.vars)
-            out.terms = {e: c * inv for e, c in self.terms.items()}
-            return out
-        return NotImplemented
+            p, q = other._constant_numerator(), other._den
+        elif isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        if not p:
+            raise DivisionByNonUnit("division by zero")
+        return self._scaled(q, p)
 
     def __rtruediv__(self, other):
         return self._coerce(other) * scalar_inverse(self)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return (self.vars == other.vars and self._den == other._den
+                    and self._nums == other._nums)
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            # a constant's form is its value in lowest terms
+            return self.is_constant() and (self._constant_numerator(), self._den) == (
+                other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # a constant equals its value, so it hashes as that value
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.vars, self._den, frozenset(self._nums.items())))
 
     # -- structure -------------------------------------------------------
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(int(v) for v in exps), Fraction(0))
-
     def truncate_total(self, max_degree: int) -> "MultiPoly":
-        out = MultiPoly(self.vars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
-        return out
+        nums = {e: c for e, c in self._nums.items() if sum(e) <= max_degree}
+        return _poly(self.vars, nums, self._den)
 
     def mul_truncated(self, other, max_degree: int) -> "MultiPoly":
         """(self * other).truncate_total(max_degree), forming no term above
@@ -361,26 +368,20 @@ class MultiPoly:
         return self._pow(k, max_degree)
 
     def subs(self, mapping) -> "MultiPoly":
-        """Substitute numbers for some variables; the variable tuple is kept."""
-        idx = {self.vars.index(name): Fraction(v) for name, v in mapping.items()}
-        terms: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            val = c
-            new_e = list(e)
-            for i, v in idx.items():
-                val *= v ** e[i]
-                new_e[i] = 0
-            if not val:
-                continue
-            key = tuple(new_e)
-            tot = terms.get(key, 0) + val
-            if tot:
-                terms[key] = tot
-            elif key in terms:
-                del terms[key]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        """Substitute numbers for some variables; the variable tuple is kept.
+        A value p/q turns c x^e into c p^e q^(t-e) over q^t, t the top e."""
+        nums, den = self._nums, self._den
+        for name, value in mapping.items():
+            i = self.vars.index(name)
+            p, q = _ratio(value)
+            top = max((e[i] for e in nums), default=0)
+            sums: dict[tuple, int] = {}
+            for e, c in nums.items():
+                key = e[:i] + (0,) + e[i + 1:]
+                sums[key] = sums.get(key, 0) + c * p ** e[i] * q ** (top - e[i])
+            nums = {e: c for e, c in sums.items() if c}
+            den *= q ** top
+        return _poly(self.vars, nums, den)
 
     def evaluate(self, mapping) -> Fraction:
         """Substitute every variable and return the resulting Fraction."""
@@ -392,14 +393,11 @@ class MultiPoly:
 
     # -- presentation ------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts = []
-        for e, c in self._sorted_terms():
+        for e, c in sorted(self.terms.items()):
             factors = []
             for name, p in zip(self.vars, e):
                 if p == 1:

@@ -1,7 +1,7 @@
 """Exact scalars: rational parsing, binomials, sparse multivariate polynomials."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,13 @@ class TestMultiPolyArithmetic:
         x, y = _ring().gens()
         p = x * y - x * y + x
         assert len(p.terms) == 1
+
+    def test_constant_hashes_as_its_value(self):
+        three = MultiPoly.const(("u",), 3)
+        assert three == 3
+        assert len({three, 3}) == 1
+        assert hash(MultiPoly.const(("u",), Fraction(-1, 2))) == hash(Fraction(-1, 2))
+        assert hash(_ring().zero()) == hash(0)
 
 
 def _reference_product(p, q):
@@ -267,6 +274,162 @@ def test_truncated_product_forms_only_terms_within_the_bound(data):
         1 for ea in p.terms for eb in q.terms if sum(ea) + sum(eb) <= bound
     )
     assert len(calls) == 2 * within
+
+
+_VARS = ("x", "y")
+_UNIT = (0, 0)
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_scale(a, c):
+    return _ref_clean({e: v * c for e, v in a.items()})
+
+
+def _ref_mul(a, b, bound=None):
+    out = {}
+    for (ax, ay), ca in a.items():
+        for (bx, by), cb in b.items():
+            e = (ax + bx, ay + by)
+            if bound is None or sum(e) <= bound:
+                out[e] = out.get(e, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_pow(a, k, bound=None):
+    """a ** k truncated at ``bound``; None when k < 0 and a is no unit."""
+    if k < 0:
+        if set(a) != {_UNIT}:
+            return None
+        a, k = {_UNIT: 1 / a[_UNIT]}, -k
+    out = {} if bound is not None and bound < 0 else {_UNIT: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a, bound)
+    return out
+
+
+def _ref_truncate(a, bound):
+    return {e: c for e, c in a.items() if sum(e) <= bound}
+
+
+def _references(coefficients):
+    """Plain {exponents: Fraction} dicts, constants among them."""
+    terms = st.dictionaries(_exponents, coefficients, max_size=5)
+    constants = coefficients.map(lambda c: {_UNIT: c})
+    return st.one_of(terms, constants).map(
+        lambda d: {e: Fraction(c) for e, c in d.items() if c}
+    )
+
+
+def _assert_canonical(got, want):
+    """got holds the terms ``want`` as Fractions, in the canonical form: int
+    numerators, none zero, over a positive int denominator, content 1, the
+    form the constructor gives the same terms; == and hash agree with it,
+    and with its value when it is constant."""
+    terms = got.terms
+    assert terms == want
+    assert all(type(c) is Fraction for c in terms.values())
+    nums, den = got._nums, got._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    fresh = MultiPoly(_VARS, want)
+    assert (fresh._nums, fresh._den) == (nums, den)
+    assert got == fresh and hash(got) == hash(fresh)
+    if got.is_constant():
+        value = got.constant_value()
+        assert got == value and hash(got) == hash(value)
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operations_match_the_fraction_reference(kind, data):
+    """Every ring operation against a plain {exponents: Fraction} model."""
+    rp = data.draw(_references(COEFFICIENT_KINDS[kind]))
+    rq = data.draw(_references(COEFFICIENT_KINDS[kind]))
+    s = data.draw(st.one_of(st.integers(-4, 4),
+                            st.fractions(-3, 3, max_denominator=6)))
+    bound = data.draw(st.integers(-1, 7))
+    k = data.draw(st.integers(-2, 4))
+    p, q = MultiPoly(_VARS, rp), MultiPoly(_VARS, rq)
+    _assert_canonical(p, rp)
+    cases = [
+        (p + q, _ref_add(rp, rq)),
+        (p + s, _ref_add(rp, {_UNIT: Fraction(s)})),
+        (s + p, _ref_add(rp, {_UNIT: Fraction(s)})),
+        (p - q, _ref_add(rp, _ref_scale(rq, -1))),
+        ((p + q) - q, rp),
+        (p - s, _ref_add(rp, {_UNIT: -Fraction(s)})),
+        (s - p, _ref_add(_ref_scale(rp, -1), {_UNIT: Fraction(s)})),
+        (-p, _ref_scale(rp, -1)),
+        (p * s, _ref_scale(rp, s)),
+        (s * p, _ref_scale(rp, s)),
+        (p * q, _ref_mul(rp, rq)),
+        (p.mul_truncated(q, bound), _ref_mul(rp, rq, bound)),
+        (p.mul_truncated(s, bound), _ref_truncate(_ref_scale(rp, s), bound)),
+        (p.truncate_total(bound), _ref_truncate(rp, bound)),
+    ]
+    powers = ((lambda: p ** k, None), (lambda: p.pow_truncated(k, bound), bound))
+    for power, bounded in powers:
+        want = _ref_pow(rp, k, bounded)
+        if want is None:
+            with pytest.raises(DivisionByNonUnit):
+                power()
+        else:
+            cases.append((power(), want))
+    for divisor in (s, MultiPoly.const(_VARS, s)):
+        if s:
+            cases.append((p / divisor, _ref_scale(rp, 1 / Fraction(s))))
+        else:
+            with pytest.raises(DivisionByNonUnit):
+                p / divisor
+    if set(rp) == {_UNIT}:
+        cases.append((s / p, _ref_scale({_UNIT: Fraction(s)}, 1 / rp[_UNIT])))
+    for got, want in cases:
+        _assert_canonical(got, want)
+    for a, ra in cases:
+        for b, rb in cases:
+            assert (a == b) == (ra == rb)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_ring_operations_build_no_fraction():
+    """The ring operations work on the stored integers: with the operands
+    built, not one Fraction is constructed until ``terms`` is read."""
+    x, y = _ring().gens()
+    p = Fraction(1, 2) * x ** 2 - Fraction(2, 3) * x * y + 3
+    q = Fraction(5, 4) * y - 1
+    two, half = MultiPoly.const(_VARS, 2), Fraction(1, 2)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        results = [
+            p + q, p + 1, half + p, p - q, 1 - p, -p, p * q, 3 * p, p * half,
+            p.mul_truncated(q, 2), p.mul_truncated(half, 1), p ** 3,
+            p.pow_truncated(4, 3), two ** -3, two.pow_truncated(-2, 0),
+            p / 3, p / half, p / two, 1 / two, half / two, p.truncate_total(1),
+        ]
+        assert p != q and p == p + 0 and two == 2 and two != half
+        assert len({hash(r) for r in results if not r.is_constant()}) > 1
+    assert built == []
+    assert results[-2].terms == {_UNIT: Fraction(1, 4)}
 
 
 class TestMultiPolyStructure:

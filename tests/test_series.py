@@ -646,6 +646,12 @@ class TestMixedTypes:
             PowerSeries([2, 0, Fraction(1, 2)], 4)
         )
         assert hash(PowerSeries([Fraction(0)], 4)) == hash(LaurentSeries.zero(4))
+        # a constant MultiPoly coefficient equals and hashes as its value
+        three = PowerSeries([MultiPoly.const(("k",), 3), 1], 2)
+        assert three == PowerSeries([3, 1], 2)
+        assert len({three, PowerSeries([3, 1], 2)}) == 1
+        half = PowerSeries([MultiPoly.const(("k",), Fraction(1, 2)), 1], 2)
+        assert hash(half) == hash(PowerSeries([Fraction(1, 2), 1], 2))
 
     @fast
     @given(a=any_series)
