@@ -49,6 +49,7 @@ from .scalars import (
     int_binomial,
     poly_eval,
     scalar_div_int,
+    weighted_compositions,
 )
 from .series import LaurentSeries, PowerSeries, compose
 
@@ -262,17 +263,6 @@ def _alternate(s: PowerSeries) -> PowerSeries:
     return PowerSeries(
         [c if i % 2 == 0 else -c for i, c in enumerate(s.coeffs)], s.order
     )
-
-
-def _vectors(length: int, total_max: int):
-    """All nonnegative integer vectors of the given length with entry sum
-    at most total_max."""
-    if length == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for rest in _vectors(length - 1, total_max - head):
-            yield (head,) + rest
 
 
 # -- rational functions of one parameter ---------------------------------------
@@ -758,15 +748,13 @@ def check_abel(
 
 
 def weighted_stirling(n: int, j: int, k):
-    """R(n, j, k) = (1/j!) sum_i (-1)^(j-i) C(j,i) (k+i)^n.
+    """R(n, j, k) = (1/j!) sum_i (-1)^(j-i) C(j,i) (k+i)^n, a j-th difference.
 
     k may be an integer, a Fraction, or a MultiPoly parameter; R(n, j, 0)
     is the ordinary Stirling number of the second kind."""
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    total = 0
-    for i in range(j + 1):
-        total = total + (-1) ** (j - i) * comb(j, i) * (k + i) ** n
+    total = finite_difference([(k + i) ** n for i in range(j + 1)], j)
     return scalar_div_int(total, factorial(j))
 
 
@@ -1209,21 +1197,19 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
 
     for k in k_values:
         fk = f.pow_truncated(k, degree_bound)
-        for a in range(degree_bound + 1):
-            for b in range(degree_bound + 1 - a):
-                n = a + b + k
-                rec.expect(
-                    fk.coefficient((a, b)),
-                    Fraction(k, n) * comb(n, a) * comb(n, b),
-                    "power coefficient at k=%d x^%d y^%d" % (k, a, b),
-                )
-    for a in range(degree_bound):
-        for b in range(degree_bound - a):
+        for a, b, _ in weighted_compositions((1, 1, 1), degree_bound):
+            n = a + b + k
             rec.expect(
-                f.coefficient((a, b)),
-                _narayana(a + b + 1, a + 1),
-                "Narayana reading at x^%d y^%d" % (a, b),
+                fk.coefficient((a, b)),
+                Fraction(k, n) * comb(n, a) * comb(n, b),
+                "power coefficient at k=%d x^%d y^%d" % (k, a, b),
             )
+    for a, b, _ in weighted_compositions((1, 1, 1), degree_bound - 1):
+        rec.expect(
+            f.coefficient((a, b)),
+            _narayana(a + b + 1, a + 1),
+            "Narayana reading at x^%d y^%d" % (a, b),
+        )
     for n in range(1, 9):
         for idx in range(1, n + 1):
             rec.expect(
@@ -1249,7 +1235,8 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
     g = solve_indeterminate(PowerSeries(coeffs, t_order), degree_bound)
     for k in (1, 2):
         gk = g.pow_truncated(k, degree_bound)
-        for vec in _vectors(3, degree_bound):
+        for vec in weighted_compositions((1,) * 4, degree_bound):
+            vec = vec[:3]
             n = k + sum(vec)
             rec.expect(
                 gk.coefficient(vec),
@@ -1274,7 +1261,8 @@ def _mnar_check(rec, exps, plus: bool, k_values, bound: int) -> None:
     kind = "product form" if plus else "reciprocal form"
     for k in k_values:
         fk = f.pow_truncated(k, bound)
-        for vec in _vectors(m, bound):
+        for vec in weighted_compositions((1,) * (m + 1), bound):
+            vec = vec[:m]
             n = k + sum(vec)
             expected = Fraction(k, n)
             for e, it in zip(exps, vec):
@@ -1442,20 +1430,17 @@ def check_raney(rec, i_total_max: int = 5, k_values=(1, 2)) -> None:
         (a1 * b1 ** m + a2 * b2 ** m) / factorial(m) for m in range(t_order)
     ]
     f = solve_indeterminate(PowerSeries(coeffs, t_order), bound)
+    pairs = list(weighted_compositions((1, 1, 1), i_total_max))
     for k in k_values:
         fk = f.pow_truncated(k, bound)
-        for i1 in range(i_total_max + 1):
-            for i2 in range(i_total_max + 1 - i1):
-                for j1 in range(i_total_max + 1):
-                    for j2 in range(i_total_max + 1 - j1):
-                        if i1 + i2 + j1 + j2 > bound:
-                            continue
-                        rec.expect(
-                            fk.coefficient((i1, i2, j1, j2)),
-                            raney_coefficient((i1, i2), (j1, j2), k),
-                            "coefficient at k=%d A=%s B=%s"
-                            % (k, (i1, i2), (j1, j2)),
-                        )
+        for i1, i2, _ in pairs:
+            for j1, j2, _ in pairs:
+                if i1 + i2 + j1 + j2 <= bound:
+                    rec.expect(
+                        fk.coefficient((i1, i2, j1, j2)),
+                        raney_coefficient((i1, i2), (j1, j2), k),
+                        "coefficient at k=%d A=%s B=%s" % (k, (i1, i2), (j1, j2)),
+                    )
     for k in k_values:
         for n in range(k, 7):
             rec.expect(

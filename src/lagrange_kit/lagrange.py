@@ -54,7 +54,13 @@ from .errors import (
     SizeLimit,
     UnguardedCoefficient,
 )
-from .scalars import MultiPoly, scalar_div_int, scalar_inverse
+from .scalars import (
+    MultiPoly,
+    multinomial,
+    scalar_div_int,
+    scalar_inverse,
+    weighted_compositions,
+)
 from .series import (
     LaurentSeries,
     PowerSeries,
@@ -500,71 +506,38 @@ def cauchy_convolution_check(phi: PowerSeries, psi: PowerSeries,
 # -- closed profile sums ------------------------------------------------------
 
 
-def _profiles(total: int, weight: int, max_index: int):
-    """Tuples (n_0, ..., n_max_index) with sum n_i = total and
-    sum i*n_i = weight."""
-    if total < 0 or weight < 0:
-        return
-
-    def rec(i, total_left, weight_left, acc):
-        if i == 0:
-            if weight_left == 0:
-                yield (total_left,) + acc
-            return
-        cap = min(total_left, weight_left // i)
-        for ni in range(cap + 1):
-            yield from rec(i - 1, total_left - ni, weight_left - i * ni,
-                           (ni,) + acc)
-
-    yield from rec(max_index, total, weight, ())
-
-
 def explicit_coefficient(r, n: int, k: int):
-    """[x^n] f^k for f = x R(f), R = sum r_i t^i, as the closed sum over
-    child-count profiles; an empty sum is 0."""
+    """[x^n] f^k for f = x R(f), R = sum r_i t^i, as the closed sum of
+    (k/n) multinomial(n; n_0, n_1, ...) prod r_i^(n_i) over the profiles
+    with sum i n_i = n - k, n_0 = n - sum n_i >= 0; an empty sum is 0."""
     r = list(r)
     if n < 1:
         return 0
     acc = 0
-    fact_top = factorial(n - 1)
-    for prof in _profiles(n, n - k, len(r) - 1):
-        denom = 1
-        for ni in prof:
-            denom *= factorial(ni)
-        term = Fraction(k * fact_top, denom)
-        for i, ni in enumerate(prof):
-            if ni:
-                term = term * (r[i] ** ni)
-        acc = acc + term
+    for tail in weighted_compositions(range(len(r) - 1, 0, -1), n - k):
+        prof = (n - sum(tail), *reversed(tail))
+        if prof[0] >= 0:
+            term = Fraction(k * multinomial(n, tail), n)
+            for i, ni in enumerate(prof):
+                if ni:
+                    term = term * (r[i] ** ni)
+            acc = acc + term
     return acc
 
 
 def explicit_from_inverse(g_tail, m: int, k: int):
     """[x^m] f^k where f is the compositional inverse of
-    g = x - g_2 x^2 - g_3 x^3 - ...; g_tail lists g_2, g_3, ...."""
+    g = x - g_2 x^2 - g_3 x^3 - ... (g_tail lists g_2, g_3, ...), as the
+    closed sum over the counts n_i of the g_i with sum (i - 1) n_i = m - k."""
     g_tail = list(g_tail)
     if m < 1:
         return 0
     acc = 0
-
-    def rec(i, weight_left, counts):
-        # i indexes g_tail entries: arity i + 2, weight per use i + 1
-        if i < 0:
-            if weight_left == 0:
-                yield counts
-            return
-        cap = weight_left // (i + 1)
-        for ni in range(cap + 1):
-            yield from rec(i - 1, weight_left - ni * (i + 1), ((i, ni),) + counts)
-
-    if m - k < 0:
-        return 0
-    for counts in rec(len(g_tail) - 1, m - k, ()):
-        n = m + sum(ni for _, ni in counts)
-        term = Fraction(k * factorial(n - 1), factorial(m))
-        for i, ni in counts:
+    for tail in weighted_compositions(range(len(g_tail), 0, -1), m - k):
+        term = Fraction(k * multinomial(m - 1 + sum(tail), tail), m)
+        for c, ni in zip(g_tail, reversed(tail)):
             if ni:
-                term = term * (g_tail[i] ** ni) / factorial(ni)
+                term = term * (c ** ni)
         acc = acc + term
     return acc
 
@@ -582,9 +555,7 @@ def raney_coefficient(i_counts, j_counts, k: int):
     total = sum(i_counts)
     if total != k + sum(j_counts):
         return Fraction(0)
-    value = Fraction(k * factorial(total - 1))
-    for it in i_counts:
-        value /= factorial(it)
+    value = Fraction(k * multinomial(total, i_counts), total)
     for it, jt in zip(i_counts, j_counts):
         value *= Fraction(it ** jt, factorial(jt))
     return value

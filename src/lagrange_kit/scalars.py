@@ -6,6 +6,9 @@ ring is ``MultiPoly``: a sparse polynomial with rational coefficients in a
 fixed tuple of named indeterminates, held as int numerators per exponent tuple
 over one positive int denominator, in lowest terms.  Everything here
 interoperates with plain ints so that 0 and 1 work as universal ring constants.
+
+``weighted_compositions`` lists the profiles, monomials and degree sequences
+that ``lagrange``, the suites and ``trees`` sum over, each by its own route.
 """
 
 from __future__ import annotations
@@ -70,6 +73,34 @@ def multinomial(n: int, parts) -> int:
     for p in parts:
         result //= factorial(p)
     return result // factorial(rest)
+
+
+def weighted_compositions(weights, total: int):
+    """Every tuple (n_1, ..., n_r) of nonnegative ints with sum w_i n_i =
+    total, for positive int weights w_i, in lexicographic order.  The
+    entries before the last run as an odometer and the last is solved, so
+    no case is dead when the last weight is 1."""
+    weights = tuple(weights)
+    if not weights or total < 0:
+        if total == 0:
+            yield ()
+        return
+    *head, last = weights
+    counts = [0] * len(head)
+    left = total
+    while True:
+        q, r = divmod(left, last)
+        if not r:
+            yield (*counts, q)
+        i = len(head) - 1
+        while i >= 0 and head[i] > left:
+            left += head[i] * counts[i]
+            counts[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        counts[i] += 1
+        left -= head[i]
 
 
 def scalar_inverse(c):
@@ -147,7 +178,8 @@ class MultiPoly:
     """Sparse multivariate polynomial with rational coefficients.
 
     The variable tuple is fixed; mixing polynomials over different
-    variable tuples is an error.  A polynomial holds one form, as a
+    variable tuples is an error, though constants compare (and hash) by
+    value whatever their variables.  A polynomial holds one form, as a
     rational series does: nonzero int numerators per exponent tuple (one
     entry per variable, all >= 0) over one positive int denominator, with
     the content gcd(den, *nums) divided out, so that equal polynomials
@@ -328,12 +360,17 @@ class MultiPoly:
         return self._scaled(q, p)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * scalar_inverse(self)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * scalar_inverse(self)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return (self.vars == other.vars and self._den == other._den
-                    and self._nums == other._nums)
+            if self.vars != other.vars:
+                # constants compare by value whatever their variables
+                return other.is_constant() and self == other.constant_value()
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
             # a constant's form is its value in lowest terms
             return self.is_constant() and (self._constant_numerator(), self._den) == (

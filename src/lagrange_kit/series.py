@@ -43,8 +43,8 @@ A series is false exactly when every stored coefficient is zero, so
 ``_product`` and ``_quotient`` also skip the zero entries of lists of series,
 such as the z-expansions in ``lagrange``.
 
-``reversion`` keeps its own walk of Fraction powers, one at a time, each
-product through ``_convolve``: it is the independent route that
+``reversion`` keeps its own walk of powers, one series product at a time,
+into a Fraction accumulator: it is the independent route that
 ``solve_xR`` is checked against, so the two must not share a walk.
 
 ``compose`` evaluates an outer polynomial of degree d in the inner series
@@ -197,14 +197,6 @@ def _add(x, y):
     d = lcm(da, db)
     sa, sb = d // da, d // db
     return _reduced([p * sa + q * sb for p, q in zip(a, b)], d)
-
-
-def _convolve(a, b, length: int) -> tuple:
-    """The first ``length`` coefficients of the product of the coefficient
-    lists ``a`` and ``b``, for ``reversion``'s walk: both are converted to
-    their forms, and the product is read back as ``_entries``."""
-    (a, da), (b, db) = _one_path(_integer_form(a), _integer_form(b))
-    return _entries(_product(a, _nonzero_terms(b), length), da and da * db)
 
 
 def _powers(form, count: int, length: int):
@@ -549,7 +541,7 @@ class PowerSeries(_Series):
     def reversion(self) -> "PowerSeries":
         """The unique g with self(g(x)) = x = g(self(x)), found by solving the
         triangular linear system sum_j g_j self^j = x on the coefficients of
-        the powers of self, walked one power at a time."""
+        the powers of self, each the series product of the last and self."""
         n = self.order
         if n < 2:
             raise NotReversible("order too small to determine the linear coefficient")
@@ -564,7 +556,7 @@ class PowerSeries(_Series):
         g = [0] * n
         g[1] = inv_c1
         acc = [0] * n
-        power = coeffs
+        power = self
         c1pow = inv_c1
         for j in range(1, n):
             if j > 1:
@@ -572,12 +564,11 @@ class PowerSeries(_Series):
                 g[j] = -acc[j] * c1pow
             gj = g[j]
             if gj:
-                for m in range(j + 1, n):
-                    a = power[m]
+                for m, a in enumerate(power.coeffs[j + 1 :], j + 1):
                     if a:
                         acc[m] = acc[m] + gj * a
             if j < n - 2:
-                power = _convolve(power, coeffs, n)
+                power = power * self
         return PowerSeries(g, n)
 
 

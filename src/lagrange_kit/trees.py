@@ -26,6 +26,8 @@ pointer that only moves up, and check their input in one pass; the
 encoder's leaf deletion is its tree check, since m - 1 loop-free edges on
 [m] form a tree exactly when a leaf is left at each deletion.
 
+The case lists ``ordered_profiles`` and ``degree_sequences`` only name
+cases, by ``scalars.weighted_compositions``; every count comes from a search.
 Closed-form companions (``*_formula``) are provided next to each census
 so callers can compare the two routes; the census functions never consult
 the formulas.  ``oracle_rows(kind, ...)`` is the one entry that pairs them:
@@ -45,7 +47,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .errors import BadSequence, InvalidCode, NotATree, SizeLimit
-from .scalars import multinomial
+from .scalars import multinomial, weighted_compositions
 
 ORDERED_FOREST_LIMIT = 12
 LABELED_TREE_LIMIT = 8
@@ -554,20 +556,9 @@ def degree_trees_formula(m: int, degrees) -> int:
 
 def degree_sequences(m: int):
     """Every degree sequence (d_1, ..., d_m) with each d_i >= 1 and
-    sum d_i = 2(m-1), in lexicographic order."""
-    target = 2 * (m - 1)
-
-    def rec(i, left):
-        if i == m:
-            if left == 0:
-                yield ()
-            return
-        room = m - i - 1
-        for d in range(1, left - room + 1):
-            for rest in rec(i + 1, left - d):
-                yield (d,) + rest
-
-    yield from rec(0, target)
+    sum d_i = 2(m-1), in lexicographic order; the d_i - 1 sum to m - 2."""
+    for excess in weighted_compositions((1,) * m, m - 2):
+        yield tuple(e + 1 for e in excess)
 
 
 # -- labeled rooted forests -------------------------------------------------------
@@ -722,30 +713,14 @@ def labeled_forest_profile_formula(n: int, k: int, profile) -> int:
 
 def ordered_profiles(n: int, k: int) -> list:
     """All child-count profiles satisfying sum n_i = n and
-    sum i n_i = n - k, as sorted (i, n_i) tuples."""
+    sum i n_i = n - k, as sorted (i, n_i) tuples of the nonzero n_i."""
     if n < 1 or k < 1 or n < k:
         return []
-    target = n - k
     out = []
-
-    def search(i: int, left_vertices: int, left_weight: int, acc: list) -> None:
-        if left_weight == 0:
-            if left_vertices >= 0:
-                prof = dict(acc)
-                if left_vertices:
-                    prof[0] = prof.get(0, 0) + left_vertices
-                out.append(tuple(sorted(prof.items())))
-            return
-        if i > left_weight or left_vertices <= 0:
-            return
-        search(i + 1, left_vertices, left_weight, acc)
-        for c in range(1, left_weight // i + 1):
-            if c > left_vertices:
-                break
-            search(i + 1, left_vertices - c, left_weight - c * i, acc + [(i, c)])
-
-    search(1, n, target, [])
-    del search  # the closure refers to itself: free it without gc
+    for tail in weighted_compositions(range(n - k, 0, -1), n - k):
+        counts = (n - sum(tail), *reversed(tail))
+        if counts[0] >= 0:
+            out.append(tuple((i, c) for i, c in enumerate(counts) if c))
     return sorted(out)
 
 

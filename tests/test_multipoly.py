@@ -1,5 +1,7 @@
 """Exact scalars: rational parsing, binomials, sparse multivariate polynomials."""
 
+import itertools
+import operator
 from fractions import Fraction
 from math import comb, gcd
 
@@ -77,6 +79,22 @@ class TestBinomials:
         assert multinomial(0, ()) == 1
 
 
+class TestWeightedCompositions:
+    @fast
+    @given(weights=st.lists(st.integers(1, 4), max_size=4), total=st.integers(-2, 9))
+    def test_matches_the_product_brute_force(self, weights, total):
+        # every vector with entries 0..total, kept when its weighted sum hits
+        # total; product walks them in lexicographic order
+        ranges = [range(max(total, 0) + 1)] * len(weights)
+        want = [vec for vec in itertools.product(*ranges)
+                if sum(map(operator.mul, weights, vec)) == total]
+        assert list(scalars.weighted_compositions(weights, total)) == want
+
+    def test_reads_the_weights_from_any_iterable(self):
+        walk = scalars.weighted_compositions(iter((2, 1)), 3)
+        assert list(walk) == [(0, 3), (1, 1)]
+
+
 def _ring():
     return PolyRing("x", "y")
 
@@ -133,6 +151,22 @@ class TestMultiPolyArithmetic:
         assert len({three, 3}) == 1
         assert hash(MultiPoly.const(("u",), Fraction(-1, 2))) == hash(Fraction(-1, 2))
         assert hash(_ring().zero()) == hash(0)
+
+    def test_constants_compare_by_value_across_variables(self):
+        u3, k3 = MultiPoly.const(("u",), 3), MultiPoly.const(("k",), 3)
+        assert u3 == k3
+        assert len({u3, k3, 3}) == len({3, u3, k3}) == 1
+        assert MultiPoly(("u",)) == MultiPoly(("k", "v"))
+        assert u3 != MultiPoly.const(("k",), 4)
+        assert MultiPoly.variable(("u",), "u") != MultiPoly.variable(("k", "u"), "u")
+        assert MultiPoly.variable(("u",), "u") != u3
+
+    def test_division_of_a_non_number_is_not_implemented(self):
+        x = MultiPoly.variable(("x",), "x")
+        for divisor in (x, MultiPoly.const(("x",), 2)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                "s" / divisor
+        assert 1 / MultiPoly.const(("x",), 2) == Fraction(1, 2)
 
 
 def _reference_product(p, q):

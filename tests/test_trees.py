@@ -4,6 +4,7 @@ import ast
 import collections
 import functools
 import gc
+import inspect
 import itertools
 import math
 import pathlib
@@ -607,8 +608,11 @@ def test_lagrange_leaves_the_integer_form_to_series():
 
 
 def test_censuses_leave_no_reference_cycles():
-    # each search is a closure that calls itself; the walks must free it
-    # by reference counting, not leave it to the cyclic collector
+    # the census searches are closures that call themselves, and the case
+    # lists and closed sums walk weighted compositions; every walk must be
+    # freed by reference counting, not left to the cyclic collector
+    from lagrange_kit.lagrange import explicit_coefficient, explicit_from_inverse
+
     walks = [
         (trees._ordered_profile_census, (10, 3)),
         (trees._labeled_census, (6,)),
@@ -616,6 +620,9 @@ def test_censuses_leave_no_reference_cycles():
         (trees.ordered_profiles, (10, 3)),
         (trees.enumerate_labeled_forests, (5, 2)),
         (trees.enumerate_ordered_forests, (6, 2)),
+        (trees.degree_sequences, (7,)),
+        (explicit_coefficient, ([1, 2, 3, 4], 9, 2)),
+        (explicit_from_inverse, ([1, 2, 3], 8, 2)),
     ]
     gc.collect()
     gc.disable()
@@ -623,7 +630,9 @@ def test_censuses_leave_no_reference_cycles():
         for walk, args in walks:
             if hasattr(walk, "cache_clear"):
                 walk.cache_clear()
-            walk(*args)
+            result = walk(*args)
+            if inspect.isgenerator(result):
+                list(result)
         assert gc.collect() == 0
     finally:
         gc.enable()
