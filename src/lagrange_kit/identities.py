@@ -20,6 +20,11 @@ and its ``checks`` count every ``rec.expect`` and
 Polynomial identities in free parameters are certified by evaluating on
 integer grids exceeding the polynomial degree, so a passing grid is a
 proof, not a heuristic.
+
+Each closed form is written once: ``_narayana_family`` checks the
+multivariate formula for f = prod (1 + x_t f)^(e_t), with reciprocal
+factors, for ``narayana`` and ``fuss-narayana``, and ``_power_family``
+builds sum (n + k)^(n + s) x^n/n! for ``p-l`` and ``r-m``.
 """
 
 from __future__ import annotations
@@ -448,6 +453,7 @@ def check_fuss_catalan(
     composition identity c_{p+q}(x) = c_p(x c_{p+q}(x)^q)."""
     one = PowerSeries([1], order)
     x = PowerSeries([0, 1], order)
+    xs = PowerSeries([0, 1], small_order)
     for p in p_range:
         c = fuss_catalan_series(p, order)
         quotient = one - p * x * c ** (p - 1)
@@ -522,10 +528,8 @@ def check_fuss_catalan(
         )
 
         # composition identity
-        for q in (1, 2):
-            cpq = fuss_catalan_series(p + q, small_order)
-            cps = fuss_catalan_series(p, small_order)
-            xs = PowerSeries([0, 1], small_order)
+        cps = fuss_catalan_series(p, small_order)
+        for q, cpq in ((1, cp1), (2, fuss_catalan_series(p + 2, small_order))):
             rec.expect(
                 compose(cps, xs * cpq ** q),
                 cpq,
@@ -826,6 +830,22 @@ def check_ws_egf(
 # -- negative and positive power families ----------------------------------------
 
 
+def _power_family(k0: int, shift: int, order: int) -> PowerSeries:
+    """sum_n (n + k0)^(n + shift) x^n / n!, the left side of the p-l and
+    r-m series identities, through x^(order - 1); each coefficient is one
+    Fraction of integer powers, whatever the sign of n + shift."""
+    return PowerSeries(
+        [
+            Fraction(
+                (n + k0) ** max(n + shift, 0),
+                (n + k0) ** max(-n - shift, 0) * factorial(n),
+            )
+            for n in range(order)
+        ],
+        order,
+    )
+
+
 def compute_p_l(l: int) -> RationalFunction:
     """The degree l-1 polynomial p_l(u) with rational-in-k coefficients
     satisfying sum_n (n+k)^(n-l) x^n/n! = e^(kT) p_l(T), built from the
@@ -922,15 +942,11 @@ def check_p_l(
                 len(coeffs) == l and coeffs[-1] != 0,
                 "degree exactly l-1 at l=%d k=%d" % (l, k0),
             )
-            rhs = compose(PowerSeries(coeffs, order), t) * (k0 * t).exp()
-            lhs = PowerSeries(
-                [
-                    Fraction(n + k0) ** (n - l) / factorial(n)
-                    for n in range(order)
-                ],
-                order,
+            rec.expect(
+                _power_family(k0, -l, order),
+                compose(PowerSeries(coeffs, order), t) * (k0 * t).exp(),
+                "series identity at l=%d k=%d" % (l, k0),
             )
-            rec.expect(lhs, rhs, "series identity at l=%d k=%d" % (l, k0))
 
 
 @identity("q-l", min_order=3)
@@ -992,14 +1008,6 @@ def check_r_m(
     }
     frozen_rows = {0: [1], 1: [1], 2: [1, 2], 3: [1, 8, 6]}
     t = tree_function(order)
-    one = PowerSeries([1], order)
-
-    def w_series(m, k0):
-        return PowerSeries(
-            [Fraction((n + k0) ** (n + m), factorial(n)) for n in range(order)],
-            order,
-        )
-
     for m in range(m_max + 1):
         rm = compute_r_m(m)
         rec.require(rm.degree_in("u") == m, "u degree exactly m at m=%d" % m)
@@ -1019,21 +1027,18 @@ def check_r_m(
         if m <= series_m_max:
             for k0 in k_values:
                 coeffs = _u_coefficients(rm, k0)
-                rhs = (
+                rec.expect(
+                    _power_family(k0, m, order),
                     compose(PowerSeries(coeffs, order), t)
                     * (k0 * t).exp()
-                    / (one - t) ** (2 * m + 1)
-                )
-                rec.expect(
-                    w_series(m, k0),
-                    rhs,
+                    / (1 - t) ** (2 * m + 1),
                     "series identity at m=%d k=%d" % (m, k0),
                 )
     for m in range(series_m_max + 1):
         for k0 in k_values:
             rec.expect(
-                w_series(m, k0).derivative().truncated(order - 1),
-                w_series(m + 1, k0 + 1).truncated(order - 1),
+                _power_family(k0, m, order).derivative().truncated(order - 1),
+                _power_family(k0 + 1, m + 1, order).truncated(order - 1),
                 "derivative ladder at m=%d k=%d" % (m, k0),
             )
 
@@ -1096,7 +1101,8 @@ def check_fc_polynomiality(
     for key, value in (("p", p), ("i", i), ("j", j)):
         if value > N_MAX_LIMIT:
             raise SizeLimit("%s = %d must be at most %d" % (key, value, N_MAX_LIMIT))
-    d = j - i - 1 if i < j else i - j  # the degree the suite reads
+    vanishing = i < j
+    d = j - i - 1 if vanishing else i - j  # the degree the suite reads
     if d >= order:
         raise SizeLimit(
             "the degree %d this suite reads must be below the order %d" % (d, order)
@@ -1112,56 +1118,40 @@ def check_fc_polynomiality(
     inv = PowerSeries([1, 1], order) ** (-1)
     s = compose(wsum, PowerSeries([0, 1], order) * inv ** p) * inv ** (i + 1)
 
-    details = rec.details = {"p": p, "i": i, "j": j}
-    if i < j:
-        for m in range(d + 1, order):
-            rec.expect(s.coeff(m), 0, "vanishing coefficient at m=%d" % m)
-        rec.require(s.coeff(d) != 0, "degree exactly %d" % d)
-        coeffs = [s.coeff(m) for m in range(d + 1)]
-        table = _u_ij_table(p, i, j - i)
-        if table is not None:
-            rec.expect(coeffs, table, "printed table at p=%d i=%d j=%d" % (p, i, j))
-        scale, ints = _primitive_scale(coeffs)
-        details.update(
-            {
-                "branch": "vanishing",
-                "empirical": False,
-                "u_polynomial": coeffs,
-                "polynomial": ints,
-                "scale": scale,
-                "degree": d,
-            }
-        )
-        c = fuss_catalan_series(p, order)
-        one = PowerSeries([1], order)
-        rec.expect(
-            wsum,
-            compose(PowerSeries(coeffs, order), c - one) * c ** (i + 1),
-            "re-substitution through the generating series",
-        )
-        if (p, i, j) == (3, 0, 2):
-            rec.expect(
-                4 * wsum, 3 * c - c ** 2, "worked example sum a_n x^n"
-            )
-            rec.expect(ints, [2, -1], "worked example polynomial 2 - x")
-            rec.expect(scale, 4, "worked example scale")
-    else:
-        damp = PowerSeries([1, -(p - 1)], order) ** (2 * d + 1)
-        damped = s * damp
-        for m in range(d + 1, order):
-            rec.expect(damped.coeff(m), 0, "damped vanishing at m=%d" % m)
-        coeffs = [damped.coeff(m) for m in range(d + 1)]
-        scale, ints = _primitive_scale(coeffs)
-        details.update(
-            {
-                "branch": "damped",
-                "empirical": True,
-                "u_polynomial": coeffs,
-                "polynomial": ints,
-                "scale": scale,
-                "degree_bound": d,
-            }
-        )
+    if not vanishing:
+        s = s * PowerSeries([1, -(p - 1)], order) ** (2 * d + 1)
+    label = "vanishing coefficient" if vanishing else "damped vanishing"
+    for m in range(d + 1, order):
+        rec.expect(s.coeff(m), 0, "%s at m=%d" % (label, m))
+    coeffs = [s.coeff(m) for m in range(d + 1)]
+    scale, ints = _primitive_scale(coeffs)
+    rec.details = {
+        "p": p,
+        "i": i,
+        "j": j,
+        "branch": "vanishing" if vanishing else "damped",
+        "empirical": not vanishing,
+        "u_polynomial": coeffs,
+        "polynomial": ints,
+        "scale": scale,
+        "degree" if vanishing else "degree_bound": d,
+    }
+    if not vanishing:
+        return
+    rec.require(s.coeff(d) != 0, "degree exactly %d" % d)
+    table = _u_ij_table(p, i, j - i)
+    if table is not None:
+        rec.expect(coeffs, table, "printed table at p=%d i=%d j=%d" % (p, i, j))
+    c = fuss_catalan_series(p, order)
+    rec.expect(
+        wsum,
+        compose(PowerSeries(coeffs, order), c - 1) * c ** (i + 1),
+        "re-substitution through the generating series",
+    )
+    if (p, i, j) == (3, 0, 2):
+        rec.expect(4 * wsum, 3 * c - c ** 2, "worked example sum a_n x^n")
+        rec.expect(ints, [2, -1], "worked example polynomial 2 - x")
+        rec.expect(scale, 4, "worked example scale")
 
 
 # -- Narayana and relatives --------------------------------------------------------
@@ -1171,39 +1161,57 @@ def _narayana(n: int, i: int) -> Fraction:
     return Fraction(comb(n, i) * comb(n, i - 1), n)
 
 
+def _narayana_family(rec, factors, k_values, bound: int) -> MultiPoly:
+    """Solve f = prod_t (1 + x_t f)^(e_t), with (1 - x_t f)^(-e_t) for a
+    reciprocal factor, through total degree ``bound``; check [x^v] f^k =
+    (k/n) prod_t C(e_t n, v_t), with C(e_t n + v_t - 1, v_t) for a
+    reciprocal factor and n = k + sum v, at every monomial of degree at
+    most ``bound`` for each k; return f.  ``factors`` holds one (e, plus)
+    pair per variable x_1, x_2, ..."""
+    m = len(factors)
+    ring = PolyRing(*("x%d" % (t + 1) for t in range(m)))
+    one = ring.one()
+    t_order = bound + 2
+    r_series = PowerSeries([one], t_order)
+    for var, (e, plus) in zip(ring.gens(), factors):
+        base = PowerSeries([one, var if plus else -var], t_order)
+        r_series = r_series * base ** (e if plus else -e)
+    f = solve_indeterminate(r_series, bound)
+    prefix = "coefficient of f^%%d at x^%%s for f = %s" % " ".join(
+        "(1%sx%d f)^%d" % ("+" if plus else "-", t + 1, e if plus else -e)
+        for t, (e, plus) in enumerate(factors)
+    )
+    for k in k_values:
+        fk = f.pow_truncated(k, bound)
+        for vec in weighted_compositions((1,) * (m + 1), bound):
+            vec = vec[:m]
+            n = k + sum(vec)
+            num = k
+            for (e, plus), v in zip(factors, vec):
+                num *= int_binomial(e * n if plus else e * n + v - 1, v)
+            rec.expect(fk.coefficient(vec), Fraction(num, n), prefix % (k, vec))
+    return f
+
+
 @identity("narayana")
 def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None:
     """The symmetric equation f = (1+xf)(1+yf): coefficient formula for
     f^k, the Narayana-number reading of f itself with its symmetry, the
     defining quadratic, the square-root display (cross-multiplied), and
-    the three-variable quadratic variant."""
+    the three-variable variant f = (1+xf)(1+yf)/(1-zf)."""
     _require_positive_k(k_values)
     rec.order = degree_bound
-    ring = PolyRing("x", "y")
-    xp = ring.var("x")
-    yp = ring.var("y")
-    one = ring.one()
-    r_series = PowerSeries([one, xp + yp, xp * yp], 3)
-    f = solve_indeterminate(r_series, degree_bound)
+    f = _narayana_family(rec, ((1, True), (1, True)), k_values, degree_bound)
+    xp, yp = PolyRing(*f.vars).gens()
 
-    quad = (xp * yp * f * f + (xp + yp - one) * f + 1).truncate_total(degree_bound)
+    quad = (xp * yp * f * f + (xp + yp - 1) * f + 1).truncate_total(degree_bound)
     rec.require(quad.is_zero(), "defining quadratic")
-    root = one - xp - yp - 2 * xp * yp * f
+    root = 1 - xp - yp - 2 * xp * yp * f
     rec.expect(
         (root * root).truncate_total(degree_bound),
-        ((one - xp - yp) ** 2 - 4 * xp * yp).truncate_total(degree_bound),
+        ((1 - xp - yp) ** 2 - 4 * xp * yp).truncate_total(degree_bound),
         "square root display",
     )
-
-    for k in k_values:
-        fk = f.pow_truncated(k, degree_bound)
-        for a, b, _ in weighted_compositions((1, 1, 1), degree_bound):
-            n = a + b + k
-            rec.expect(
-                fk.coefficient((a, b)),
-                Fraction(k, n) * comb(n, a) * comb(n, b),
-                "power coefficient at k=%d x^%d y^%d" % (k, a, b),
-            )
     for a, b, _ in weighted_compositions((1, 1, 1), degree_bound - 1):
         rec.expect(
             f.coefficient((a, b)),
@@ -1218,63 +1226,7 @@ def check_narayana_suite(rec, degree_bound: int = 6, k_values=(1, 2, 3)) -> None
                 "symmetry at n=%d i=%d" % (n, idx),
             )
     rec.expect(_narayana(4, 2), 6, "frozen value N(4,2)")
-
-    ring3 = PolyRing("x", "y", "z")
-    x3 = ring3.var("x")
-    y3 = ring3.var("y")
-    z3 = ring3.var("z")
-    t_order = degree_bound + 2
-    coeffs = []
-    for n in range(t_order):
-        term = z3 ** n
-        if n >= 1:
-            term = term + (x3 + y3) * z3 ** (n - 1)
-        if n >= 2:
-            term = term + x3 * y3 * z3 ** (n - 2)
-        coeffs.append(term)
-    g = solve_indeterminate(PowerSeries(coeffs, t_order), degree_bound)
-    for k in (1, 2):
-        gk = g.pow_truncated(k, degree_bound)
-        for vec in weighted_compositions((1,) * 4, degree_bound):
-            vec = vec[:3]
-            n = k + sum(vec)
-            rec.expect(
-                gk.coefficient(vec),
-                Fraction(k, n)
-                * comb(n, vec[0])
-                * comb(n, vec[1])
-                * int_binomial(n + vec[2] - 1, vec[2]),
-                "three-variable coefficient at k=%d %s" % (k, (vec,)),
-            )
-
-
-def _mnar_check(rec, exps, plus: bool, k_values, bound: int) -> None:
-    m = len(exps)
-    ring = PolyRing(*("x%d" % (t + 1) for t in range(m)))
-    gens = ring.gens()
-    t_order = bound + 2
-    r_series = PowerSeries([ring.one()], t_order)
-    for var, e in zip(gens, exps):
-        base = PowerSeries([ring.one(), var if plus else -var], t_order)
-        r_series = r_series * base ** (e if plus else -e)
-    f = solve_indeterminate(r_series, bound)
-    kind = "product form" if plus else "reciprocal form"
-    for k in k_values:
-        fk = f.pow_truncated(k, bound)
-        for vec in weighted_compositions((1,) * (m + 1), bound):
-            vec = vec[:m]
-            n = k + sum(vec)
-            expected = Fraction(k, n)
-            for e, it in zip(exps, vec):
-                if plus:
-                    expected *= int_binomial(e * n, it)
-                else:
-                    expected *= int_binomial(e * n + it - 1, it)
-            rec.expect(
-                fk.coefficient(vec),
-                expected,
-                "%s exps=%s k=%d monomial %s" % (kind, exps, k, (vec,)),
-            )
+    _narayana_family(rec, ((1, True), (1, True), (1, False)), (1, 2), degree_bound)
 
 
 @identity("fuss-narayana")
@@ -1289,10 +1241,10 @@ def check_fuss_narayana(
     reciprocal-power variant, on small integer exponent profiles."""
     _require_positive_k(k_values)
     rec.order = degree_bound
-    for profile in r_profiles:
-        _mnar_check(rec, tuple(profile), True, k_values, degree_bound)
-    for profile in s_profiles:
-        _mnar_check(rec, tuple(profile), False, k_values, degree_bound)
+    for profiles, plus in ((r_profiles, True), (s_profiles, False)):
+        for profile in profiles:
+            factors = tuple((e, plus) for e in profile)
+            _narayana_family(rec, factors, k_values, degree_bound)
 
 
 # -- bivariate rational expansion ----------------------------------------------------

@@ -509,8 +509,9 @@ def cauchy_convolution_check(phi: PowerSeries, psi: PowerSeries,
 def explicit_coefficient(r, n: int, k: int):
     """[x^n] f^k for f = x R(f), R = sum r_i t^i, as the closed sum of
     (k/n) multinomial(n; n_0, n_1, ...) prod r_i^(n_i) over the profiles
-    with sum i n_i = n - k, n_0 = n - sum n_i >= 0; an empty sum is 0."""
-    r = list(r)
+    with sum i n_i = n - k, n_0 = n - sum n_i >= 0; an empty sum is 0.  An
+    empty list is the zero series, as [0] is."""
+    r = list(r) or [0]
     if n < 1:
         return 0
     acc = 0

@@ -9,6 +9,8 @@ interoperates with plain ints so that 0 and 1 work as universal ring constants.
 
 ``weighted_compositions`` lists the profiles, monomials and degree sequences
 that ``lagrange``, the suites and ``trees`` sum over, each by its own route.
+``_sum_text`` writes the text of a sum of terms for ``str`` of a polynomial
+and of a series.
 """
 
 from __future__ import annotations
@@ -50,6 +52,30 @@ def _power(base, k: int, one, times=mul):
         if k:
             base = times(base, base)
     return result
+
+
+def _sum_text(terms) -> str:
+    """The text of a sum of (coefficient, monomial text) pairs: each term
+    reads c*m, m when c is 1, -m when c is -1, or c alone when m is empty;
+    the terms are joined by " + ", or by " - " before a term whose text
+    starts with a minus; "0" when there is no term."""
+    text = ""
+    for c, mono in terms:
+        if not mono:
+            body = str(c)
+        elif c == 1:
+            body = mono
+        elif c == -1:
+            body = "-" + mono
+        else:
+            body = "%s*%s" % (c, mono)
+        if not text:
+            text = body
+        elif body.startswith("-"):
+            text += " - " + body[1:]
+        else:
+            text += " + " + body
+    return text or "0"
 
 
 def int_binomial(a: int, k: int) -> int:
@@ -431,33 +457,11 @@ class MultiPoly:
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        if not self._nums:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            factors = []
-            for name, p in zip(self.vars, e):
-                if p == 1:
-                    factors.append(name)
-                elif p > 1:
-                    factors.append("%s^%d" % (name, p))
-            mono = "*".join(factors)
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = "-" + mono
-            else:
-                body = "%s*%s" % (c, mono)
-            parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
+        return _sum_text(
+            (c, "*".join(name if p == 1 else "%s^%d" % (name, p)
+                         for name, p in zip(self.vars, e) if p))
+            for e, c in sorted(self.terms.items())
+        )
 
     def __repr__(self):
         return "MultiPoly(%r, %s)" % (list(self.vars), str(self))

@@ -90,6 +90,7 @@ from .errors import (
 from .scalars import (
     MultiPoly,
     _power,
+    _sum_text,
     scalar_div_int,
     scalar_inverse,
 )
@@ -650,32 +651,12 @@ class LaurentSeries(_Series):
 
 
 def _render(coeffs, min_exponent, order) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        e = min_exponent + i
-        if e == 0:
-            body = str(c)
-        else:
-            xs = "x" if e == 1 else "x^%d" % e
-            if c == 1:
-                body = xs
-            elif c == -1:
-                body = "-" + xs
-            else:
-                body = "%s*%s" % (c, xs)
-        parts.append(body)
-    if not parts:
-        text = "0"
-    else:
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-    return text + " + O(x^%d)" % order
+    terms = (
+        (c, "" if e == 0 else "x" if e == 1 else "x^%d" % e)
+        for e, c in enumerate(coeffs, min_exponent)
+        if c
+    )
+    return _sum_text(terms) + " + O(x^%d)" % order
 
 
 def compose(outer, inner: PowerSeries):

@@ -3,6 +3,7 @@
 import inspect
 import re
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from lagrange_kit.identities import (
     TRIALS_LIMIT,
     IdentityReport,
     _binomial_convolutions,
+    _narayana_family,
     _Recorder,
     _residue_after,
     catalan_series,
@@ -401,6 +403,33 @@ class TestBinomialConvolutions:
             # the right-hand side reads C(pn + k + l, n) alone, so a failure
             # there at another argument is a left-hand term that is off
             assert (p * n + k + l, n) != (13, 5)
+
+
+class TestNarayanaFamily:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        factors=st.lists(
+            st.tuples(st.sampled_from((1, 2)), st.booleans()), min_size=1, max_size=3
+        ),
+        k_values=st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+        bound=st.integers(0, 4),
+    )
+    def test_closed_form_holds_for_every_factor_list(self, factors, k_values, bound):
+        rec = _Recorder()
+        f = _narayana_family(rec, tuple(factors), k_values, bound)
+        assert rec.first_failure is None
+        m = len(factors)
+        assert rec.count == len(k_values) * comb(bound + m, m)
+        # f (1 - x_t f)^e over the reciprocal factors equals the product of
+        # the plus factors (1 + x_t f)^e, through the bound
+        ring = PolyRing(*f.vars)
+        lhs, rhs = f, ring.one()
+        for x, (e, plus) in zip(ring.gens(), factors):
+            if plus:
+                rhs = rhs * (1 + x * f) ** e
+            else:
+                lhs = lhs * (1 - x * f) ** e
+        assert lhs.truncate_total(bound) == rhs.truncate_total(bound)
 
 
 class TestWeightedStirling:

@@ -581,6 +581,13 @@ class TestExplicitSums:
         assert explicit_from_inverse([1], 0, 2) == 0
         assert explicit_from_inverse([1], 1, 2) == 0
 
+    def test_empty_list_is_the_zero_series(self):
+        for n in range(-2, 7):
+            for k in range(-2, 7):
+                got = explicit_coefficient([], n, k)
+                want = explicit_coefficient([0], n, k)
+                assert got == want and type(got) is type(want)
+
 
 class TestRaney:
     def test_profile_mismatch_is_zero(self):

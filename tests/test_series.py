@@ -1061,3 +1061,32 @@ class TestTypeRule:
             ORDER,
         )
         _obeys_type_rule(f.reversion(), _naive_reversion(_naive(f)), "rational")
+
+
+_X, _Y = PolyRing("x", "y").gens()
+
+# str() of series and of MultiPoly, as both read through one writer
+TEXT_PINS = [
+    (PowerSeries([0, 0], 3), "0 + O(x^3)"),
+    (PowerSeries([], 1), "0 + O(x^1)"),
+    (LaurentSeries([1, -1, 0, 2], -2, 3), "x^-2 - x^-1 + 2*x + O(x^3)"),
+    (LaurentSeries([-1, 0, 3], -3, 1), "-x^-3 + 3*x^-1 + O(x^1)"),
+    (PowerSeries([1, -1, 0, 1], 5), "1 - x + x^3 + O(x^5)"),
+    (PowerSeries([-1, 1, 0, -1], 4), "-1 + x - x^3 + O(x^4)"),
+    (PowerSeries([Fraction(-1, 2), Fraction(-3, 4), 0, Fraction(5, 2)], 5),
+     "-1/2 - 3/4*x + 5/2*x^3 + O(x^5)"),
+    (PowerSeries([1, _X + _Y, -_X * _Y], 3), "1 + y + x*x - x*y*x^2 + O(x^3)"),
+    (PowerSeries([_X - 1, 1 - _Y, 2 * _X], 4),
+     "-1 + x + 1 - y*x + 2*x*x^2 + O(x^4)"),
+    (1 - _X * _Y + 2 * _X ** 2 - Fraction(1, 3) * _Y, "1 - 1/3*y - x*y + 2*x^2"),
+    (MultiPoly(("x", "y")), "0"),
+    (-_X, "-x"),
+    (_X * _Y ** 2 - 1, "-1 + x*y^2"),
+    (Fraction(-1, 2) + _X, "-1/2 + x"),
+    (3 + 0 * _X, "3"),
+]
+
+
+@pytest.mark.parametrize("value, text", TEXT_PINS, ids=[t for _, t in TEXT_PINS])
+def test_text_of_a_sum_of_terms(value, text):
+    assert str(value) == text
