@@ -1008,6 +1008,15 @@ def check_r_m(
     }
     frozen_rows = {0: [1], 1: [1], 2: [1, 2], 3: [1, 8, 6]}
     t = tree_function(order)
+    # (k0, m) -> _power_family(k0, m, order): the series identity and both
+    # sides of the ladder read the same series, each built once
+    family: dict = {}
+
+    def power_family(k0: int, m: int) -> PowerSeries:
+        if (k0, m) not in family:
+            family[k0, m] = _power_family(k0, m, order)
+        return family[k0, m]
+
     for m in range(m_max + 1):
         rm = compute_r_m(m)
         rec.require(rm.degree_in("u") == m, "u degree exactly m at m=%d" % m)
@@ -1025,20 +1034,19 @@ def check_r_m(
         if m in frozen_rows:
             rec.expect(row, frozen_rows[m], "frozen k=1 row at m=%d" % m)
         if m <= series_m_max:
+            damping = (1 - t) ** (2 * m + 1)
             for k0 in k_values:
                 coeffs = _u_coefficients(rm, k0)
                 rec.expect(
-                    _power_family(k0, m, order),
-                    compose(PowerSeries(coeffs, order), t)
-                    * (k0 * t).exp()
-                    / (1 - t) ** (2 * m + 1),
+                    power_family(k0, m),
+                    compose(PowerSeries(coeffs, order), t) * (k0 * t).exp() / damping,
                     "series identity at m=%d k=%d" % (m, k0),
                 )
     for m in range(series_m_max + 1):
         for k0 in k_values:
             rec.expect(
-                _power_family(k0, m, order).derivative().truncated(order - 1),
-                _power_family(k0 + 1, m + 1, order).truncated(order - 1),
+                power_family(k0, m).derivative().truncated(order - 1),
+                power_family(k0 + 1, m + 1).truncated(order - 1),
                 "derivative ladder at m=%d k=%d" % (m, k0),
             )
 

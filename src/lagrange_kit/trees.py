@@ -2,7 +2,7 @@
 
 Everything here counts by exhaustive enumeration so it can sit on the
 opposite side of a test from the algebraic coefficient formulas.  Ordered
-forests are generated through their reduced codes, labeled forests by a
+forests are counted through their reduced codes, labeled forests by a
 pruned parent-function search, and unrooted trees by a backtracking
 search over the edges of K_m, so no route shares machinery with the
 series engine, and the tree search shares none with the Prufer codec
@@ -11,20 +11,23 @@ whose round trips it checks.
 Each census is counted once per size, while its enumeration runs, and is
 held in a module-level ``lru_cache``: ordered forests by profile per
 (n, k), labeled forests by child counts and by profile per n, and trees by
-degree sequence per m.  Every count query is then a lookup.  Each search
-packs a count vector into one integer key as it assigns: the ordered
-search counts the code entries by value (a vertex with entry e has e + 1
-children, so the counts are the profile), the labeled search counts the
-children of each vertex, and the tree search the degree of each vertex.
-A census counts objects by key and turns each distinct key into its map
-key once.  The forest searches report each object to a visitor and keep
-none, and only ``enumerate_ordered_forests`` decodes.  The trees on [m]
-are cached packed, 2(m - 1) one-byte endpoints per tree, behind a
-read-only sequence of canonical edge tuples; the Prufer round trips read
-them there.  Prufer encoding and decoding take linear time, with a leaf
-pointer that only moves up, and check their input in one pass; the
-encoder's leaf deletion is its tree check, since m - 1 loop-free edges on
-[m] form a tree exactly when a leaf is left at each deletion.
+degree sequence per m.  Every count query is then a lookup.  Each census
+runs its own search, which packs a count vector into one integer key as
+it assigns: the ordered search counts the code entries by value (a vertex
+with entry e has e + 1 children, so the counts are the profile), the
+labeled search counts the children of each vertex, and the tree search
+the degree of each vertex.  The searches keep no forest: each counts its
+objects by key in its innermost loop, the one that assigns the last free
+code entry or the last vertex's parent, and turns each distinct key into
+its map key once.  The forest and code objects (ordered forests, suffix
+and reduced codes, the forest lists) are test fixtures, built by searches
+of their own.  The trees on [m] are cached packed, 2(m - 1) one-byte
+endpoints per tree, behind a read-only sequence of canonical edge tuples;
+the Prufer round trips read them there.  Prufer encoding and decoding
+take linear time, with a leaf pointer that only moves up, and check
+their input in one pass; the encoder's leaf deletion is its tree check,
+since m - 1 loop-free edges on [m] form a tree exactly when a leaf is
+left at each deletion.
 
 The case lists ``ordered_profiles`` and ``degree_sequences`` only name
 cases, by ``scalars.weighted_compositions``; every count comes from a search.
@@ -70,150 +73,7 @@ def _digits(key: int, base: int, length: int) -> tuple:
     return tuple(out)
 
 
-# -- ordered forests and their codes -------------------------------------------
-
-
-def _vertex_count(tree) -> int:
-    return 1 + sum(_vertex_count(child) for child in tree)
-
-
-@dataclass(frozen=True)
-class OrderedForest:
-    """A k-tuple of rooted ordered trees; each tree is a nested tuple of
-    its child subtrees, so a leaf is ()."""
-
-    k: int
-    trees: tuple
-
-    def __post_init__(self):
-        if self.k != len(self.trees):
-            raise ValueError("k must equal the number of trees")
-
-    @property
-    def n(self) -> int:
-        return sum(_vertex_count(t) for t in self.trees)
-
-    def profile(self) -> dict:
-        """Map child-count -> number of vertices with that many children."""
-        out: dict = {}
-        stack = list(self.trees)
-        while stack:
-            node = stack.pop()
-            out[len(node)] = out.get(len(node), 0) + 1
-            stack.extend(node)
-        return out
-
-
-@dataclass(frozen=True)
-class CodeSequence:
-    """Suffix or reduced code of an ordered forest; reduced entries are
-    the suffix entries minus one."""
-
-    entries: tuple
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("suffix", "reduced"):
-            raise ValueError("kind must be 'suffix' or 'reduced'")
-        low = 0 if self.kind == "suffix" else -1
-        if any(not isinstance(e, int) or e < low for e in self.entries):
-            raise InvalidCode("entries must be integers >= %d" % low)
-
-    def to_reduced(self) -> "CodeSequence":
-        if self.kind == "reduced":
-            return self
-        return CodeSequence(tuple(e - 1 for e in self.entries), "reduced")
-
-    def to_suffix(self) -> "CodeSequence":
-        if self.kind == "suffix":
-            return self
-        return CodeSequence(tuple(e + 1 for e in self.entries), "suffix")
-
-
-def suffix_code(forest: OrderedForest) -> CodeSequence:
-    """Postorder code: a vertex with j children contributes j after the
-    codes of its subtrees; trees are concatenated left to right."""
-    out = []
-
-    def walk(tree):
-        for child in tree:
-            walk(child)
-        out.append(len(tree))
-
-    for tree in forest.trees:
-        walk(tree)
-    return CodeSequence(tuple(out), "suffix")
-
-
-def reduced_code(forest: OrderedForest) -> CodeSequence:
-    return suffix_code(forest).to_reduced()
-
-
-def decode_reduced(code, k: int) -> OrderedForest:
-    """Rebuild the forest whose reduced code is the given sequence.
-
-    Valid codes have entries >= -1, total sum -k, and every partial sum
-    negative; anything else raises InvalidCode."""
-    if isinstance(code, CodeSequence):
-        entries = code.to_reduced().entries
-    else:
-        entries = tuple(code)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if any(not isinstance(e, int) or e < -1 for e in entries):
-        raise InvalidCode("reduced entries must be integers >= -1")
-    partial = 0
-    stack = []
-    for i, e in enumerate(entries):
-        partial += e
-        if partial >= 0:
-            raise InvalidCode("partial sum %d at position %d is not negative" % (partial, i))
-        # the stack holds minus the previous partial sum, e - partial
-        # subtrees, so a negative sum leaves the e + 1 that entry e takes
-        stack[-partial - 1 :] = [tuple(stack[-partial - 1 :])]
-    if partial != -k:
-        raise InvalidCode("entries sum to %d, expected %d" % (partial, -k))
-    return OrderedForest(k, tuple(stack))
-
-
-def _ordered_forest_search(n: int, k: int, visit) -> None:
-    """Call visit(entries, key) for every valid reduced code of length n
-    with total -k, that is for every forest of k ordered trees on n
-    vertices; the entries list is reused between calls.  The key counts
-    the entries by value as they are assigned: digit j, base n + 1, is the
-    number of entries equal to j - 1, that is of vertices with j children."""
-    _within_limit("n", n, ORDERED_FOREST_LIMIT)
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < k:
-        return
-    entries = [0] * n
-    # weight[e + 1] is the key's unit for entry e
-    weight = [(n + 1) ** j for j in range(n + 1)]
-
-    def search(i: int, partial: int, key: int) -> None:
-        remaining_after = n - i - 1
-        if remaining_after == 0:
-            e = -k - partial
-            if e >= -1:
-                entries[i] = e
-                visit(entries, key + weight[e + 1])
-            return
-        top = min(-1, remaining_after - k) - partial
-        for e in range(-1, top + 1):
-            entries[i] = e
-            search(i + 1, partial + e, key + weight[e + 1])
-
-    search(0, 0, 0)
-    del search  # the closure refers to itself: free it without gc
-
-
-def enumerate_ordered_forests(n: int, k: int) -> list:
-    """Every forest of k ordered trees with n vertices, decoded from the
-    valid reduced codes of length n."""
-    out = []
-    _ordered_forest_search(n, k, lambda entries, key: out.append(decode_reduced(entries, k)))
-    return out
+# -- ordered forests, counted through their reduced codes -------------------------
 
 
 def _normalize_profile(profile) -> dict:
@@ -236,15 +96,41 @@ def _normalize_profile(profile) -> dict:
 @lru_cache(maxsize=128)
 def _ordered_profile_census(n: int, k: int) -> dict:
     """Sorted profile items -> number of ordered k-forests on n vertices
-    with that profile.  Codes are counted by the search's key, which counts
-    the vertices by number of children, and each distinct key becomes a
-    profile once."""
+    with that profile, counted over the valid reduced codes of length n:
+    entries >= -1, every partial sum negative, total -k.  A vertex with
+    entry e has e + 1 children, so the search keys each code by its counts
+    of entries by value: digit j, base n + 1, counts the entries equal to
+    j - 1.  Each distinct key becomes a profile once."""
+    _within_limit("n", n, ORDERED_FOREST_LIMIT)
+    if k < 1:
+        raise ValueError("k must be positive")
     by_key: dict = {}
+    # weight[e + 1] is the key's unit for entry e
+    weight = [(n + 1) ** j for j in range(n + 1)]
+    last = n - 2
 
-    def visit(entries: list, key: int) -> None:
-        by_key[key] = by_key.get(key, 0) + 1
+    def search(i: int, partial: int, key: int) -> None:
+        # entry i may take e up to top: the partial sum stays negative, and
+        # the n - i - 1 entries after it, each >= -1, can still reach -k
+        top = min(-1, n - i - 1 - k) - partial
+        if i < last:
+            for e in range(-1, top + 1):
+                search(i + 1, partial + e, key + weight[e + 1])
+            return
+        # the last free entry: the final entry is forced to -k minus the
+        # partial sum, and top keeps it >= -1, so every e is one code
+        forced = 1 - k - partial
+        for e in range(-1, top + 1):
+            code_key = key + weight[e + 1] + weight[forced - e]
+            by_key[code_key] = by_key.get(code_key, 0) + 1
 
-    _ordered_forest_search(n, k, visit)
+    if n == 1:
+        # no free entry: the one entry is -k, valid for k = 1
+        if k == 1:
+            by_key[weight[0]] = 1
+    elif n >= k:
+        search(0, 0, 0)
+    del search  # the closure refers to itself: free it without gc
     return {
         tuple((j, c) for j, c in enumerate(_digits(key, n + 1, n + 1)) if c): count
         for key, count in by_key.items()
@@ -288,16 +174,15 @@ def cycle_lemma_count(seq) -> int:
     if total >= 0:
         raise BadSequence("sum must be negative, got %d" % total)
     n = len(entries)
+    doubled = entries + entries
     count = 0
     for start in range(n):
         partial = 0
-        good = True
-        for off in range(n):
-            partial += entries[(start + off) % n]
+        for e in doubled[start : start + n]:
+            partial += e
             if partial >= 0:
-                good = False
                 break
-        if good:
+        else:
             count += 1
     return count
 
@@ -564,82 +449,47 @@ def degree_sequences(m: int):
 # -- labeled rooted forests -------------------------------------------------------
 
 
-def _labeled_forest_search(n: int, visit) -> None:
-    """Call visit(parent, key) for every acyclic parent assignment on [n]:
-    parent[i] is the parent of vertex i, with 0 marking a root, and digit
-    v of key, base n + 1, is the number of children of v, so digit 0
-    counts the roots.  The parent list is reused between calls."""
-    _within_limit("n", n, LABELED_FOREST_LIMIT)
-    if n < 1:
-        raise ValueError("n must be positive")
-    parent = [0] * (n + 1)
-    weight = [(n + 1) ** v for v in range(n + 1)]
-
-    def search(i: int, key: int) -> None:
-        if i == n:
-            # the last vertex's choices are the leaves, visited in one loop;
-            # a chain from p ends at a root (0) or at n, closing a cycle
-            for p in range(n):
-                v = p
-                while v and v != n:
-                    v = parent[v]
-                if v:
-                    continue
-                parent[n] = p
-                visit(parent, key + weight[p])
-            parent[n] = 0
-            return
-        for p in range(n + 1):
-            if p == i:
-                continue
-            if p and _chases_back(i, p):
-                continue
-            parent[i] = p
-            search(i + 1, key + weight[p])
-        parent[i] = 0
-
-    def _chases_back(start: int, p: int) -> bool:
-        v = p
-        while v:
-            if v == start:
-                return True
-            if v > start:
-                return False
-            v = parent[v]
-        return False
-
-    search(1, 0)
-    del search  # the closure refers to itself: free it without gc
-
-
-def enumerate_labeled_forests(n: int, k: int) -> list:
-    """All forests of k rooted trees on [n], as parent tuples with 0 at
-    the roots."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = []
-
-    def visit(parent: list, key: int) -> None:
-        if key % (n + 1) == k:
-            out.append(tuple(parent[1:]))
-
-    _labeled_forest_search(n, visit)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _labeled_census(n: int) -> tuple:
     """Two maps over the rooted forests on [n]: (k,) + child counts ->
     number of forests, and (k, sorted profile items) -> number of forests.
-    Forests are counted by the search's key, and each distinct key becomes
-    both map keys once; a forest's profile is the multiset of its child
-    counts."""
+    The search assigns each vertex i a parent, 0 for a root, that does not
+    lead back to i, and keys each forest by its child counts: digit v,
+    base n + 1, counts the children of v, so digit 0 counts the roots.
+    Each distinct key becomes both map keys once; a forest's profile is
+    the multiset of its child counts."""
+    _within_limit("n", n, LABELED_FOREST_LIMIT)
+    if n < 1:
+        raise ValueError("n must be positive")
     by_key: dict = {}
+    # parent[v] for the vertices v < n; the last vertex's is never read
+    parent = [0] * n
+    weight = [(n + 1) ** v for v in range(n + 1)]
 
-    def visit(parent: list, key: int) -> None:
-        by_key[key] = by_key.get(key, 0) + 1
+    def search(i: int, key: int) -> None:
+        if i == n:
+            # the last vertex's choices, counted in one loop: a chain from
+            # p < n ends at a root (0) or at n, closing a cycle
+            for p in range(n):
+                v = p
+                while 0 < v < n:
+                    v = parent[v]
+                if not v:
+                    forest_key = key + weight[p]
+                    by_key[forest_key] = by_key.get(forest_key, 0) + 1
+            return
+        for p in range(n + 1):
+            # the chain from p through the parents assigned so far ends at a
+            # root, at a vertex after i, or at i itself, closing a cycle
+            v = p
+            while 0 < v < i:
+                v = parent[v]
+            if v != i:
+                parent[i] = p
+                search(i + 1, key + weight[p])
 
-    _labeled_forest_search(n, visit)
+    search(1, 0)
+    del search  # the closure refers to itself: free it without gc
     by_child: dict = {}
     by_profile: dict = {}
     for key, count in by_key.items():

@@ -8,8 +8,11 @@ import inspect
 import itertools
 import math
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrange_kit import trees
 from lagrange_kit.errors import (
@@ -19,33 +22,42 @@ from lagrange_kit.errors import (
     SizeLimit,
 )
 
+from forest_reference import (
+    CodeSequence,
+    decode_reduced,
+    enumerate_labeled_forests,
+    enumerate_ordered_forests,
+    reduced_code,
+    suffix_code,
+)
+
 
 class TestCodes:
     def test_worked_forest_example(self):
-        forest = trees.decode_reduced([-1, -1, 1, -1, 0], 2)
+        forest = decode_reduced([-1, -1, 1, -1, 0], 2)
         assert forest.k == 2
         assert forest.n == 5
-        assert trees.suffix_code(forest).entries == (0, 0, 2, 0, 1)
-        assert trees.reduced_code(forest).entries == (-1, -1, 1, -1, 0)
+        assert suffix_code(forest).entries == (0, 0, 2, 0, 1)
+        assert reduced_code(forest).entries == (-1, -1, 1, -1, 0)
         # first tree: root with two leaves; second: root with one leaf
         assert forest.trees == (((), ()), ((),))
 
     def test_single_vertex(self):
-        forest = trees.decode_reduced([-1], 1)
+        forest = decode_reduced([-1], 1)
         assert forest.trees == ((),)
-        assert trees.suffix_code(forest).entries == (0,)
+        assert suffix_code(forest).entries == (0,)
 
     def test_code_kind_conversion(self):
-        code = trees.CodeSequence((0, 0, 2, 0, 1), "suffix")
+        code = CodeSequence((0, 0, 2, 0, 1), "suffix")
         assert code.to_reduced().entries == (-1, -1, 1, -1, 0)
         assert code.to_reduced().to_suffix().entries == code.entries
 
     def test_round_trip_exhaustive(self):
         for n in range(1, 8):
             for k in range(1, 4):
-                for forest in trees.enumerate_ordered_forests(n, k):
-                    code = trees.reduced_code(forest)
-                    assert trees.decode_reduced(code, k) == forest
+                for forest in enumerate_ordered_forests(n, k):
+                    code = reduced_code(forest)
+                    assert decode_reduced(code, k) == forest
 
     def test_codes_are_exactly_the_lemma_sequences(self):
         # every sequence passing the sum/partial-sum conditions decodes,
@@ -56,22 +68,22 @@ class TestCodes:
             partials = list(itertools.accumulate(entries))
             valid = partials[-1] == -k and all(p < 0 for p in partials)
             if valid:
-                trees.decode_reduced(entries, k)
+                decode_reduced(entries, k)
                 seen += 1
             else:
                 with pytest.raises(InvalidCode):
-                    trees.decode_reduced(entries, k)
-        assert seen == len(trees.enumerate_ordered_forests(n, k))
+                    decode_reduced(entries, k)
+        assert seen == len(enumerate_ordered_forests(n, k))
 
     def test_invalid_codes(self):
         with pytest.raises(InvalidCode):
-            trees.decode_reduced([-2], 1)
+            decode_reduced([-2], 1)
         with pytest.raises(InvalidCode):
-            trees.decode_reduced([0, -1], 1)  # first partial sum is 0
+            decode_reduced([0, -1], 1)  # first partial sum is 0
         with pytest.raises(InvalidCode):
-            trees.decode_reduced([-1, -1], 1)  # sums to -2
+            decode_reduced([-1, -1], 1)  # sums to -2
         with pytest.raises(ValueError):
-            trees.decode_reduced([-1], 0)
+            decode_reduced([-1], 0)
 
 
 class TestOrderedForests:
@@ -79,7 +91,7 @@ class TestOrderedForests:
         # k = 1 gives ordered trees, counted by Catalan numbers
         catalan = [1, 1, 2, 5, 14, 42, 132]
         for n in range(1, 8):
-            assert len(trees.enumerate_ordered_forests(n, 1)) == catalan[n - 1]
+            assert len(enumerate_ordered_forests(n, 1)) == catalan[n - 1]
 
     def test_census_equals_formula(self):
         for n in range(1, 8):
@@ -93,7 +105,7 @@ class TestOrderedForests:
         for n in range(1, 7):
             for k in range(1, 4):
                 allowed = set(trees.ordered_profiles(n, k))
-                for forest in trees.enumerate_ordered_forests(n, k):
+                for forest in enumerate_ordered_forests(n, k):
                     key = tuple(sorted(forest.profile().items()))
                     assert key in allowed
 
@@ -106,7 +118,15 @@ class TestOrderedForests:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            trees.enumerate_ordered_forests(13, 1)
+            trees.count_by_profile(13, 1, {})
+
+
+def _negative_sum(seq):
+    # lower the greatest entry to -1 until the sum is negative
+    seq = list(seq)
+    while sum(seq) >= 0:
+        seq[seq.index(max(seq))] = -1
+    return seq
 
 
 class TestCycleLemma:
@@ -124,10 +144,25 @@ class TestCycleLemma:
                     assert trees.cycle_lemma_count(seq) == -total
 
     def test_bad_sequences(self):
-        with pytest.raises(BadSequence):
-            trees.cycle_lemma_count([1, -1])  # sum 0
-        with pytest.raises(BadSequence):
-            trees.cycle_lemma_count([-2, 1])  # entry below -1
+        # the entries are checked before the sum
+        for seq, message in [
+            ([-1, 1.0, -1], "entries must be integers >= -1"),  # a float entry
+            ([-2, 1], "entries must be integers >= -1"),  # entry below -1
+            ([-2, 3, 3], "entries must be integers >= -1"),  # below -1, sum >= 0
+            ([1, -1], "sum must be negative, got 0"),
+            ([3, -1, -1], "sum must be negative, got 1"),
+        ]:
+            with pytest.raises(BadSequence, match="^%s$" % re.escape(message)):
+                trees.cycle_lemma_count(seq)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 3), min_size=1, max_size=12).map(_negative_sum))
+    def test_count_equals_the_rotations_with_negative_partial_sums(self, seq):
+        want = sum(
+            all(p < 0 for p in itertools.accumulate(seq[i:] + seq[:i]))
+            for i in range(len(seq))
+        )
+        assert trees.cycle_lemma_count(seq) == want
 
 
 class TestPrufer:
@@ -214,7 +249,7 @@ class TestLabeledForests:
         # rooted forests on [n] are counted by (n+1)^(n-1)
         for n in range(1, 7):
             total = sum(
-                len(trees.enumerate_labeled_forests(n, k)) for k in range(1, n + 1)
+                len(enumerate_labeled_forests(n, k)) for k in range(1, n + 1)
             )
             assert total == (n + 1) ** (n - 1)
 
@@ -264,7 +299,7 @@ class TestLabeledForests:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            trees.enumerate_labeled_forests(8, 1)
+            trees.labeled_forest_profile_count(8, 1, {})
 
 
 class TestCensusContract:
@@ -450,7 +485,7 @@ class TestFastRoutesAgainstReferences:
             for k in range(1, n + 1):
                 want = collections.Counter(
                     tuple(sorted(f.profile().items()))
-                    for f in trees.enumerate_ordered_forests(n, k)
+                    for f in enumerate_ordered_forests(n, k)
                 )
                 assert trees._ordered_profile_census(n, k) == want
 
@@ -538,7 +573,7 @@ class TestFastRoutesAgainstReferences:
             by_child = collections.Counter()
             by_profile = collections.Counter()
             for k in range(1, n + 1):
-                for parent in trees.enumerate_labeled_forests(n, k):
+                for parent in enumerate_labeled_forests(n, k):
                     kids = [0] * n
                     for p in parent:
                         if p:
@@ -555,7 +590,7 @@ class TestFastRoutesAgainstReferences:
                 if all(_reaches_a_root(parent, v) for v in range(1, n + 1)):
                     want[parent.count(0)].add(parent)
             for k in range(1, n + 1):
-                got = trees.enumerate_labeled_forests(n, k)
+                got = enumerate_labeled_forests(n, k)
                 assert len(got) == len(set(got)) == len(want[k])
                 assert set(got) == want[k]
 
@@ -573,6 +608,54 @@ class TestFastRoutesAgainstReferences:
 
     def test_one_vertex_has_the_empty_tree(self):
         assert trees.enumerate_labeled_trees(1) == ((),)
+
+
+def _one_more_at_first_key(census: dict, wanted=lambda key: True) -> dict:
+    wrong = dict(census)
+    wrong[next(key for key in wrong if wanted(key))] += 1
+    return wrong
+
+
+def _planted(name, roots):
+    # the census `name` in trees, wrong by one at one key the oracle reads
+    # for `roots` trees
+    real = getattr(trees, name)
+    if name == "_ordered_profile_census":
+        return lambda n, k: _one_more_at_first_key(real(n, k))
+    if name == "_labeled_census":
+        # the profile map is keyed by (k, profile) for every k at once
+        return lambda n: (
+            real(n)[0],
+            _one_more_at_first_key(real(n)[1], lambda key: key[0] == roots),
+        )
+    if name == "_labeled_tree_census":
+        return lambda m: (real(m)[0], _one_more_at_first_key(real(m)[1]))
+    return lambda seq: real(seq) + (tuple(seq) == (0, -1, -1))
+
+
+_PLANT_SIZES = dict(n=5, k=2, m=5, alphabet=(-1, 0, 1, 2), length=4)
+
+
+def _mismatched_rows(kind):
+    rows = trees.oracle_rows(kind, **_PLANT_SIZES)
+    return [row for row in rows if row[1] != row[2]]
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("ordered-forest", "_ordered_profile_census"),
+        ("labeled-forest", "_labeled_census"),
+        ("degree-trees", "_labeled_tree_census"),
+        ("cycle-lemma", "cycle_lemma_count"),
+    ],
+)
+def test_each_planted_census_defect_fails_an_oracle_row(kind, name, monkeypatch):
+    # a census wrong by one at one key must show as a row whose census
+    # differs from its formula
+    assert _mismatched_rows(kind) == []
+    monkeypatch.setattr(trees, name, _planted(name, _PLANT_SIZES["k"]))
+    assert _mismatched_rows(kind) != []
 
 
 def test_trees_imports_no_other_layer():
@@ -618,8 +701,6 @@ def test_censuses_leave_no_reference_cycles():
         (trees._labeled_census, (6,)),
         (trees._labeled_tree_census, (6,)),
         (trees.ordered_profiles, (10, 3)),
-        (trees.enumerate_labeled_forests, (5, 2)),
-        (trees.enumerate_ordered_forests, (6, 2)),
         (trees.degree_sequences, (7,)),
         (explicit_coefficient, ([1, 2, 3, 4], 9, 2)),
         (explicit_from_inverse, ([1, 2, 3], 8, 2)),
