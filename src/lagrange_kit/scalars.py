@@ -56,9 +56,10 @@ def _power(base, k: int, one, times=mul):
 
 def _sum_text(terms) -> str:
     """The text of a sum of (coefficient, monomial text) pairs: each term
-    reads c*m, m when c is 1, -m when c is -1, or c alone when m is empty;
-    the terms are joined by " + ", or by " - " before a term whose text
-    starts with a minus; "0" when there is no term."""
+    reads c*m, m when c is 1, -m when c is -1, or c alone when m is empty,
+    with a MultiPoly c of more than one term in parentheses before m; the
+    terms are joined by " + ", or by " - " before a term whose text starts
+    with a minus; "0" when there is no term."""
     text = ""
     for c, mono in terms:
         if not mono:
@@ -67,6 +68,8 @@ def _sum_text(terms) -> str:
             body = mono
         elif c == -1:
             body = "-" + mono
+        elif isinstance(c, MultiPoly) and len(c._nums) > 1:
+            body = "(%s)*%s" % (c, mono)
         else:
             body = "%s*%s" % (c, mono)
         if not text:
@@ -283,9 +286,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self._nums)
 
-    def total_degree(self) -> int:
-        return max(map(sum, self._nums), default=0)
-
     def min_total_degree(self):
         """Smallest total degree among the terms; None for the zero poly."""
         return min(map(sum, self._nums), default=None)
@@ -446,14 +446,6 @@ class MultiPoly:
             den *= q ** top
         return _poly(self.vars, nums, den)
 
-    def evaluate(self, mapping) -> Fraction:
-        """Substitute every variable and return the resulting Fraction."""
-        res = self.subs(mapping)
-        if not res.is_constant():
-            missing = [v for v in self.vars if res.degree_in(v) > 0]
-            raise ValueError("unassigned variables: %s" % ", ".join(missing))
-        return res.constant_value()
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
@@ -480,9 +472,6 @@ class PolyRing:
 
     def gens(self):
         return tuple(self.var(n) for n in self.names)
-
-    def const(self, value) -> MultiPoly:
-        return MultiPoly.const(self.names, value)
 
     def zero(self) -> MultiPoly:
         return MultiPoly(self.names)

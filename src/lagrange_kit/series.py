@@ -601,10 +601,6 @@ class LaurentSeries(_Series):
         self._den, self._typed, self.order = den, None, order
         self.min_exponent = min_exponent
 
-    @classmethod
-    def zero(cls, order: int) -> "LaurentSeries":
-        return cls([], 0, order)
-
     # -- structure ---------------------------------------------------------
 
     def residue(self):
@@ -617,14 +613,9 @@ class LaurentSeries(_Series):
         if k == 0 or self.is_zero():
             return self
         if self.min_exponent + k >= self.order:
-            return LaurentSeries.zero(self.order)
+            return self._make([])
         nums = self._nums[: max(0, len(self._nums) - k)] if k > 0 else self._nums
         return self._make(nums, self._den, self.min_exponent + k)
-
-    def to_power_series(self) -> PowerSeries:
-        if self.min_exponent < 0:
-            raise ValueError("series has negative exponents")
-        return PowerSeries._from(self._window(0), self._den, 0, self.order)
 
     def product_coeff(self, other, n: int):
         """[x^n] (self * other) for a series ``other``, read as one dot

@@ -281,7 +281,7 @@ class TestRingAxioms:
     @fast
     @given(a=any_series)
     @example(a=PowerSeries([0], ORDER))
-    @example(a=LaurentSeries.zero(ORDER))
+    @example(a=LaurentSeries([], 0, ORDER))
     @example(a=PowerSeries([0] * (ORDER - 1) + [Fraction(1, 2)], ORDER))
     @example(a=PowerSeries([0, _a], ORDER))
     def test_false_exactly_when_zero(self, a):
@@ -421,7 +421,7 @@ class TestKernels:
         scalars = KERNEL_SCALARS[kind]
         a = data.draw(st.lists(scalars, max_size=ORDER))
         if kind == "multipoly":
-            b0 = _ring.const(data.draw(rationals.filter(bool)))
+            b0 = MultiPoly.const(_ring.names, data.draw(rationals.filter(bool)))
         else:
             b0 = data.draw(scalars.filter(bool))
         b = [b0] + data.draw(st.lists(scalars, max_size=ORDER))
@@ -468,7 +468,7 @@ class TestKernels:
             for m in shifts
         )
         if data.draw(st.booleans()) and b.min_exponent >= 0:
-            b = b.to_power_series()
+            b = _as_power(b)
         got, expected = a.product_coeff(b, n), (a * b).coeff(n)
         assert got == expected
         if kind != "multipoly":
@@ -586,15 +586,23 @@ class TestLaurent:
     def test_valuation_overflow_collapses_to_zero(self):
         tiny = LaurentSeries([1], 3, 4)  # x^3 at order 4
         assert (tiny * tiny).is_zero()
-        assert tiny.shift(2).is_zero()
+        past = tiny.shift(2)
+        assert past.is_zero()
+        assert (past.order, past.min_exponent) == (4, 0)
 
     def test_power_series_round_trip(self):
         p = PowerSeries([0, 1, 2], 4)
-        assert p.to_laurent().to_power_series() == p
+        assert _as_power(p.to_laurent()) == p
 
 
 def _as_laurent(v):
     return v.to_laurent() if isinstance(v, PowerSeries) else v
+
+
+def _as_power(v):
+    """The PowerSeries of the coefficients of a series with no negative
+    exponent."""
+    return PowerSeries([v.coeff(n) for n in range(v.order)], v.order)
 
 
 # the ring members written once, for both series types
@@ -645,7 +653,7 @@ class TestMixedTypes:
         assert hash(PowerSeries([Fraction(2), 0, Fraction(1, 2)], 4)) == hash(
             PowerSeries([2, 0, Fraction(1, 2)], 4)
         )
-        assert hash(PowerSeries([Fraction(0)], 4)) == hash(LaurentSeries.zero(4))
+        assert hash(PowerSeries([Fraction(0)], 4)) == hash(LaurentSeries([], 0, 4))
         # a constant MultiPoly coefficient equals and hashes as its value
         three = PowerSeries([MultiPoly.const(("k",), 3), 1], 2)
         assert three == PowerSeries([3, 1], 2)
@@ -658,7 +666,7 @@ class TestMixedTypes:
     def test_equal_series_hash_equal(self, a):
         same = [a, _ints_where_integral(a), _as_laurent(a)]
         if (a.valuation() or 0) >= 0:
-            same.append(_as_laurent(a).to_power_series())
+            same.append(_as_power(a))
         for b in same:
             assert b == a
             assert hash(b) == hash(a)
@@ -1075,9 +1083,9 @@ TEXT_PINS = [
     (PowerSeries([-1, 1, 0, -1], 4), "-1 + x - x^3 + O(x^4)"),
     (PowerSeries([Fraction(-1, 2), Fraction(-3, 4), 0, Fraction(5, 2)], 5),
      "-1/2 - 3/4*x + 5/2*x^3 + O(x^5)"),
-    (PowerSeries([1, _X + _Y, -_X * _Y], 3), "1 + y + x*x - x*y*x^2 + O(x^3)"),
+    (PowerSeries([1, _X + _Y, -_X * _Y], 3), "1 + (y + x)*x - x*y*x^2 + O(x^3)"),
     (PowerSeries([_X - 1, 1 - _Y, 2 * _X], 4),
-     "-1 + x + 1 - y*x + 2*x*x^2 + O(x^4)"),
+     "-1 + x + (1 - y)*x + 2*x*x^2 + O(x^4)"),
     (1 - _X * _Y + 2 * _X ** 2 - Fraction(1, 3) * _Y, "1 - 1/3*y - x*y + 2*x^2"),
     (MultiPoly(("x", "y")), "0"),
     (-_X, "-x"),
