@@ -208,6 +208,13 @@ class TestEntryChecks:
             ("finite-difference-lemma", {"trials": TRIALS_LIMIT + 1}),
             ("hirzebruch-residue", {"pair_trials": -1}),
             ("hirzebruch-residue", {"pair_trials": PAIR_TRIALS_LIMIT + 1}),
+            # each size argument is checked, whatever the others hold
+            ("hirzebruch-residue", {"n_max": N_MAX_LIMIT + 1}),
+            ("hirzebruch-residue", {"n_max": N_MAX_LIMIT, "pair_trials": -1}),
+            (
+                "hirzebruch-residue",
+                {"n_max": N_MAX_LIMIT + 1, "pair_trials": PAIR_TRIALS_LIMIT},
+            ),
             # r_4 has 5 u-coefficients, more than an order-4 series holds
             ("r-m", {"order": 4, "series_m_max": 6}),
             ("r-m", {"order": 5, "m_max": 5, "series_m_max": 5}),
@@ -244,6 +251,8 @@ class TestEntryChecks:
             ("schur-jabotinsky", {"trials": TRIALS_LIMIT}),
             ("finite-difference-lemma", {"trials": TRIALS_LIMIT}),
             ("hirzebruch-residue", {"pair_trials": PAIR_TRIALS_LIMIT}),
+            ("hirzebruch-residue", {"pair_trials": 0}),
+            ("hirzebruch-residue", {"n_max": N_MAX_LIMIT, "pair_trials": 2}),
             ("r-m", {"order": 4, "series_m_max": 3}),
             ("r-m", {"order": 4, "m_max": 3, "series_m_max": 6}),
             ("r-m", {"m_max": M_MAX_LIMIT}),
@@ -253,7 +262,7 @@ class TestEntryChecks:
     def test_trial_and_pair_limits_are_inclusive(self, name, params):
         report = run_identity(name, **params)
         assert report.passed
-        for key in ("trials", "pair_trials", "m_max", "series_m_max"):
+        for key in ("trials", "pair_trials", "n_max", "m_max", "series_m_max"):
             if key in params:
                 assert report.params[key] == params[key]
 
