@@ -8,7 +8,8 @@ check), oracle (brute-force census against closed formulas), and list
 Output formats: json (versioned with "schema": 1, key-sorted), csv
 (fixed headers), and pretty (human table; the only mode that reports
 elapsed time).  Exit codes: 0 success, 1 identity or oracle failure,
-2 usage or parse errors.
+2 usage or parse errors and a self-check that failed outside an identity
+suite (``SelfCheckFailed``), each reported on one stderr line.
 """
 
 from __future__ import annotations

@@ -76,6 +76,12 @@ class SizeLimit(LagrangeKitError):
     an exhaustive enumeration beyond its safe bound."""
 
 
+class SelfCheckFailed(LagrangeKitError):
+    """A result failed the package's own check of it, such as a fixed point
+    that does not satisfy its equation: a fault in the package, not in
+    the input."""
+
+
 class ParseError(LagrangeKitError):
     """A literal could not be parsed; the message includes the position."""
 

@@ -10,11 +10,13 @@ min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
 for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
 ``conv_n_max``, ``degree_bound``, ``i_total_max``, ``trials``,
-``pair_trials``, ``m_max``, ``series_m_max``) or an ``order`` outside
-``min_order`` up to ``MAX_ORDER``, the cap that the CLI's ``--order``
-shares.  The report's ``params`` are the bound arguments minus ``order``
-and its ``checks`` count every ``rec.expect`` and
-``rec.require``; a run with no check fails.  A body overwrites
+``pair_trials``, ``m_max``, ``series_m_max``, ``l_max``, ``j_max``) or
+an ``order`` outside ``min_order`` up to ``MAX_ORDER``, the cap that the
+CLI's ``--order`` shares.  The report's ``params`` are the bound arguments
+minus ``order`` and its ``checks`` count every ``rec.expect`` and
+``rec.require``; a run with no check fails.  A ``SelfCheckFailed`` raised
+in the body, such as a fixed point that fails its substitution check, ends
+the run as one more failed check carrying its message.  A body overwrites
 ``rec.order``, ``rec.params`` or ``rec.details`` where its report differs.
 
 Polynomial identities in free parameters are certified by evaluating on
@@ -39,7 +41,13 @@ from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
-from .errors import DegreeViolation, InsufficientRange, SizeLimit, UnknownIdentity
+from .errors import (
+    DegreeViolation,
+    InsufficientRange,
+    SelfCheckFailed,
+    SizeLimit,
+    UnknownIdentity,
+)
 from .lagrange import (
     raney_coefficient,
     schur_jabotinsky_pair,
@@ -148,8 +156,7 @@ I_TOTAL_MAX_LIMIT = 12
 # 200 the slowest suite, r-m, takes 8-23 s on a 2-core host
 MAX_ORDER = 200
 # the largest trials: at 3000 schur-jabotinsky takes 0.8-0.9 s on a 2-core
-# host at its default order 20 (14 s at order 200), finite-difference-lemma
-# 0.4-0.5 s
+# host at its default order 20, finite-difference-lemma 0.4-0.5 s
 TRIALS_LIMIT = 3000
 # the largest pair_trials: at 1200 hirzebruch-residue takes 0.9 s on a
 # 2-core host
@@ -159,6 +166,12 @@ PAIR_TRIALS_LIMIT = 1200
 # series_m_max 200 (0.40 s at 400)
 M_MAX_LIMIT = 8
 SERIES_M_MAX_LIMIT = 200
+# the largest l_max: at its default order 30, p-l takes 0.28-0.39 s in
+# process on a 2-core host (0.53-0.78 s at 11) and q-l 0.34 s (0.53-0.69 s)
+L_MAX_LIMIT = 10
+# the largest j_max: at its default order 30, weighted-stirling takes
+# 0.45-0.51 s in process on a 2-core host (0.58-0.62 s at 35)
+J_MAX_LIMIT = 30
 SIZE_LIMITS = {
     "n_max": N_MAX_LIMIT,
     "conv_n_max": N_MAX_LIMIT,
@@ -168,6 +181,8 @@ SIZE_LIMITS = {
     "pair_trials": PAIR_TRIALS_LIMIT,
     "m_max": M_MAX_LIMIT,
     "series_m_max": SERIES_M_MAX_LIMIT,
+    "l_max": L_MAX_LIMIT,
+    "j_max": J_MAX_LIMIT,
 }
 
 IDENTITY_CATALOG: dict = {}
@@ -224,7 +239,10 @@ def identity(name: str, min_order: int = 1):
                 )
             rec = _Recorder(params, order)
             started = time.perf_counter()
-            body(rec, *bound.args, **bound.kwargs)
+            try:
+                body(rec, *bound.args, **bound.kwargs)
+            except SelfCheckFailed as exc:
+                rec.require(False, str(exc))
             failure = rec.first_failure if rec.count else "no checks ran"
             return IdentityReport(
                 name=name,

@@ -33,8 +33,8 @@ round, and substitutes f into H, phi, psi and H' in one Taylor pass over
 those powers.
 
 ``schur_jabotinsky_pair`` reads one coefficient on each side of the
-duality, so it reverts f at the least order whose window reads that
-(n, k), not at f's full order.
+duality, so it reads both from f truncated to the least order whose
+window reads that (n, k).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .errors import (
     NotReversible,
     OrderMismatch,
     OutOfPrecision,
+    SelfCheckFailed,
     SizeLimit,
     UnguardedCoefficient,
 )
@@ -102,7 +103,7 @@ def solve_xR(R: PowerSeries) -> PowerSeries:
             dens.append(k * p_den)
         f = PowerSeries._from(*_over_lcm(tops, dens), 0, n)
     if PowerSeries([0, 1], n) * compose(R, f) != f:
-        raise AssertionError("fixed point failed the substitution check")
+        raise SelfCheckFailed("fixed point failed the substitution check")
     return f
 
 
@@ -163,7 +164,7 @@ def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:
     for j in range(degree_bound + 1):
         f = evaluate(f, j)
     if evaluate(f, degree_bound) != f:
-        raise AssertionError("fixed point failed the substitution check")
+        raise SelfCheckFailed("fixed point failed the substitution check")
     return f
 
 
@@ -312,27 +313,25 @@ def schur_jabotinsky_pair(f: PowerSeries, n: int, k: int):
     compositional inverse g: ([x^n] f^k, (k/n) [x^(-k)] g^(-n)).
 
     Both sides read f and g only through x^(n-k+1), and the first N
-    coefficients of g depend only on the first N of f, so g is the
-    reversion of f truncated to the least order N >= 2 whose window reads
-    (n, k), not of the full f.  The left side reads the full f: a
-    truncation can drop every Fraction of f, and [x^n] f^k would then be
-    an int where the full f gives a Fraction."""
+    coefficients of g depend only on the first N of f, so both sides are
+    read from f truncated to the least order N >= 2 whose window reads
+    (n, k); a truncation keeps f's stored form, so each value keeps its type."""
     if n == 0:
         raise FormAUndefined("the duality is stated for n != 0")
     if f.valuation() != 1:
         raise NotReversible("f must have valuation exactly 1")
-    if not schur_jabotinsky_window(f.order, n, k):
+    # the window only widens with the order: no N reads (n, k) unless f.order does
+    least = next(
+        (N for N in range(2, f.order + 1) if schur_jabotinsky_window(N, n, k)), None
+    )
+    if least is None:
         raise OutOfPrecision(
             "n = %d, k = %d unreadable from f^%d and g^%d at order %d"
             % (n, k, k, -n, f.order)
         )
-    # the window only widens with the order, and f.order itself reads (n, k)
-    least = next(
-        N for N in range(2, f.order + 1) if schur_jabotinsky_window(N, n, k)
-    )
-    g = f.truncated(least).reversion()
+    f = f.truncated(least)
     lhs = (f.to_laurent() ** k).coeff(n)
-    return lhs, Fraction(k, n) * (g.to_laurent() ** (-n)).coeff(-k)
+    return lhs, Fraction(k, n) * (f.reversion().to_laurent() ** (-n)).coeff(-k)
 
 
 # -- expansions for f = x + z H(f) -------------------------------------------
@@ -460,7 +459,7 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
         [_taylor_sum(d, pw, k) for k in ms] for d in divided
     )
     if h_f[: z_order] != delta[1:]:
-        raise AssertionError("shifted fixed point failed the substitution check")
+        raise SelfCheckFailed("shifted fixed point failed the substitution check")
     denom = [one] + [-e for e in hp_f[: z_order]]
     ratio_direct, _ = _quotient((psi_f, None), (denom, None), 1, z_order + 1)
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
-from .errors import BadSequence, InvalidCode, NotATree, SizeLimit
+from .errors import BadSequence, InvalidCode, NotATree, SelfCheckFailed, SizeLimit
 from .scalars import multinomial, weighted_compositions
 
 ORDERED_FOREST_LIMIT = 12
@@ -160,7 +160,7 @@ def ordered_forest_profile_formula(n: int, k: int, profile) -> int:
         return 0
     value = Fraction(k, n) * multinomial(n, _profile_parts(n, prof))
     if value.denominator != 1:
-        raise AssertionError("profile count came out non-integer")
+        raise SelfCheckFailed("profile count came out non-integer")
     return int(value)
 
 
@@ -178,7 +178,8 @@ def cycle_lemma_count(seq) -> int:
     count = 0
     for start in range(n):
         partial = 0
-        for e in doubled[start : start + n]:
+        # the n-th partial sum is the total, already found negative
+        for e in doubled[start : start + n - 1]:
             partial += e
             if partial >= 0:
                 break
@@ -547,7 +548,7 @@ def labeled_forest_shape_formula(n: int, k: int, profile) -> int:
         den *= factorial(i) ** c
     value = Fraction(factorial(n - 1), den)
     if value.denominator != 1:
-        raise AssertionError("shape count came out non-integer")
+        raise SelfCheckFailed("shape count came out non-integer")
     return int(value)
 
 

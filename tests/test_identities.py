@@ -1,6 +1,7 @@
 """Identity catalog: every check runs clean and reports honestly."""
 
 import inspect
+import io
 import re
 from fractions import Fraction
 from math import comb
@@ -10,12 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagrange_kit import cli, identities
-from lagrange_kit.errors import InsufficientRange, SizeLimit, UnknownIdentity
+from lagrange_kit import cli, identities, series, trees
+from lagrange_kit.errors import (
+    InsufficientRange,
+    LagrangeKitError,
+    OutOfPrecision,
+    SelfCheckFailed,
+    SizeLimit,
+    UnknownIdentity,
+)
 from lagrange_kit.identities import (
     DEGREE_BOUND_LIMIT,
     I_TOTAL_MAX_LIMIT,
     IDENTITY_CATALOG,
+    J_MAX_LIMIT,
+    L_MAX_LIMIT,
     M_MAX_LIMIT,
     MAX_ORDER,
     N_MAX_LIMIT,
@@ -222,6 +232,12 @@ class TestEntryChecks:
             ("r-m", {"m_max": M_MAX_LIMIT + 1}),
             ("r-m", {"series_m_max": -1}),
             ("r-m", {"series_m_max": SERIES_M_MAX_LIMIT + 1}),
+            ("p-l", {"l_max": -1}),
+            ("p-l", {"l_max": L_MAX_LIMIT + 1}),
+            ("q-l", {"l_max": -1}),
+            ("q-l", {"l_max": L_MAX_LIMIT + 1}),
+            ("weighted-stirling", {"j_max": -1}),
+            ("weighted-stirling", {"j_max": J_MAX_LIMIT + 1}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
@@ -257,12 +273,17 @@ class TestEntryChecks:
             ("r-m", {"order": 4, "m_max": 3, "series_m_max": 6}),
             ("r-m", {"m_max": M_MAX_LIMIT}),
             ("r-m", {"series_m_max": SERIES_M_MAX_LIMIT}),
+            ("p-l", {"l_max": L_MAX_LIMIT}),
+            ("q-l", {"l_max": L_MAX_LIMIT}),
+            ("weighted-stirling", {"j_max": J_MAX_LIMIT}),
         ],
     )
     def test_trial_and_pair_limits_are_inclusive(self, name, params):
         report = run_identity(name, **params)
         assert report.passed
-        for key in ("trials", "pair_trials", "n_max", "m_max", "series_m_max"):
+        for key in (
+            "trials", "pair_trials", "n_max", "m_max", "series_m_max", "l_max", "j_max"
+        ):
             if key in params:
                 assert report.params[key] == params[key]
 
@@ -282,6 +303,78 @@ class TestEntryChecks:
         with pytest.raises(SizeLimit, match="order = 201 exceeds the limit 200"):
             run_identity("catalan", order=MAX_ORDER + 1)
         assert run_identity("fc-polynomial", order=MAX_ORDER).passed
+
+
+def _plant_product_defect(monkeypatch):
+    """Every series product of nine or more entries reads one too many at
+    x^9."""
+    product = series._product
+
+    def planted(a, b_terms, length):
+        out = product(a, b_terms, length)
+        if length > 9:
+            out[9] += 1
+        return out
+
+    monkeypatch.setattr(series, "_product", planted)
+
+
+class TestSelfChecks:
+    SUBSTITUTION = "fixed point failed the substitution check"
+
+    def test_planted_product_defect_fails_reports(self, monkeypatch):
+        _plant_product_defect(monkeypatch)
+        reports = {name: run_identity(name, order=14) for name in identity_names()}
+        failed = {name for name, report in reports.items() if not report.passed}
+        # nine suites reach solve_xR, whose substitution check now fails
+        # inside the suite: eight report it, and fc-polynomial reports its
+        # vanishing check, which fails before the solve
+        by_self_check = {
+            "catalan", "fuss-catalan", "lacasse", "p-l", "q-l", "r-m",
+            "schur-jabotinsky", "tree-function",
+        }
+        assert by_self_check | {"fc-polynomial"} <= failed
+        for name in by_self_check:
+            assert reports[name].first_failure == self.SUBSTITUTION, name
+        assert reports["fc-polynomial"].first_failure.startswith(
+            "vanishing coefficient at m=9"
+        )
+
+    def test_planted_product_defect_exits_2_on_one_line(self, monkeypatch, capsys):
+        _plant_product_defect(monkeypatch)
+        out = io.StringIO()
+        assert cli.main(["coeffs", "--R", "exp"], out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "error: %s\n" % self.SUBSTITUTION
+
+    def test_suite_records_a_self_check_as_one_failed_check(self, monkeypatch):
+        def failing(order):
+            raise SelfCheckFailed("planted self-check")
+
+        monkeypatch.setattr(identities, "tree_function", failing)
+        report = run_identity("tree-function", order=10)
+        assert report.status == "fail"
+        assert report.first_failure == "planted self-check"
+        assert report.checks == 1
+
+    def test_suite_catches_no_other_error(self, monkeypatch):
+        def failing(order):
+            raise OutOfPrecision("not a self-check")
+
+        monkeypatch.setattr(identities, "tree_function", failing)
+        with pytest.raises(OutOfPrecision, match="not a self-check"):
+            run_identity("tree-function", order=10)
+
+    def test_tree_formula_checks_are_typed(self, monkeypatch):
+        # a multinomial of 1 makes k/n times it a non-integer at n = 3, k = 1
+        monkeypatch.setattr(trees, "multinomial", lambda n, parts: 1)
+        with pytest.raises(SelfCheckFailed, match="non-integer"):
+            trees.ordered_forest_profile_formula(3, 1, {0: 2, 2: 1})
+        # a 2! of 2 and a 3! of 1 make 3!/(1! 2!) read 1/2
+        monkeypatch.setattr(trees, "factorial", lambda m: 2 if m == 2 else 1)
+        with pytest.raises(SelfCheckFailed, match="non-integer"):
+            trees.labeled_forest_shape_formula(4, 1, {0: 2, 1: 1, 2: 1})
+        assert issubclass(SelfCheckFailed, LagrangeKitError)
 
 
 class TestGeneratingSeries:

@@ -703,6 +703,54 @@ class TestSchurJabotinsky:
             assert got == want, (n, k)
             assert [type(v) for v in got] == [type(v) for v in want], (n, k)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @example(order=12, kind=int, tail=[0, 0, 0, 0], half_at=6)  # x + x^6/2
+    @given(
+        order=st.integers(min_value=7, max_value=30),
+        kind=st.sampled_from([int, Fraction]),
+        tail=st.lists(st.integers(min_value=-3, max_value=3), max_size=28),
+        half_at=st.none() | st.integers(min_value=2, max_value=29),
+    )
+    def test_left_side_is_the_full_f_power(self, order, kind, tail, half_at):
+        # int-only f (int, no half), f whose Fractions are integral
+        # (Fraction, no half), and f with one Fraction 1/2 that a
+        # truncation may drop
+        coeffs = [0, 1] + [kind(c) for c in tail[: order - 2]]
+        if half_at is not None and half_at < order:
+            coeffs += [0] * (half_at + 1 - len(coeffs))
+            coeffs[half_at] = coeffs[half_at] + Fraction(1, 2)
+        f = PowerSeries(coeffs, order)
+        fl = f.to_laurent()
+        for n, k in self._window_pairs(order):
+            want = (fl ** k).coeff(n)
+            got, _ = schur_jabotinsky_pair(f, n, k)
+            assert got == want and type(got) is type(want), (n, k)
+
+    def test_pair_forms_no_power_at_the_full_order(self, monkeypatch):
+        calls = []
+        truncated, power = PowerSeries.truncated, _Series.__pow__
+
+        def counted_truncated(s, order):
+            calls.append(("truncated", order))
+            return truncated(s, order)
+
+        def counted_power(s, k):
+            calls.append(("pow", s.order))
+            return power(s, k)
+
+        monkeypatch.setattr(PowerSeries, "truncated", counted_truncated)
+        monkeypatch.setattr(_Series, "__pow__", counted_power)
+        order = 30
+        f = PowerSeries([0, 1, Fraction(1, 2), -1, Fraction(2, 3)], order)
+        for n, k in self._window_pairs(order):
+            least = min(
+                N for N in range(2, order + 1) if schur_jabotinsky_window(N, n, k)
+            )
+            calls.clear()
+            schur_jabotinsky_pair(f, n, k)
+            # one truncation to the least order; both powers read it
+            assert calls == [("truncated", least), ("pow", least), ("pow", least)]
+
     def test_pair_reverts_at_the_least_window_order(self, monkeypatch):
         orders = []
         reversion = PowerSeries.reversion
