@@ -10,7 +10,8 @@ min_order)``, which registers it in ``IDENTITY_CATALOG`` with the body's
 signature minus ``rec``.  Each call raises ``SizeLimit`` before any work
 for a size argument outside 0 up to its limit in ``SIZE_LIMITS`` (``n_max``,
 ``conv_n_max``, ``degree_bound``, ``i_total_max``, ``trials``,
-``pair_trials``, ``m_max``, ``series_m_max``, ``l_max``, ``j_max``) or
+``pair_trials``, ``m_max``, ``series_m_max``, ``l_max``, ``j_max``,
+``d_max``, and ``fuss-catalan``'s ``inverse_order`` and ``small_order``) or
 an ``order`` outside ``min_order`` up to ``MAX_ORDER``, the cap that the
 CLI's ``--order`` shares.  The report's ``params`` are the bound arguments
 minus ``order`` and its ``checks`` count every ``rec.expect`` and
@@ -26,7 +27,7 @@ proof, not a heuristic.
 Each closed form is written once: ``_narayana_family`` checks the
 multivariate formula for f = prod (1 + x_t f)^(e_t), with reciprocal
 factors, for ``narayana`` and ``fuss-narayana``, and ``_power_family``
-builds sum (n + k)^(n + s) x^n/n! for ``p-l`` and ``r-m``.
+builds sum (n + k)^(n + s) x^n/n! for four suites.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ L_MAX_LIMIT = 10
 # the largest j_max: at its default order 30, weighted-stirling takes
 # 0.45-0.51 s in process on a 2-core host (0.58-0.62 s at 35)
 J_MAX_LIMIT = 30
+# the largest d_max: at 20 and TRIALS_LIMIT finite-difference-lemma takes
+# 4.4-5.0 s in process on a 2-core host (5.3 s at 21)
+D_MAX_LIMIT = 20
 SIZE_LIMITS = {
     "n_max": N_MAX_LIMIT,
     "conv_n_max": N_MAX_LIMIT,
@@ -183,6 +187,10 @@ SIZE_LIMITS = {
     "series_m_max": SERIES_M_MAX_LIMIT,
     "l_max": L_MAX_LIMIT,
     "j_max": J_MAX_LIMIT,
+    "d_max": D_MAX_LIMIT,
+    # fuss-catalan's side orders: 1.2 s and 3.4 s at 200 on a 2-core host
+    "inverse_order": MAX_ORDER,
+    "small_order": MAX_ORDER,
 }
 
 IDENTITY_CATALOG: dict = {}
@@ -613,9 +621,7 @@ def _lacasse_checks(rec: _Recorder, order: int) -> None:
         rec.expect(
             u.coeff(n), Fraction(n ** n, factorial(n)), "geometric of T at n=%d" % n
         )
-    target = PowerSeries(
-        [Fraction(n ** (n + 1), factorial(n)) for n in range(order)], order
-    )
+    target = _power_family(0, 1, order)
     rec.expect(u ** 3 - u ** 2, target, "difference of powers display")
     rec.expect(t * u ** 3, target, "product display")
     u2 = u * u
@@ -849,8 +855,8 @@ def check_ws_egf(
 
 
 def _power_family(k0: int, shift: int, order: int) -> PowerSeries:
-    """sum_n (n + k0)^(n + shift) x^n / n!, the left side of the p-l and
-    r-m series identities, through x^(order - 1); each coefficient is one
+    """sum_n (n + k0)^(n + shift) x^n / n! through x^(order - 1), in the
+    p-l, q-l, r-m and lacasse series identities; each coefficient is one
     Fraction of integer powers, whatever the sign of n + shift."""
     return PowerSeries(
         [
@@ -985,10 +991,8 @@ def check_q_l(rec, l_max: int = 3, order: int = 30) -> None:
             rec.expect(ql, table[l], "printed table at l=%d" % l)
         coeffs = [ql.coefficient((d,)) for d in range(ql.degree_in("u") + 1)]
         rhs = compose(PowerSeries(coeffs, order), t) * t
-        lhs = PowerSeries(
-            [0] + [Fraction(n) ** (n - l) / factorial(n) for n in range(1, order)],
-            order,
-        )
+        # sum_(n>=1) n^(n-l) x^n/n! is x sum_n (n+1)^(n-l) x^n/n!
+        lhs = PowerSeries([0, 1], order) * _power_family(1, -l, order)
         rec.expect(lhs, rhs, "series identity at l=%d" % l)
 
 

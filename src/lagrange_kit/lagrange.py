@@ -65,7 +65,6 @@ from .scalars import (
 from .series import (
     LaurentSeries,
     PowerSeries,
-    _over_lcm,
     _powers,
     _quotient,
     compose,
@@ -76,32 +75,24 @@ def solve_xR(R: PowerSeries) -> PowerSeries:
     """The unique power series f with f = x * R(f), by form A with phi = t:
     [x^k] f = (1/k) [t^(k-1)] R^k.
 
-    The powers R, R^2, ... come from the series engine's power walk on R's
-    stored form.  For a rational R each power is one integer vector over one
-    denominator, and f is one such vector over the lcm of the k * den.  An
-    integer R gives int coefficients, and MultiPoly R runs the same walk
-    natively.  The result is verified by direct substitution before
-    returning.  f has the order of R; for a shorter f, truncate R.
+    One loop reads the powers R, R^2, ... from the series engine's power
+    walk on R's stored form, for every coefficient ring: a rational power
+    gives one Fraction, its numerator over k times its denominator; an
+    integer R gives int coefficients, and MultiPoly R runs natively.  The
+    result is verified by direct substitution before returning.  f has the
+    order of R; for a shorter f, truncate R.
     """
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
-    powers = _powers(R._form, n - 1, n - 1)
-    nums, den = next(powers)  # R itself: [x^1] f is R(0)
-    if den is None:
-        known = [0, nums[0]]
-        for k, (power, _) in enumerate(powers, 2):
-            c = power[k - 1]
-            # an integer R gives an integer f: keep its coefficients ints
-            ok = isinstance(c, int) and not c % k
-            known.append(c // k if ok else scalar_div_int(c, k))
-        f = PowerSeries(known, n)
-    else:
-        tops, dens = [0, nums[0]], [1, den]
-        for k, (power, p_den) in enumerate(powers, 2):
-            tops.append(power[k - 1])
-            dens.append(k * p_den)
-        f = PowerSeries._from(*_over_lcm(tops, dens), 0, n)
+    known = [0]
+    for k, (power, den) in enumerate(_powers(R._form, n - 1, n - 1), 1):
+        c = power[k - 1]
+        # an integer R gives an integer f: keep its coefficients ints; on
+        # the rational path c is a numerator over den
+        ok = den is None and isinstance(c, int) and not c % k
+        known.append(c // k if ok else scalar_div_int(c, k * (den or 1)))
+    f = PowerSeries(known, n)
     if PowerSeries([0, 1], n) * compose(R, f) != f:
         raise SelfCheckFailed("fixed point failed the substitution check")
     return f

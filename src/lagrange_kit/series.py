@@ -25,12 +25,11 @@ denominators and equal series hold equal forms.  The constructor converts a
 list once; every operation works on the integers and returns this form, so
 sums and equality checks are integer comparisons.  The Fractions are built
 only when ``coeffs``, ``coeff`` or ``str`` read them: a reduced
-Fraction for each nonzero entry and the int 0 for each zero one (``exp``
-reads as its recurrence builds it, the int 1 and then Fractions, zeros
-included).  Ints alone, MultiPoly values and the zero series keep their
-native entries with den None and run the same loops unscaled; an int-only
-operand meets a rational one over den 1 (``_one_path``), and rational data
-meets MultiPoly data as Fractions.
+Fraction for each nonzero entry and the int 0 for each zero one.  Ints
+alone, MultiPoly values and the zero series keep their native entries
+with den None and run the same loops unscaled; an int-only operand meets
+a rational one over den 1 (``_one_path``), and rational data meets
+MultiPoly data as Fractions.
 
 Three kernels do the coefficient work, and each skips zero entries:
 ``_times`` every series product (``_product``, then the content);
@@ -120,20 +119,15 @@ def _reduced(nums, den):
     return nums, den
 
 
-def _over_lcm(nums, dens):
-    """The fractions nums[i] / dens[i] as one form over the lcm of the
-    dens, reduced when each fraction is."""
-    d = lcm(*dens)
-    return [c * (d // e) for c, e in zip(nums, dens)], d
-
-
 def _integer_form(entries):
     """The form of a list: over one denominator when its entries are ints
-    and Fractions, one of them a Fraction; otherwise native, den None."""
+    and Fractions, one of them a Fraction, reduced as each entry is;
+    otherwise native, den None."""
     kinds = set(map(type, entries))
     if Fraction not in kinds or not kinds <= {int, Fraction}:
         return entries, None
-    return _over_lcm([c.numerator for c in entries], [c.denominator for c in entries])
+    d = lcm(*(c.denominator for c in entries))
+    return [c.numerator * (d // c.denominator) for c in entries], d
 
 
 def _scalar_form(c):
@@ -264,11 +258,9 @@ class _Series:
     [min_exponent, order); a ``PowerSeries`` is the window from 0.  A
     binary operation returns a ``LaurentSeries`` exactly when an operand is
     one, with a ``PowerSeries`` operand promoted by ``to_laurent``.  The
-    window holds the form (nums, den) of the module docstring; ``_typed``
-    is None, or the entries ``coeffs`` reads where they differ from
-    ``_entries`` (``exp``)."""
+    window holds the form (nums, den) of the module docstring."""
 
-    __slots__ = ("_nums", "_den", "_typed", "order")
+    __slots__ = ("_nums", "_den", "order")
 
     @classmethod
     def _from(cls, nums, den, min_exponent: int, order: int):
@@ -289,12 +281,10 @@ class _Series:
     @property
     def coeffs(self) -> tuple:
         """The stored coefficients, built from the form when read."""
-        return self._typed or _entries(self._nums, self._den)
+        return _entries(self._nums, self._den)
 
     def _entry(self, i: int):
         """Stored coefficient i, as ``coeffs`` reads it, built alone."""
-        if self._typed:
-            return self._typed[i]
         c = self._nums[i]
         return Fraction(c, self._den) if self._den and c else c
 
@@ -343,10 +333,8 @@ class _Series:
             other = self._make(*_scalar_form(other))
         a, b = self._pair(other)
         m = min(a.min_exponent, b.min_exponent)
-        x, y = a._window(m), b._window(m)
-        if a._den or b._den:
-            return a._make(*_add(*_one_path((x, a._den), (y, b._den))), m)
-        return a._make(tuple(map(add, x, y)), None, m)
+        x, y = (a._window(m), a._den), (b._window(m), b._den)
+        return a._make(*_add(*_one_path(x, y)), m)
 
     __radd__ = __add__
 
@@ -408,9 +396,10 @@ class _Series:
             raise TypeError(
                 "** takes integer exponents; use PowerSeries.pow for rational ones"
             )
-        # binary powering by series products: each product has the window
-        # and length of the series product, so the entries filled as if
-        # the operands were polynomials are those of the same chain
+        # binary powering by series products: on power series it fills
+        # the entries of the chain of products; on Laurent windows with
+        # negative exponents the top entries, which each product fills as
+        # if the operands were polynomials, can differ from the chain's
         one = self._make([1])
         return _power(one / self if k < 0 else self, abs(k), one)
 
@@ -489,7 +478,7 @@ class PowerSeries(_Series):
         self._nums = nums
         # the zero series reads natively
         self._den = den if den and any(nums) else None
-        self._typed, self.order = None, order
+        self.order = order
 
     # -- simple structure ----------------------------------------------
 
@@ -526,13 +515,9 @@ class PowerSeries(_Series):
         0 < k <= m, run by ``_quotient``'s loop."""
         if self._nums[0]:
             raise BadConstantTerm("exp needs zero constant term")
-        nums, den = _quotient(([1], None), self._form, Fraction(1), self.order, True)
-        if den is None:
-            return self._make([1, *nums[1:]])
-        y = self._make(nums, den)
-        # read as the recurrence builds it: the int 1, then Fractions
-        y._typed = (1, *(Fraction(c, den) for c in nums[1:]))
-        return y
+        # a Fraction inv0 puts int-only data on the rational path
+        one = Fraction(1)
+        return self._make(*_quotient(([1], None), self._form, one, self.order, True))
 
     def log(self) -> "PowerSeries":
         if self._entry(0) != 1:
@@ -598,8 +583,7 @@ class LaurentSeries(_Series):
             nums = tuple(nums[start:])
             min_exponent += start
         self._nums = nums + (0,) * (order - min_exponent - len(nums))
-        self._den, self._typed, self.order = den, None, order
-        self.min_exponent = min_exponent
+        self._den, self.order, self.min_exponent = den, order, min_exponent
 
     # -- structure ---------------------------------------------------------
 

@@ -21,6 +21,7 @@ from lagrange_kit.errors import (
     UnknownIdentity,
 )
 from lagrange_kit.identities import (
+    D_MAX_LIMIT,
     DEGREE_BOUND_LIMIT,
     I_TOTAL_MAX_LIMIT,
     IDENTITY_CATALOG,
@@ -238,6 +239,10 @@ class TestEntryChecks:
             ("q-l", {"l_max": L_MAX_LIMIT + 1}),
             ("weighted-stirling", {"j_max": -1}),
             ("weighted-stirling", {"j_max": J_MAX_LIMIT + 1}),
+            ("finite-difference-lemma", {"d_max": -1}),
+            ("finite-difference-lemma", {"d_max": D_MAX_LIMIT + 1}),
+            ("fuss-catalan", {"inverse_order": MAX_ORDER + 1}),
+            ("fuss-catalan", {"small_order": MAX_ORDER + 1}),
         ],
     )
     def test_size_arguments_out_of_range(self, name, params, monkeypatch):
@@ -246,6 +251,8 @@ class TestEntryChecks:
 
         monkeypatch.setattr(identities, "solve_indeterminate", no_work)
         monkeypatch.setattr(identities, "tree_function", no_work)
+        monkeypatch.setattr(identities, "fuss_catalan_series", no_work)
+        monkeypatch.setattr(identities, "finite_difference", no_work)
         with pytest.raises(SizeLimit):
             run_identity(name, **params)
 
@@ -276,16 +283,17 @@ class TestEntryChecks:
             ("p-l", {"l_max": L_MAX_LIMIT}),
             ("q-l", {"l_max": L_MAX_LIMIT}),
             ("weighted-stirling", {"j_max": J_MAX_LIMIT}),
+            ("finite-difference-lemma", {"d_max": D_MAX_LIMIT}),
+            ("fuss-catalan", {"p_range": (2,), "inverse_order": MAX_ORDER}),
+            ("fuss-catalan", {"p_range": (2,), "small_order": MAX_ORDER}),
         ],
     )
     def test_trial_and_pair_limits_are_inclusive(self, name, params):
         report = run_identity(name, **params)
         assert report.passed
-        for key in (
-            "trials", "pair_trials", "n_max", "m_max", "series_m_max", "l_max", "j_max"
-        ):
-            if key in params:
-                assert report.params[key] == params[key]
+        for key, value in params.items():
+            # a report's params leave out the order
+            assert key == "order" or report.params[key] == value
 
     def test_conv_n_max_limit_is_inclusive(self):
         report = run_identity("catalan", order=3, conv_n_max=N_MAX_LIMIT)

@@ -687,6 +687,7 @@ def test_lagrange_leaves_the_integer_form_to_series():
             imported.update("%s.%s" % (node.module, a.name) for a in node.names)
     assert "series._fraction_path" not in imported
     assert "series._to_integers" not in imported
+    assert "series._over_lcm" not in imported
     assert "series._powers" in imported
 
 
