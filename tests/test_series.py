@@ -448,10 +448,15 @@ class TestKernels:
     def test_exp_matches_reference(self, kind, data):
         a = [0] + data.draw(st.lists(KERNEL_SCALARS[kind], max_size=ORDER - 1))
         a += [0] * (ORDER - len(a))
+        e = PowerSeries(a, ORDER).exp()
+        expected = _reference_exp(a)
         # the values of the reference, with the types of the rule for quotients
-        _obeys_type_rule(
-            PowerSeries(a, ORDER).exp(), (0, _reference_exp(a)), _join(_kind(a), "rational")
-        )
+        _obeys_type_rule(e, (0, expected), _join(_kind(a), "rational"))
+        if _kind(a) == "poly":
+            # the rule leaves MultiPoly entries to the kernel, so the reference
+            # pins their types; x^0 reads Fraction(1), the kernel's inv0
+            assert (e.coeffs[0], type(e.coeffs[0])) == (1, Fraction)
+            _same_entries(e.coeffs[1:], expected[1:])
 
     @kernel_kinds
     @fast
