@@ -51,10 +51,6 @@ class FormAUndefined(LagrangeKitError):
     """The 1/n extraction form is undefined at n = 0."""
 
 
-class DegreeViolation(LagrangeKitError):
-    """A computed polynomial exceeded its guaranteed degree bound."""
-
-
 class InsufficientRange(LagrangeKitError):
     """Not enough sample values were supplied for the requested difference."""
 

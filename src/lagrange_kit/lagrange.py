@@ -28,9 +28,9 @@ form's coefficient as one dot product of that form's own operands.
 ``derivative_form`` and ``cauchy_convolution_check`` read two term lists,
 the shift terms D^(m-1)(g' H^m)/m! and the ratio terms D^m(g H^m)/m!, off
 one walk of H^0 .. H^z.  The direct route reads neither: it solves for f
-one z order per round, extending the powers of f - x by one z entry per
-round, and substitutes f into H, phi, psi and H' in one Taylor pass over
-those powers.
+one z order per round, substituting f into H as it extends the powers of
+f - x by one z entry per round, then substitutes f into phi, psi and H' in
+one Taylor pass over those powers.
 
 ``schur_jabotinsky_pair`` reads one coefficient on each side of the
 duality, so it reads both from f truncated to the least order whose
@@ -354,9 +354,8 @@ def _ratio_terms(g: PowerSeries, powers, ms) -> list:
 
 
 def _shifted_powers(divided_h, z_order):
-    """The entries of f - x for f = x + z H(f) through z^z_order, and the
-    table pw with pw[m][k] = [z^k] (f - x)^m for 1 <= m <= k <= z_order,
-    from divided_h[m] = D^m(H)/m!.
+    """The table pw with pw[m][k] = [z^k] (f - x)^m for 1 <= m <= k <=
+    z_order, for f = x + z H(f), from divided_h[m] = D^m(H)/m!.
 
     Round k forms the z^k entries of the powers, which read only the
     entries of f through z^k, then [z^(k+1)] f = [z^k] H(f) from them; no
@@ -373,7 +372,7 @@ def _shifted_powers(divided_h, z_order):
             )
         if k < z_order:
             delta[k + 1] = _taylor_sum(divided_h, pw, k)
-    return delta, pw
+    return pw
 
 
 def _taylor_sum(divided, pw, k):
@@ -419,7 +418,8 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
     z^z_order, by direct solution and by the two derivative expansions.
 
     psi defaults to phi.  The convention for the z^0 entry of the phi'
-    expansion is phi itself.
+    expansion is phi itself.  The direct route substitutes f into H during
+    the solve; only phi, psi and H' go through the Taylor pass.
     """
     if psi is None:
         psi = phi
@@ -445,12 +445,10 @@ def derivative_form(phi: PowerSeries, H: PowerSeries, z_order: int,
 
     divided = [[_divided_derivative(alpha, m) for m in ms]
                for alpha in (H, phi, psi, hp)]
-    delta, pw = _shifted_powers(divided[0], z_order)
-    h_f, phi_direct, psi_f, hp_f = (
-        [_taylor_sum(d, pw, k) for k in ms] for d in divided
+    pw = _shifted_powers(divided[0], z_order)
+    phi_direct, psi_f, hp_f = (
+        [_taylor_sum(d, pw, k) for k in ms] for d in divided[1:]
     )
-    if h_f[: z_order] != delta[1:]:
-        raise SelfCheckFailed("shifted fixed point failed the substitution check")
     denom = [one] + [-e for e in hp_f[: z_order]]
     ratio_direct, _ = _quotient((psi_f, None), (denom, None), 1, z_order + 1)
 

@@ -194,20 +194,11 @@ def cycle_lemma_count(seq) -> int:
 @dataclass(frozen=True)
 class PruferCode:
     """Length m-2 sequence over [m]; a vertex of degree d appears d-1
-    times."""
+    times.  ``prufer_decode`` checks the length and entries of each code it
+    reads."""
 
     entries: tuple
     m: int
-
-    def __post_init__(self):
-        m = self.m
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        if len(self.entries) != m - 2:
-            raise InvalidCode("expected %d entries, got %d" % (m - 2, len(self.entries)))
-        for e in self.entries:
-            if not (isinstance(e, int) and 1 <= e <= m):
-                raise InvalidCode("entries must lie in 1..%d" % m)
 
 
 # Both codec directions delete the least-labeled leaf m - 2 times in linear

@@ -207,10 +207,9 @@ class TestEntryChecks:
             ("raney", {"k_values": ()}),
             ("raney", {"k_values": (0,)}),
             ("raney", {"k_values": (2, 0)}),
-            # p_l and q_l have l coefficients, more than an order-l_max - 1
-            # series holds
-            ("p-l", {"order": 4, "l_max": 5}),
-            ("q-l", {"order": 3, "l_max": 5}),
+            # each below its suite's min_order
+            ("p-l", {"order": 3}),
+            ("q-l", {"order": 2}),
             ("tree-function", {"order": MAX_ORDER + 1}),
             ("p-l", {"order": MAX_ORDER + 1}),
             ("schur-jabotinsky", {"trials": -1}),
@@ -226,9 +225,8 @@ class TestEntryChecks:
                 "hirzebruch-residue",
                 {"n_max": N_MAX_LIMIT + 1, "pair_trials": PAIR_TRIALS_LIMIT},
             ),
-            # r_4 has 5 u-coefficients, more than an order-4 series holds
-            ("r-m", {"order": 4, "series_m_max": 6}),
-            ("r-m", {"order": 5, "m_max": 5, "series_m_max": 5}),
+            ("r-m", {"order": 3}),
+            ("r-m", {"order": MAX_ORDER + 1}),
             ("r-m", {"m_max": -1}),
             ("r-m", {"m_max": M_MAX_LIMIT + 1}),
             ("r-m", {"series_m_max": -1}),
@@ -253,6 +251,8 @@ class TestEntryChecks:
         monkeypatch.setattr(identities, "tree_function", no_work)
         monkeypatch.setattr(identities, "fuss_catalan_series", no_work)
         monkeypatch.setattr(identities, "finite_difference", no_work)
+        monkeypatch.setattr(identities._Recorder, "expect", no_work)
+        monkeypatch.setattr(identities._Recorder, "require", no_work)
         with pytest.raises(SizeLimit):
             run_identity(name, **params)
 
@@ -286,6 +286,12 @@ class TestEntryChecks:
             ("finite-difference-lemma", {"d_max": D_MAX_LIMIT}),
             ("fuss-catalan", {"p_range": (2,), "inverse_order": MAX_ORDER}),
             ("fuss-catalan", {"p_range": (2,), "small_order": MAX_ORDER}),
+            # a coefficient list longer than the order: T has valuation 1,
+            # so the terms past the order do not reach the composition
+            ("p-l", {"order": 4, "l_max": 5}),
+            ("q-l", {"order": 3, "l_max": 5}),
+            ("r-m", {"order": 4, "series_m_max": 6}),
+            ("r-m", {"order": 5, "m_max": 5, "series_m_max": 5}),
         ],
     )
     def test_trial_and_pair_limits_are_inclusive(self, name, params):
@@ -327,6 +333,17 @@ def _plant_product_defect(monkeypatch):
     monkeypatch.setattr(series, "_product", planted)
 
 
+def _plant_stirling_defect(monkeypatch):
+    """Make R(5, 3, k) one too large, which r_2 reads."""
+    stirling = identities.weighted_stirling
+
+    def planted(n, j, k):
+        value = stirling(n, j, k)
+        return value + 1 if (n, j) == (5, 3) else value
+
+    monkeypatch.setattr(identities, "weighted_stirling", planted)
+
+
 class TestSelfChecks:
     SUBSTITUTION = "fixed point failed the substitution check"
 
@@ -354,6 +371,19 @@ class TestSelfChecks:
         assert cli.main(["coeffs", "--R", "exp"], out=out) == 2
         assert out.getvalue() == ""
         assert capsys.readouterr().err == "error: %s\n" % self.SUBSTITUTION
+
+    @pytest.mark.parametrize("order", [4, 14])
+    def test_planted_stirling_defect_fails_r_m(self, monkeypatch, order):
+        _plant_stirling_defect(monkeypatch)
+        report = run_identity("r-m", order=order)
+        assert report.status == "fail"
+        assert report.first_failure == "u degree exactly m at m=2"
+
+    def test_planted_stirling_defect_exits_1(self, monkeypatch):
+        _plant_stirling_defect(monkeypatch)
+        out = io.StringIO()
+        assert cli.main(["identity", "r-m"], out=out) == 1
+        assert "u degree exactly m at m=2" in out.getvalue()
 
     def test_suite_records_a_self_check_as_one_failed_check(self, monkeypatch):
         def failing(order):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrange_kit import identities, scalars
+from lagrange_kit import identities, lagrange, scalars
 from lagrange_kit.errors import (
     BadConstantTerm,
     FormAUndefined,
@@ -817,6 +817,20 @@ class TestShiftedEquation:
         a = derivative_form(phi, H, 3)
         b = derivative_form(phi, H, 3, psi=phi)
         assert a.ratio_direct == b.ratio_direct
+
+    def test_planted_taylor_defect_fails_agree(self, monkeypatch):
+        # the direct route reads every Taylor sum, including those that
+        # solve for f, so a wrong sum at z^2 shows as a disagreement
+        taylor_sum = lagrange._taylor_sum
+
+        def planted(divided, pw, k):
+            value = taylor_sum(divided, pw, k)
+            return value + 1 if k == 2 else value
+
+        monkeypatch.setattr(lagrange, "_taylor_sum", planted)
+        phi = PowerSeries([1, 2, 3], 10)
+        H = PowerSeries([1, 1], 10)
+        assert not derivative_form(phi, H, 3).agree
 
     def test_z_order_bound(self):
         phi = PowerSeries([1], 4)

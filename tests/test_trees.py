@@ -214,6 +214,13 @@ class TestPrufer:
         with pytest.raises(InvalidCode):
             trees.prufer_decode((1, 2), 3)
 
+    def test_decode_checks_a_hand_built_code(self):
+        # a PruferCode is not checked when built: prufer_decode checks it
+        with pytest.raises(InvalidCode, match="entries must lie in 1..4"):
+            trees.prufer_decode(trees.PruferCode((1, 5), 4))
+        with pytest.raises(InvalidCode, match="code length must be m - 2"):
+            trees.prufer_decode(trees.PruferCode((1,), 4))
+
 
 class TestDegreeTrees:
     def test_star(self):
