@@ -19,11 +19,15 @@ profile sums for coefficients of f^k.
 
 ``solve_xR`` computes f itself by form A with phi = t, reading the powers
 of R from the series engine's one power walk, and checks it by direct
-substitution through ``compose``; ``solve_indeterminate`` iterates
-f = R(f) to a fixed point, since it truncates by total degree in the
-parameters, not by order: round j is right through total degree j and
-forms no product term above it.  ``inversion_form_sweep`` reads each
-form's coefficient as one dot product of that form's own operands.
+substitution through ``compose``.  It reads only [t^(K-1)] R^K, and for R
+of degree d entry j of R^k feeds only entries j .. j + d (K - k) of R^K,
+so the walk forms each power only on the entries a later read reaches;
+dense R such as exp keeps every entry but in the last power.
+``solve_indeterminate`` iterates f = R(f) to a fixed point, since it
+truncates by total degree in the parameters, not by order: round j is
+right through total degree j and forms no product term above it.
+``inversion_form_sweep`` reads each form's coefficient as one dot product
+of that form's own operands.
 
 ``derivative_form`` and ``cauchy_convolution_check`` read two term lists,
 the shift terms D^(m-1)(g' H^m)/m! and the ratio terms D^m(g H^m)/m!, off
@@ -48,6 +52,7 @@ from operator import mul
 from .errors import (
     BadConstantTerm,
     FormAUndefined,
+    InadmissibleComposition,
     NotReversible,
     OrderMismatch,
     OutOfPrecision,
@@ -78,16 +83,27 @@ def solve_xR(R: PowerSeries) -> PowerSeries:
     One loop reads the powers R, R^2, ... from the series engine's power
     walk on R's stored form, for every coefficient ring: a rational power
     gives one Fraction, its numerator over k times its denominator; an
-    integer R gives int coefficients, and MultiPoly R runs natively.  The
-    result is verified by direct substitution before returning.  f has the
-    order of R; for a shorter f, truncate R.
+    integer R gives int coefficients, and MultiPoly R runs natively.
+
+    The walk is windowed: for R of degree d (its last nonzero
+    coefficient), entry j of R^k feeds only entries j .. j + d (K - k) of
+    R^K, so power k is formed only on the entries L_k .. n - 2 that some
+    later [t^(K-1)] R^K reads, L_k = max(0, n - 2 - max(d, 1) (n - 1 - k)),
+    and entry k - 1 sits at index k - n of that window.  A dense R such as
+    exp keeps every entry but in the last power.
+
+    The result is verified by direct substitution before returning.  f has
+    the order of R; for a shorter f, truncate R.  A Laurent R raises
+    ``InadmissibleComposition``.
     """
+    if isinstance(R, LaurentSeries):
+        raise InadmissibleComposition("R must be a power series")
     n = R.order
     if n == 1:
         return PowerSeries([0], 1)
     known = [0]
-    for k, (power, den) in enumerate(_powers(R._form, n - 1, n - 1), 1):
-        c = power[k - 1]
+    for k, (power, den) in enumerate(_powers(R._form, n - 1, n - 1, True), 1):
+        c = power[k - n]
         # an integer R gives an integer f: keep its coefficients ints; on
         # the rational path c is a numerator over den
         ok = den is None and isinstance(c, int) and not c % k

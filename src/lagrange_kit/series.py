@@ -38,6 +38,12 @@ triangular recurrence whose entries found so far are held over one
 running denominator, their lcm, never over powers of the divisor's
 constant term (199! for an exp-like divisor at order 200); and ``_powers``
 the walk seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.
+``compose`` reads whole powers.  ``solve_xR`` reads one entry of each
+power, so its walk is windowed: for seq of degree d, entry j of seq^k
+feeds only entries j .. j + d (K - k) of a later seq^K, so each power is
+formed only from the lowest entry that a later read can reach.  For low
+degree that drops up to half the walk; a dense seq (exp, geom) keeps
+every entry but in the last power, so it neither gains nor loses.
 A series is false exactly when every stored coefficient is zero, so
 ``_product`` and ``_quotient`` also skip the zero entries of lists of series,
 such as the z-expansions in ``lagrange``.
@@ -194,15 +200,32 @@ def _add(x, y):
     return _reduced([p * sa + q * sb for p, q in zip(a, b)], d)
 
 
-def _powers(form, count: int, length: int):
-    """Yield form^1 .. form^count as forms (power, den), each product cut
-    to ``length`` entries by the product step ``_times``."""
-    power, den = form
-    base = _nonzero_terms(power), den
-    for k in range(count):
-        if k:
-            power, den = _times((power, den), base, length)
-        yield power, den
+def _powers(form, count: int, length: int, windowed: bool = False):
+    """Yield form^1 .. form^count as forms (power, den): each step is the
+    product step of ``_times``, the last power times form's nonzero terms
+    cut to ``length`` entries, reduced.
+
+    With ``windowed``, power k holds only its entries L_k .. length - 1,
+    where L_k = max(0, length - 1 - d (count - k)) and d is the index of
+    form's last nonzero entry, taken as at least 1.  Entry j of power k
+    feeds only entries j .. j + d (K - k) of a later power K, so the
+    entries below L_k reach no entry of a later window and each window is
+    exact; each step multiplies the last window alone and drops the d or
+    fewer entries it forms below the next.  As every window ends at
+    ``length - 1``, entry j of a power sits at index j - length, and the
+    window of power k holds entry length - 1 - (count - k) since d >= 1."""
+    nums, den = form
+    terms = _nonzero_terms(nums)
+    degree = max(terms[-1][0] if terms else 0, 1)
+    start = 0
+    for k in range(1, count + 1):
+        low = max(0, length - 1 - degree * (count - k)) if windowed else 0
+        if k > 1:
+            nums = _product(nums, terms, length - start)
+            den = den and den * form[1]
+        nums, den = _reduced(nums[low - start : length - start], den)
+        start = low
+        yield nums, den
 
 
 def _quotient(x, y, inv0, length: int, by_index: bool = False):

@@ -5,10 +5,13 @@ before form A and the one-power walk, so a rewrite of the series kernels
 must reproduce every coefficient byte for byte.  The order-200 sparse
 rational and order-120 exp entries were frozen from the Fraction power
 walk and Horner composition that came before the integer walk and the
-baby-step/giant-step composition.  The ``oracle`` entries were frozen from
-the edge-subset scan for trees, the multi-pass Prufer checks and the
-sorted-entry ordered census, so a rewrite of the tree searches must
-reproduce every row."""
+baby-step/giant-step composition.  The order-200 entries of degree 0, 2,
+3 and 4 (``2``, ``one-plus-t-squared``, ``1,1,1``, ``1,3,3,1`` and
+``1,1/2,0,0,-1/3``) were frozen from the full power walk, before each
+power was formed only on the entries a later coefficient reads.  The
+``oracle`` entries were frozen from the edge-subset scan for trees, the
+multi-pass Prufer checks and the sorted-entry ordered census, so a
+rewrite of the tree searches must reproduce every row."""
 
 import hashlib
 import io
@@ -97,6 +100,16 @@ GOLDEN = [
      "1476b8754d88c48ab1c775d7c134e07bfc14494f318338e5fc16c32dfecb0ff9"),
     ("invert --R 0,1,1/2,1/6,1/24 --order 120 --format json",
      "85b4de2e1aa77cbb726b9640004712d5fd98787e2e972e65594fe3c684f55e98"),
+    ("coeffs --R 2 --k 1 --order 200 --format json",
+     "a476e4582bdea327dcd1dfa77a421d1ca3000f4772f8eeda3a37ad55e9c20edd"),
+    ("coeffs --R one-plus-t-squared --k 2 --order 200 --format json",
+     "bf7d19e0f21ab69625cef4cb90692c0bf1cf108e0a9cb69127c2cd907e2db598"),
+    ("coeffs --R 1,1,1 --k 1 --order 200 --format json",
+     "872bcd9c1616633195a4e9f30e3405b2876722b608d8ff8fccb049a647eba1c5"),
+    ("coeffs --R 1,3,3,1 --k 2 --order 200 --format json",
+     "7621e7e1a3a4366e9d35c4adf075381be20ee35ff532b25dbc2c4be7cbd47085"),
+    ("coeffs --R 1,1/2,0,0,-1/3 --k 1 --order 200 --format json",
+     "cc620e8d7318fa8c2ba57a9b6548eea57707a2dd9312cb300e21e74d2a1298f6"),
     ("oracle ordered-forest --n 12 --k 3 --format json",
      "a594ebebe71937a2285237798ee492a345f27bae0ce58109b98cc462877d5281"),
     ("oracle ordered-forest --n 12 --k 3 --format csv",

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lagrange_kit import identities, lagrange, scalars
+from lagrange_kit import identities, lagrange, scalars, series
 from lagrange_kit.errors import (
     BadConstantTerm,
     FormAUndefined,
+    InadmissibleComposition,
     NotReversible,
     OrderMismatch,
     OutOfPrecision,
@@ -111,6 +112,56 @@ class TestSolveXR:
         expected = _reference_solve_xR(R)
         assert list(got) == expected
         assert [type(c) for c in got] == [type(c) for c in expected]
+
+    @pytest.mark.parametrize("kind", sorted(R_SCALARS))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data(), degree=st.integers(min_value=0, max_value=4))
+    def test_low_degree_matches_reference_walk(self, kind, data, degree):
+        # a short R at a long order, so the window of each power moves
+        last = data.draw(R_SCALARS[kind].filter(bool))
+        coeffs = data.draw(st.lists(R_SCALARS[kind], min_size=degree,
+                                    max_size=degree)) + [last]
+        order = data.draw(st.integers(min_value=degree + 1, max_value=40))
+        R = PowerSeries(coeffs, order)
+        got = solve_xR(R).coeffs
+        expected = _reference_solve_xR(R)
+        assert list(got) == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+
+    def test_walk_scans_only_the_window_for_linear_R(self, monkeypatch):
+        # the walk's product steps scan each entry of the last power's
+        # window against R's two terms: about n^2 pairs, where the full
+        # walk scans n - 1 entries per step, about 2 n^2
+        n = 60
+        scanned, in_walk = [0], []
+        walk, product = lagrange._powers, series._product
+
+        def counted_product(a, b_terms, length):
+            if in_walk:
+                scanned[0] += len(a[:length]) * len(b_terms)
+            return product(a, b_terms, length)
+
+        def counted_walk(*args):
+            steps = walk(*args)
+            while True:
+                in_walk.append(True)
+                power = next(steps, None)
+                in_walk.pop()
+                if power is None:
+                    return
+                yield power
+
+        monkeypatch.setattr(series, "_product", counted_product)
+        monkeypatch.setattr(lagrange, "_powers", counted_walk)
+        a, b = Fraction(2, 3), Fraction(-3, 2)
+        f = solve_xR(PowerSeries([a, b], n))
+        assert f.coeffs[1:] == tuple(a * b ** (k - 1) for k in range(1, n))
+        assert 0 < scanned[0] <= n * (n + 1)
+
+    @pytest.mark.parametrize("min_exponent", [-1, 0])
+    def test_laurent_R_rejected(self, min_exponent):
+        with pytest.raises(InadmissibleComposition, match="R must be a power series"):
+            solve_xR(LaurentSeries([1, 1], min_exponent, 4))
 
     def test_tree_function_at_order_150(self):
         n = 150
