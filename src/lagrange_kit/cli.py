@@ -8,8 +8,10 @@ check), oracle (brute-force census against closed formulas), and list
 Output formats: json (versioned with "schema": 1, key-sorted), csv
 (fixed headers), and pretty (human table; the only mode that reports
 elapsed time).  Exit codes: 0 success, 1 identity or oracle failure,
-2 usage or parse errors and a self-check that failed outside an identity
-suite (``SelfCheckFailed``), each reported on one stderr line.
+2 usage or parse errors (a literal past ``scalars.LITERAL_BITS`` among
+them), a coefficient too long to print (``SizeLimit``) and a self-check
+that failed outside an identity suite (``SelfCheckFailed``), each
+reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from . import trees
-from .errors import LagrangeKitError
+from .errors import LagrangeKitError, ParseError, SizeLimit
 from .identities import IDENTITY_CATALOG, MAX_ORDER, identity_names, run_identity
 from .lagrange import solve_xR
-from .scalars import format_rational, parse_rational
+from .scalars import LITERAL_BITS, format_rational, parse_rational
 from .series import PowerSeries
 
 DEFAULT_ORDER = 30
@@ -57,7 +59,13 @@ def _series_from_literal(literal: str, order: int) -> PowerSeries:
         coeffs = []
         position = 0
         for token in text.split(","):
-            coeffs.append(parse_rational(token, position))
+            value = parse_rational(token, position)
+            if max(abs(value.numerator), value.denominator).bit_length() > LITERAL_BITS:
+                raise ParseError(
+                    "rational literal %r at position %d exceeds %d bits"
+                    % (token, position, LITERAL_BITS)
+                )
+            coeffs.append(value)
             position += len(token) + 1
     return PowerSeries(coeffs[:order], order)
 
@@ -126,11 +134,27 @@ def _poly_text(ints) -> str:
 
 
 def _emit_coefficients(args, series, meta, started, out) -> int:
-    """The n,value table of ``series`` below ``meta["order"]``."""
-    rows = [
-        (n, format_rational(Fraction(series.coeff(n))))
-        for n in range(meta["order"])
-    ]
+    """The n,value table of ``series`` below ``meta["order"]``, each value
+    written from the stored form: on the rational path a numerator over
+    the series' denominator, reduced by one gcd.  A value that Python
+    cannot turn into text (its int digit limit) raises ``SizeLimit``
+    naming it, before anything is written."""
+    nums, den = series._form
+    rows = []
+    for n, c in enumerate(nums[: meta["order"]]):
+        try:
+            if den is None:
+                text = format_rational(c)
+            elif not c:
+                text = "0"
+            else:
+                g = gcd(c, den)
+                text = "%d" % (c // g) if g == den else "%d/%d" % (c // g, den // g)
+        except ValueError:
+            raise SizeLimit(
+                "the coefficient of x^%d has too many digits to print" % n
+            ) from None
+        rows.append((n, text))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     _emit_table(args.format, ("n", "value"), rows, meta, elapsed_ms, out)
     return 0
@@ -144,7 +168,7 @@ def cmd_coeffs(args, out) -> int:
     r_series = _series_from_literal(args.series, order)
     if not r_series.constant_term:
         raise _UsageError("R must have a nonzero constant term")
-    fk = solve_xR(r_series) ** args.k
+    fk = solve_xR(r_series, args.k)
     meta = {"command": "coeffs", "R": args.series, "k": args.k, "order": order}
     return _emit_coefficients(args, fk, meta, started, out)
 

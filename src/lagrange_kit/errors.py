@@ -69,7 +69,8 @@ class NotATree(LagrangeKitError):
 
 class SizeLimit(LagrangeKitError):
     """A size argument lies outside the range its routine accepts, such as
-    an exhaustive enumeration beyond its safe bound."""
+    an exhaustive enumeration beyond its safe bound, or a result is too
+    large to print."""
 
 
 class SelfCheckFailed(LagrangeKitError):

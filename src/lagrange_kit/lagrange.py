@@ -17,12 +17,14 @@ log(f/x) extraction, the negative/positive power-coefficient duality, the
 shift expansions for f = x + z H(f), product convolutions, and the closed
 profile sums for coefficients of f^k.
 
-``solve_xR`` computes f itself by form A with phi = t, reading the powers
-of R from the series engine's one power walk, and checks it by direct
-substitution through ``compose``.  It reads only [t^(K-1)] R^K, and for R
-of degree d entry j of R^k feeds only entries j .. j + d (K - k) of R^K,
-so the walk forms each power only on the entries a later read reaches;
-dense R such as exp keeps every entry but in the last power.
+``solve_xR`` computes f^k by form A with phi = t^k, and f itself with
+phi = t, reading both from one walk of the powers of R in the series
+engine, and checks f by direct substitution through ``compose``.  It
+reads only [t^(K-1)] R^K and [t^(K-k)] R^K, and for R of degree d entry
+j of R^K' feeds only entries j .. j + d (K - K') of R^K, so the walk
+forms each power only on the entries a later read reaches, up to its
+degree; dense R such as exp keeps every entry but in the last power.
+For k at or above the order, f^k is zero there and no walk runs.
 ``solve_indeterminate`` iterates f = R(f) to a fixed point, since it
 truncates by total degree in the parameters, not by order: round j is
 right through total degree j and forms no product term above it.
@@ -76,42 +78,56 @@ from .series import (
 )
 
 
-def solve_xR(R: PowerSeries) -> PowerSeries:
-    """The unique power series f with f = x * R(f), by form A with phi = t:
-    [x^k] f = (1/k) [t^(k-1)] R^k.
+def solve_xR(R: PowerSeries, k: int = 1) -> PowerSeries:
+    """f^k for the unique power series f with f = x * R(f), by form A with
+    phi = t^k: [x^K] f^k = (k/K) [t^(K-k)] R^K, and with phi = t for f
+    itself, [x^K] f = (1/K) [t^(K-1)] R^K.
 
-    One loop reads the powers R, R^2, ... from the series engine's power
-    walk on R's stored form, for every coefficient ring: a rational power
-    gives one Fraction, its numerator over k times its denominator; an
-    integer R gives int coefficients, and MultiPoly R runs natively.
+    One loop reads both entries of each of the powers R, R^2, ... from the
+    series engine's power walk on R's stored form, for every coefficient
+    ring: a rational power gives one Fraction, its numerator times k over
+    K times its denominator; an integer R gives int coefficients, and
+    MultiPoly R runs natively.  The values are those of
+    ``solve_xR(R) ** k``, and so are the types unless a MultiPoly entry of
+    f cancels to zero: series products skip that entry, so the power can
+    read an int where the walk of R gives a MultiPoly (``solve_xR(R) ** 1``
+    differs from f there too).
 
-    The walk is windowed: for R of degree d (its last nonzero
-    coefficient), entry j of R^k feeds only entries j .. j + d (K - k) of
-    R^K, so power k is formed only on the entries L_k .. n - 2 that some
-    later [t^(K-1)] R^K reads, L_k = max(0, n - 2 - max(d, 1) (n - 1 - k)),
-    and entry k - 1 sits at index k - n of that window.  A dense R such as
-    exp keeps every entry but in the last power.
+    The walk is windowed and bounded by degree: for R of degree d (its
+    last nonzero coefficient), entry j of R^K' feeds only entries
+    j .. j + d (K - K') of R^K, so power K' is formed only on the entries
+    from max(0, n - 1 - min(k, n - 1) - max(d, 1) (n - 1 - K')) that some
+    later read reaches, and only up to its degree d K'.  For k >= n, f^k
+    is zero below x^n and no walk runs.
 
-    The result is verified by direct substitution before returning.  f has
+    f is verified by direct substitution before f^k is returned.  f has
     the order of R; for a shorter f, truncate R.  A Laurent R raises
-    ``InadmissibleComposition``.
+    ``InadmissibleComposition`` and a k below 1 ``SizeLimit``.
     """
     if isinstance(R, LaurentSeries):
         raise InadmissibleComposition("R must be a power series")
+    if k < 1:
+        raise SizeLimit("k must be at least 1")
     n = R.order
-    if n == 1:
-        return PowerSeries([0], 1)
-    known = [0]
-    for k, (power, den) in enumerate(_powers(R._form, n - 1, n - 1, True), 1):
-        c = power[k - n]
-        # an integer R gives an integer f: keep its coefficients ints; on
-        # the rational path c is a numerator over den
-        ok = den is None and isinstance(c, int) and not c % k
-        known.append(c // k if ok else scalar_div_int(c, k * (den or 1)))
-    f = PowerSeries(known, n)
+    if k >= n:
+        return PowerSeries([], n)
+    f, fk = [0], [0] * k
+    for K, ((power, den), low) in enumerate(_powers(R._form, n - 1, n - 1, k), 1):
+        f.append(_form_a(power[K - 1 - low], 1, K, den))
+        if K >= k > 1:
+            fk.append(_form_a(power[K - k - low], k, K, den))
+    f = PowerSeries(f, n)
     if PowerSeries([0, 1], n) * compose(R, f) != f:
         raise SelfCheckFailed("fixed point failed the substitution check")
-    return f
+    return f if k == 1 else PowerSeries(fk, n)
+
+
+def _form_a(c, k: int, K: int, den):
+    """(k/K) c for c = [t^(K-k)] R^K, a numerator over den on the rational
+    path: an integer R gives an integer f^k, so its coefficients stay ints."""
+    if den is None and isinstance(c, int) and not c * k % K:
+        return c * k // K
+    return scalar_div_int(c * k, K * (den or 1))
 
 
 def solve_indeterminate(R: PowerSeries, degree_bound: int) -> MultiPoly:

@@ -15,6 +15,7 @@ and of a series.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
@@ -32,12 +33,39 @@ def format_rational(value) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+# the most bits a rational literal's numerator or denominator may take
+LITERAL_BITS = 64
+
+# a decimal literal with an exponent, in Fraction's grammar: the digits
+# before and after the point, and the exponent
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
 def parse_rational(text: str, position: int | None = None) -> Fraction:
-    """Parse "p/q", "p", or a decimal literal into a Fraction."""
+    """Parse "p/q", "p", or a decimal literal into a Fraction.
+
+    The exponent of a decimal literal is read from the text first, since
+    ``Fraction`` builds 10^|e| for it (seconds for "1e-10000000"): a
+    literal whose exponent moves the point more than LITERAL_BITS places,
+    so that its numerator or denominator would exceed LITERAL_BITS bits,
+    raises ParseError before any value is built."""
+    where = "" if position is None else " at position %d" % position
+    decimal = _EXPONENT_LITERAL.fullmatch(text)
     try:
+        if decimal:
+            whole, point, exponent = (g.replace("_", "") for g in decimal.groups(""))
+            digits = (whole + point).rstrip("0")
+            if not digits.strip("0"):
+                return Fraction(0)
+            if abs(int(exponent) + len(whole) - len(digits)) > LITERAL_BITS:
+                raise ParseError(
+                    "rational literal %r%s exceeds %d bits" % (text, where, LITERAL_BITS)
+                )
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        where = "" if position is None else " at position %d" % position
         raise ParseError("bad rational literal %r%s" % (text, where)) from exc
 
 

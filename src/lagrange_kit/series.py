@@ -38,12 +38,14 @@ triangular recurrence whose entries found so far are held over one
 running denominator, their lcm, never over powers of the divisor's
 constant term (199! for an exp-like divisor at order 200); and ``_powers``
 the walk seq, seq^2, ... that ``compose`` and ``lagrange.solve_xR`` read.
-``compose`` reads whole powers.  ``solve_xR`` reads one entry of each
-power, so its walk is windowed: for seq of degree d, entry j of seq^k
-feeds only entries j .. j + d (K - k) of a later seq^K, so each power is
-formed only from the lowest entry that a later read can reach.  For low
-degree that drops up to half the walk; a dense seq (exp, geom) keeps
-every entry but in the last power, so it neither gains nor loses.
+Each power k of seq of degree d is formed only up to entry d k, since
+every entry above it is zero.  ``compose`` reads whole powers.
+``solve_xR`` reads two entries of each power, k - 1 and k - j for f^j,
+so its walk is windowed too: entry i of seq^k feeds only entries
+i .. i + d (K - k) of a later seq^K, so each power is formed only from
+the lowest entry that a later read can reach.  For linear seq the walk
+is then linear in the order; a dense seq (exp, geom) keeps every entry
+but in the last power, so it neither gains nor loses.
 A series is false exactly when every stored coefficient is zero, so
 ``_product`` and ``_quotient`` also skip the zero entries of lists of series,
 such as the z-expansions in ``lagrange``.
@@ -200,32 +202,33 @@ def _add(x, y):
     return _reduced([p * sa + q * sb for p, q in zip(a, b)], d)
 
 
-def _powers(form, count: int, length: int, windowed: bool = False):
-    """Yield form^1 .. form^count as forms (power, den): each step is the
-    product step of ``_times``, the last power times form's nonzero terms
-    cut to ``length`` entries, reduced.
+def _powers(form, count: int, length: int, span: int = 0):
+    """Yield (power, low) for form^1 .. form^count, where power is the form
+    (nums, den) of the entries low .. top of that power, top = min(d k,
+    length - 1) for power k and d the index of form's last nonzero entry,
+    taken as at least 1.  Entries above d k are zero, so each step is the
+    product step of ``_times`` on the last power's entries up to its own
+    top alone, times form's nonzero terms, reduced.
 
-    With ``windowed``, power k holds only its entries L_k .. length - 1,
-    where L_k = max(0, length - 1 - d (count - k)) and d is the index of
-    form's last nonzero entry, taken as at least 1.  Entry j of power k
-    feeds only entries j .. j + d (K - k) of a later power K, so the
-    entries below L_k reach no entry of a later window and each window is
-    exact; each step multiplies the last window alone and drops the d or
-    fewer entries it forms below the next.  As every window ends at
-    ``length - 1``, entry j of a power sits at index j - length, and the
-    window of power k holds entry length - 1 - (count - k) since d >= 1."""
+    Without ``span`` low is 0.  With ``span``, the walk serves reads of
+    entry length - span - (count - K) and above of each power K; entry j of
+    power k feeds only entries j .. j + d (K - k) of a later power K, so
+    power k holds only its entries from low = max(0, length - span -
+    d (count - k)), and each step drops the d or fewer entries it forms
+    below the next window."""
     nums, den = form
     terms = _nonzero_terms(nums)
     degree = max(terms[-1][0] if terms else 0, 1)
     start = 0
     for k in range(1, count + 1):
-        low = max(0, length - 1 - degree * (count - k)) if windowed else 0
+        low = max(0, length - span - degree * (count - k)) if span else 0
+        top = min(degree * k, length - 1)
         if k > 1:
-            nums = _product(nums, terms, length - start)
+            nums = _product(nums, terms, top + 1 - start)
             den = den and den * form[1]
-        nums, den = _reduced(nums[low - start : length - start], den)
+        nums, den = _reduced(nums[low - start : top + 1 - start], den)
         start = low
-        yield nums, den
+        yield (nums, den), low
 
 
 def _quotient(x, y, inv0, length: int, by_index: bool = False):
@@ -712,7 +715,7 @@ def compose(outer, inner: PowerSeries):
         ([0, *outer._nums[1 : top + 1]], outer._den), inner._form
     )
     # the baby steps inner^0 .. inner^(s-1), then inner^s if top >= s
-    powers = [([1], e and 1), *_powers(inner_form, min(s, top), n)]
+    powers = [([1], e and 1), *(p for p, _ in _powers(inner_form, min(s, top), n))]
     baby, den = [p for p, _ in powers[:s]], None
     if e is not None:
         d = lcm(*(p_den for _, p_den in powers[:s]))

@@ -19,6 +19,8 @@ from lagrange_kit.identities import (
     IdentityReport,
     run_identity,
 )
+from lagrange_kit.lagrange import solve_xR
+from lagrange_kit.series import PowerSeries
 
 
 def run_cli(*argv):
@@ -147,6 +149,73 @@ class TestInvert:
         err = capsys.readouterr().err
         assert "oops" in err
         assert "position 4" in err
+
+
+class TestLiteralAndPrintLimits:
+    """A literal's numerator and denominator take at most 64 bits, read
+    before the value is built, and a coefficient past Python's int digit
+    limit is named instead of escaping as a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [
+            (("coeffs", "--R=1,1e-2000", "--order", "200"), "'1e-2000' at position 2"),
+            (("invert", "--R=0,1,1e-3000", "--order", "200"), "'1e-3000' at position 4"),
+            (("coeffs", "--R=1e-100000000", "--order", "2"), "'1e-100000000' at position 0"),
+            (("coeffs", "--R=1,18446744073709551616", "--order", "3"),
+             "'18446744073709551616' at position 2"),
+            (("coeffs", "--R=1,1/18446744073709551616", "--order", "3"),
+             "'1/18446744073709551616' at position 2"),
+        ],
+    )
+    def test_literal_past_64_bits_fails_fast(self, argv, literal, capsys):
+        code, text, elapsed = run_cli_with_deadline(*argv)
+        err = capsys.readouterr().err
+        assert elapsed < 1.0
+        assert code == 2
+        assert text == ""
+        assert err == "error: rational literal %s exceeds 64 bits\n" % literal
+
+    def test_64_bit_literals_accepted(self):
+        code, text = run_cli(
+            "coeffs", "--R=18446744073709551615,-1/18446744073709551557,2.5e-3",
+            "--order", "3", "--format", "csv",
+        )
+        assert code == 0
+        # [x^2] f = r0 r1 for f = x R(f)
+        assert csv_rows(text)[1:] == [
+            ["0", "0"], ["1", "18446744073709551615"],
+            ["2", "-18446744073709551615/18446744073709551557"],
+        ]
+
+    def test_unprintable_coefficient_is_named(self, capsys):
+        # the inverse's coefficients grow as p^(2n) for the 64-bit prime p
+        code, text, _ = run_cli_with_deadline(
+            "invert", "--R=0,1/18446744073709551557,1", "--order", "120",
+            "--format", "csv",
+        )
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: the coefficient of x^111 has too many digits to print\n"
+        )
+
+    def test_unprintable_literal_is_rejected(self, capsys):
+        code, text, _ = run_cli_with_deadline("coeffs", "--R=1e-5000", "--order", "2")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_row_writer_raises_size_limit(self):
+        # f = x R(f) for R = 10^5000 is 10^5000 x
+        big = PowerSeries([10 ** 5000], 3)
+        args = cli.build_parser().parse_args(["coeffs", "--format", "csv"])
+        meta = {"command": "coeffs", "R": "big", "k": 1, "order": 3}
+        out = io.StringIO()
+        with pytest.raises(SizeLimit, match="coefficient of x\\^1 has too many digits"):
+            cli._emit_coefficients(args, solve_xR(big), meta, 0.0, out)
+        assert out.getvalue() == ""
 
 
 class TestIdentity:

@@ -9,6 +9,10 @@ baby-step/giant-step composition.  The order-200 entries of degree 0, 2,
 3 and 4 (``2``, ``one-plus-t-squared``, ``1,1,1``, ``1,3,3,1`` and
 ``1,1/2,0,0,-1/3``) were frozen from the full power walk, before each
 power was formed only on the entries a later coefficient reads.  The
+two order-200 csv rows and the ``--k 150`` and ``--k 250`` rows (k above
+the order: every row is 0) were frozen from binary powering of f and the
+Fraction-built rows, before ``coeffs`` read f^k from the power walk and
+wrote each row from the stored form.  The
 ``oracle`` entries were frozen from the edge-subset scan for trees, the
 multi-pass Prufer checks and the sorted-entry ordered census, so a
 rewrite of the tree searches must reproduce every row."""
@@ -110,6 +114,14 @@ GOLDEN = [
      "7621e7e1a3a4366e9d35c4adf075381be20ee35ff532b25dbc2c4be7cbd47085"),
     ("coeffs --R 1,1/2,0,0,-1/3 --k 1 --order 200 --format json",
      "cc620e8d7318fa8c2ba57a9b6548eea57707a2dd9312cb300e21e74d2a1298f6"),
+    ("coeffs --R 3,-2/3 --k 1 --order 200 --format csv",
+     "a1047ae5d6942c493b8f18fc6044c0d3df594ffdeb8bd66fb4fcf57cb9bfb55f"),
+    ("invert --R=0,1,1/3,-2/3 --order 200 --format csv",
+     "cca45af6aacdba4b0ae3e7b493bcad333c771abe334e9ab0df4d2e729e43ac9f"),
+    ("coeffs --R=2/3,-3/2 --k 150 --order 200 --format json",
+     "5c5078b252b850f20f5c3758009255b94569edf2b47198424d48411b774d9ec6"),
+    ("coeffs --R 1,1,1 --k 250 --order 200 --format json",
+     "ad76de3f23d90120ba5a6719624f1445cd9a6e43dff07a2a96bdc934ef633f1d"),
     ("oracle ordered-forest --n 12 --k 3 --format json",
      "a594ebebe71937a2285237798ee492a345f27bae0ce58109b98cc462877d5281"),
     ("oracle ordered-forest --n 12 --k 3 --format csv",

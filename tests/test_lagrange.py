@@ -158,6 +158,70 @@ class TestSolveXR:
         assert f.coeffs[1:] == tuple(a * b ** (k - 1) for k in range(1, n))
         assert 0 < scanned[0] <= n * (n + 1)
 
+    @pytest.mark.parametrize("kind", sorted(R_SCALARS))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), degree=st.integers(min_value=0, max_value=4))
+    def test_power_k_matches_binary_powering(self, kind, data, degree):
+        # form A at exponent k against the series product, values and
+        # types, with k past the order too
+        last = data.draw(R_SCALARS[kind].filter(bool))
+        coeffs = data.draw(st.lists(R_SCALARS[kind], min_size=degree,
+                                    max_size=degree)) + [last]
+        order = data.draw(st.integers(min_value=1, max_value=40))
+        k = data.draw(st.integers(min_value=1, max_value=order + 2))
+        R = PowerSeries(coeffs[:order], order)
+        got, expected = solve_xR(R, k).coeffs, (solve_xR(R) ** k).coeffs
+        assert got == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_walk_scans_only_up_to_the_degree_for_linear_R(self, monkeypatch, n, k):
+        # the window of power K starts k - 1 entries below entry K - 1 and
+        # each step scans the last power only up to its degree K - 1, so
+        # the walk is linear in n; the window alone scans about n^2 pairs
+        scanned, in_walk = [0], []
+        walk, product = lagrange._powers, series._product
+
+        def counted_product(a, b_terms, length):
+            if in_walk:
+                scanned[0] += len(a[:length]) * len(b_terms)
+            return product(a, b_terms, length)
+
+        def counted_walk(*args):
+            steps = walk(*args)
+            while True:
+                in_walk.append(True)
+                power = next(steps, None)
+                in_walk.pop()
+                if power is None:
+                    return
+                yield power
+
+        monkeypatch.setattr(series, "_product", counted_product)
+        monkeypatch.setattr(lagrange, "_powers", counted_walk)
+        a, b = Fraction(2, 3), Fraction(-3, 2)
+        fk = solve_xR(PowerSeries([a, b], n), k)
+        # f = a x / (1 - b x), so [x^K] f^k = C(K - 1, k - 1) a^k b^(K - k)
+        assert fk.coeffs[k:] == tuple(
+            comb(K - 1, k - 1) * a ** k * b ** (K - k) for K in range(k, n)
+        )
+        assert 0 < scanned[0] <= 2 * (k + 1) * n
+
+    def test_k_at_or_past_the_order_runs_no_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(lagrange, "_powers", no_walk)
+        for k in (5, 6, 50):
+            fk = solve_xR(PowerSeries([1, 1], 5), k)
+            assert fk.is_zero() and fk.order == 5
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_1_rejected(self, k):
+        with pytest.raises(SizeLimit, match="k must be at least 1"):
+            solve_xR(PowerSeries([1, 1], 5), k)
+
     @pytest.mark.parametrize("min_exponent", [-1, 0])
     def test_laurent_R_rejected(self, min_exponent):
         with pytest.raises(InadmissibleComposition, match="R must be a power series"):

@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import time
 from fractions import Fraction
 from math import comb, gcd
 
@@ -43,6 +44,20 @@ class TestRationalText:
             parse_rational("x", 3)
         with pytest.raises(ParseError):
             parse_rational("1/0")
+
+    def test_exponent_is_read_before_the_value(self):
+        # Fraction alone builds 10^100000000 for the first literal
+        started = time.perf_counter()
+        for text in ("1e-100000000", "-2.5E+70", "1_0e-66", "0.1e66"):
+            with pytest.raises(ParseError, match="exceeds 64 bits"):
+                parse_rational(text, 0)
+        assert time.perf_counter() - started < 1.0
+        assert parse_rational("0e99999999") == 0
+        assert parse_rational("25e-1") == Fraction(5, 2)
+        assert parse_rational("1000e-67") == Fraction(1, 10 ** 64)
+        assert parse_rational(".5e1") == 5
+        with pytest.raises(ParseError):
+            parse_rational("1e" + "9" * 5000)
 
     @fast
     @given(f=st.fractions(max_denominator=50))
