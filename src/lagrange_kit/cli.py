@@ -3,11 +3,12 @@
 Subcommands: coeffs (coefficients of f^k for f = x R(f)), invert
 (compositional inverse of a series literal), identity (run a named
 check), oracle (brute-force census against closed formulas), and list
-(identity names).
+(identity names).  Flags are read only as spelled in full.
 
 Output formats: json (versioned with "schema": 1, key-sorted), csv
-(fixed headers), and pretty (human table; the only mode that reports
-elapsed time).  Exit codes: 0 success, 1 identity or oracle failure,
+(fixed headers), each written by one helper for every command, and
+pretty (human table; the only mode that reports elapsed time; a
+polynomial is written as ``str`` writes a series).  Exit codes: 0 success, 1 identity or oracle failure,
 2 usage or parse errors (a literal past ``scalars.LITERAL_BITS`` among
 them), a coefficient too long to print (``SizeLimit``) and a self-check
 that failed outside an identity suite (``SelfCheckFailed``), each
@@ -30,8 +31,8 @@ from . import trees
 from .errors import LagrangeKitError, ParseError, SizeLimit
 from .identities import IDENTITY_CATALOG, MAX_ORDER, identity_names, run_identity
 from .lagrange import solve_xR
-from .scalars import LITERAL_BITS, format_rational, parse_rational
-from .series import PowerSeries
+from .scalars import LITERAL_BITS, _sum_text, format_rational, parse_rational
+from .series import PowerSeries, _monomials
 
 DEFAULT_ORDER = 30
 SERIES_PRESETS = ("exp", "geom", "one-plus-t-squared")
@@ -86,16 +87,22 @@ def _parse_int_list(literal: str) -> list:
 # -- output ------------------------------------------------------------------
 
 
+def _emit_json(payload, out) -> None:
+    """``payload`` as schema-1 JSON, key-sorted with indent 2."""
+    print(json.dumps({**payload, "schema": 1}, sort_keys=True, indent=2), file=out)
+
+
+def _emit_csv(headers, rows, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+
+
 def _emit_table(fmt, headers, rows, meta, elapsed_ms, out) -> None:
     if fmt == "json":
-        payload = dict(meta)
-        payload["schema"] = 1
-        payload["rows"] = [dict(zip(headers, row)) for row in rows]
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        _emit_json({**meta, "rows": [dict(zip(headers, row)) for row in rows]}, out)
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
+        _emit_csv(headers, rows, out)
     else:
         widths = [
             max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
@@ -109,25 +116,6 @@ def _emit_table(fmt, headers, rows, meta, elapsed_ms, out) -> None:
                 "  ".join(str(v).ljust(w) for v, w in zip(row, widths)), file=out
             )
         print("elapsed: %.1f ms" % elapsed_ms, file=out)
-
-
-def _poly_text(ints) -> str:
-    """Render an ascending integer coefficient list like '2 - x + 3x^2'."""
-    parts = []
-    for e, c in enumerate(ints):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "x" if e == 1 else "x^%d" % e
-            body = var if mag == 1 else "%d%s" % (mag, var)
-        if not parts:
-            parts.append(body if c > 0 else "-%s" % body)
-        else:
-            parts.append("%s %s" % ("+" if c > 0 else "-", body))
-    return " ".join(parts) if parts else "0"
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -162,8 +150,6 @@ def _emit_coefficients(args, series, meta, started, out) -> int:
 
 def cmd_coeffs(args, out) -> int:
     started = time.perf_counter()
-    if args.k < 1:
-        raise _UsageError("k must be positive")
     order = _order(args)
     r_series = _series_from_literal(args.series, order)
     if not r_series.constant_term:
@@ -184,8 +170,8 @@ def cmd_invert(args, out) -> int:
 # subcommands that read no order reject --order instead of ignoring it
 _ORDERLESS = ("oracle", "list")
 
-# --order too is passed only when given, so a suite that takes no order
-# rejects it instead of running at its own size
+# identity's flags, each passed only when given; --order too, so a suite
+# that takes no order rejects it instead of running at its own size
 _PARAM_FLAGS = ("order", "p", "i", "j", "r", "n_max", "seed")
 
 
@@ -208,18 +194,15 @@ def cmd_identity(args, out) -> int:
             )
         params[flag] = value
     report = run_identity(name, **params)
+    rendered = report.to_dict()
     if args.format == "json":
-        payload = report.to_dict()
-        payload["schema"] = 1
-        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        _emit_json(rendered, out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("identity", "params", "order", "status", "first_failure"))
-        packed = ";".join(
-            "%s=%s" % (k, v) for k, v in sorted(report.to_dict()["params"].items())
-        )
-        writer.writerow(
-            (report.name, packed, report.order, report.status, report.first_failure or "")
+        packed = ";".join("%s=%s" % kv for kv in sorted(rendered["params"].items()))
+        _emit_csv(
+            ("identity", "params", "order", "status", "first_failure"),
+            [(report.name, packed, report.order, report.status, report.first_failure or "")],
+            out,
         )
     else:
         print(
@@ -229,14 +212,10 @@ def cmd_identity(args, out) -> int:
         )
         if report.first_failure:
             print("first failure: %s" % report.first_failure, file=out)
-        if report.details:
-            rendered = report.to_dict()["details"]
-            for key in sorted(rendered):
-                value = rendered[key]
-                if key == "polynomial" and isinstance(value, list):
-                    print("%s: %s" % (key, _poly_text(value)), file=out)
-                else:
-                    print("%s: %s" % (key, value), file=out)
+        for key, value in sorted(rendered.get("details", {}).items()):
+            if key == "polynomial":  # fc-polynomial's integer coefficients
+                value = _sum_text(_monomials(value))
+            print("%s: %s" % (key, value), file=out)
     return 0 if report.passed else 1
 
 
@@ -287,18 +266,11 @@ def cmd_oracle(args, out) -> int:
 def cmd_list(args, out) -> int:
     names = identity_names()
     if args.format == "json":
-        print(
-            json.dumps({"schema": 1, "identities": names}, sort_keys=True, indent=2),
-            file=out,
-        )
+        _emit_json({"identities": names}, out)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("identity",))
-        for name in names:
-            writer.writerow((name,))
+        _emit_csv(("identity",), [(name,) for name in names], out)
     else:
-        for name in names:
-            print(name, file=out)
+        print("\n".join(names), file=out)
     return 0
 
 
@@ -308,7 +280,8 @@ def cmd_list(args, out) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``main`` only reads it."""
-    common = argparse.ArgumentParser(add_help=False)
+    # every parser reads a flag only as spelled in full: --s is not --seed
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument(
         "--order", type=int, default=None,
         help="truncation order (default %d)" % DEFAULT_ORDER,
@@ -320,36 +293,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lagrange-kit",
         description="Exact power series inversion, identity checks, and "
         "combinatorial oracles.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("coeffs", parents=[common], help="coefficients of f^k for f = x R(f)")
+    p = add("coeffs", help="coefficients of f^k for f = x R(f)")
     p.add_argument("--R", dest="series", default="geom", help="coefficient list or preset (%s)" % ", ".join(SERIES_PRESETS))
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("invert", parents=[common], help="compositional inverse of a series literal")
+    p = add("invert", help="compositional inverse of a series literal")
     p.add_argument("--R", dest="series", required=True, help="coefficient list of the series to invert")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("identity", parents=[common], help="run a named identity check")
+    p = add("identity", help="run a named identity check")
     p.add_argument("name")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for flag in _PARAM_FLAGS[1:]:  # --order comes from common
+        p.add_argument("--" + flag.replace("_", "-"), type=int, default=None)
     p.set_defaults(func=cmd_identity)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force census vs closed formula")
+    p = add("oracle", help="brute-force census vs closed formula")
     p.add_argument("kind", choices=trees.ORACLE_KINDS)
     for flag in ("--n", "--k", "--m", "--len"):
         p.add_argument(flag, type=int, default=None)
     p.add_argument("--alphabet", default=None)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("list", parents=[common], help="list identity names")
+    p = add("list", help="list identity names")
     p.set_defaults(func=cmd_list)
     return parser
 
@@ -357,19 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
-    # join "--alphabet -1,0,1" so the negative entry is not read as a flag
-    merged = []
-    skip = False
+    # join "--alphabet -1,0,1" so the negative entry is not read as a flag;
+    # the loop then goes on at the token after the joined value
     for idx, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
         if token == "--alphabet" and idx + 1 < len(argv):
-            merged.append("--alphabet=%s" % argv[idx + 1])
-            skip = True
-        else:
-            merged.append(token)
-    args = build_parser().parse_args(merged)
+            argv[idx:idx + 2] = ["--alphabet=%s" % argv[idx + 1]]
+    args = build_parser().parse_args(argv)
     try:
         if args.order is not None and args.command in _ORDERLESS:
             raise _UsageError("%s does not take --order" % args.command)

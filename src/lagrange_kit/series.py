@@ -651,13 +651,18 @@ class LaurentSeries(_Series):
         return Fraction(total, da * db) if da and total else total
 
 
-def _render(coeffs, min_exponent, order) -> str:
-    terms = (
+def _monomials(coeffs, min_exponent=0):
+    """The (coefficient, monomial text) pairs of the nonzero entries of
+    ``coeffs``, the first at x^min_exponent, for ``scalars._sum_text``."""
+    return (
         (c, "" if e == 0 else "x" if e == 1 else "x^%d" % e)
         for e, c in enumerate(coeffs, min_exponent)
         if c
     )
-    return _sum_text(terms) + " + O(x^%d)" % order
+
+
+def _render(coeffs, min_exponent, order) -> str:
+    return _sum_text(_monomials(coeffs, min_exponent)) + " + O(x^%d)" % order
 
 
 def compose(outer, inner: PowerSeries):

@@ -123,6 +123,12 @@ class TestCoeffs:
         code, _ = run_cli("coeffs", "--R", "0,1")
         assert code == 2
 
+    def test_k_below_one_is_refused_by_solve_xR(self, capsys):
+        code, text = run_cli("coeffs", "--k", "0")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: k must be at least 1\n"
+
 
 class TestInvert:
     def test_catalan_inverse(self):
@@ -232,6 +238,13 @@ class TestIdentity:
         assert code == 0
         assert "polynomial: 2 - x" in text
         assert "branch: vanishing" in text
+
+    def test_fc_polynomial_line_reads_as_str_writes_a_series(self):
+        code, text = run_cli(
+            "identity", "fc-polynomial", "--p", "4", "--i", "0", "--j", "4"
+        )
+        assert code == 0
+        assert "polynomial: 1365 - 1209*x + 767*x^2 - 243*x^3\n" in text
 
     def test_jensen_with_zero_p(self):
         code, text = run_cli(
@@ -395,6 +408,18 @@ class TestOracle:
         assert code == 0
         assert all(r[3] == "yes" for r in csv_rows(text)[1:])
 
+    def test_repeated_alphabet_keeps_the_last(self):
+        repeated = run_cli(
+            "oracle", "cycle-lemma", "--alphabet", "-1", "--alphabet", "-1,1",
+            "--len", "3", "--format", "csv",
+        )
+        joined = run_cli(
+            "oracle", "cycle-lemma", "--alphabet=-1,1", "--len", "3",
+            "--format", "csv",
+        )
+        assert repeated == joined
+        assert repeated[0] == 0
+
     def test_single_vertex_forest(self):
         code, text = run_cli(
             "oracle", "ordered-forest", "--n", "1", "--k", "1",
@@ -553,6 +578,25 @@ class TestList:
         payload = json.loads(text)
         assert payload["schema"] == 1
         assert len(payload["identities"]) == 19
+
+
+class TestFlagSpelling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # read as --seed, --n-max, --order and --alphabet with prefixes on
+            ("identity", "rational-expansion", "--s", "3"),
+            ("identity", "abel", "--n", "4"),
+            ("coeffs", "--R", "1,1", "--o", "4"),
+            ("oracle", "cycle-lemma", "--al=-1,1", "--len", "2"),
+        ],
+    )
+    def test_abbreviated_flag_exits_2(self, argv):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv), out=out)
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
 
 
 class TestOrderlessCommands:

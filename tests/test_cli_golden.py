@@ -1,5 +1,5 @@
 """Golden CLI output: the sha256 of the schema-1 stdout of ``coeffs``,
-``invert`` and ``oracle``.  The ``coeffs`` and ``invert`` entries were
+``invert``, ``oracle``, ``identity`` and ``list``.  The ``coeffs`` and ``invert`` entries were
 frozen from the fixed-point solver and the power-table reversion that came
 before form A and the one-power walk, so a rewrite of the series kernels
 must reproduce every coefficient byte for byte.  The order-200 sparse
@@ -15,7 +15,9 @@ Fraction-built rows, before ``coeffs`` read f^k from the power walk and
 wrote each row from the stored form.  The
 ``oracle`` entries were frozen from the edge-subset scan for trees, the
 multi-pass Prufer checks and the sorted-entry ordered census, so a
-rewrite of the tree searches must reproduce every row."""
+rewrite of the tree searches must reproduce every row.  The ``identity``
+and ``list`` entries were frozen while each command still wrote its own
+JSON and CSV, before the commands shared one writer per format."""
 
 import hashlib
 import io
@@ -142,6 +144,18 @@ GOLDEN = [
      "3cc9c7937d7f34a1470bc209c13f4c67c2fd3d94037871aa9e2a6d17d233141b"),
     ("oracle cycle-lemma --len 8 --format csv",
      "6e9a4e9e0c25b913139ae58d0b288d040dab32b68208fc7c2c6fb6e5d4f520bd"),
+    ("identity catalan --format json",
+     "7653e857c52fb7873ad65ef719678758932bd21318234280146f56e6442abf5e"),
+    ("identity catalan --format csv",
+     "ad44ac04b7b8ccd6ef3cb56ccee10ab626860e88fae0de0e8d3b21f6b3468e51"),
+    ("identity fc-polynomial --p 2 --i 2 --j 1 --format json",
+     "b947e43a71bc97014b1e4fe4b16a155765dcb22218b63689f7187ad18c5dfdb9"),
+    ("identity r-m --format csv",
+     "fb028b5548854b475d27ba017cc055afbc95dcfc4ddfcfe640b912b851df07c8"),
+    ("list --format json",
+     "7c0c410506e16e390644df9683eddae1ee123dcd8010f3323ad0102e137f4e24"),
+    ("list --format csv",
+     "c2d2ba59bf55fd05752b62ac7688dfd6e213987feeb489c628d68591e9b5d589"),
 ]
 
 

@@ -70,7 +70,6 @@ UNTRACED = {
         "series._Series.__str__",
         "series._Series.__repr__",
     ), _IMPLICIT),
-    "scalars._sum_text": "the text of a sum of terms, which only str reaches",
     "series._render": "the text of a series, which only str reaches",
     "trees._PackedTrees.__getitem__": "Sequence declares it abstract",
     "lagrange.constant_term_supplement": _PAPER_STATEMENT,
